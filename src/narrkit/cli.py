@@ -108,7 +108,7 @@ def cmd_validate(args, rc: RunConfig) -> int:
             + "\n",
             args.out,
         )
-        _log(f"manifest rejected: {exc}")
+        _log(f"error: {args.manifest}: {exc}")
         return 1
     violations = validate_manifest(manifest)
     lines = [
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--seed", type=int, help="seed for all randomness (default 0)")
-    common.add_argument("--threads", type=int, help="worker threads (never changes output)")
+    common.add_argument("--threads", type=int, help="worker threads for perturb; ignored elsewhere (never changes output)")
     common.add_argument("--out", help="output path (default: stdout)")
 
     parser = argparse.ArgumentParser(

@@ -11,14 +11,15 @@ carries a ``kind`` field:
 
 ``duration_s`` is optional (some source corpora do not ship it). Record
 kinds may arrive in any order; clips are sorted by start time per video on
-ingest. Timestamps are decimal seconds and survive a write/parse round trip
-at full precision.
+ingest. Timestamps are finite decimal seconds and survive a write/parse round
+trip at full precision.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Union
@@ -54,12 +55,16 @@ class ManifestError(ValueError):
 
 @dataclass(frozen=True)
 class TimeInterval:
-    """Half-bounded time span in seconds; end must lie strictly after start."""
+    """Finite time span in seconds; end must lie strictly after start."""
 
     start_s: float
     end_s: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.start_s) and math.isfinite(self.end_s)):
+            raise ValueError(
+                f"interval endpoints must be finite, got [{self.start_s}, {self.end_s}]"
+            )
         if self.start_s < 0:
             raise ValueError(f"interval start must be >= 0, got {self.start_s}")
         if self.end_s <= self.start_s:
@@ -164,9 +169,14 @@ def _want_text(rec: dict, key: str, lineno: int) -> str:
 
 def _want_number(rec: dict, key: str, lineno: int) -> float:
     value = rec.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ManifestError(f"field '{key}' must be a number", lineno)
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ManifestError(f"field '{key}' must be a finite number", lineno)
 
 
 def parse_manifest(source: ManifestSource) -> DatasetManifest:

@@ -18,14 +18,21 @@ Note the two rule thresholds ship with defaults 0.2 and 0.5. Published
 descriptions of this procedure disagree on whether the low threshold is
 0.2 or 0.25; the executable definition uses 0.2 and that is the default
 here, with ``iou_low`` configurable.
+
+Because every rule needs IoU > ``iou_low`` >= 0, only pairs that overlap
+strictly (a shared stretch of positive length) can match. Matching is
+therefore an interval join: per video, a sweep over actions in start order
+evaluates only the actions that can overlap each clip. Endpoints must be
+finite, which ``TimeInterval`` enforces, so the sweep's sorted order holds.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .manifest import ActionRecord, ClipRecord, DatasetManifest, TimeInterval, VideoEntry
@@ -134,11 +141,18 @@ def match_clip_action(
 def _match_video(
     video_id: str, entry: VideoEntry, actions: list[ActionRecord], th: MatchThresholds
 ) -> list[MatchRecord]:
+    # Actions in start order, with ``reach`` the running maximum of their
+    # ends. Actions before ``lo`` end at or before the clip starts; actions
+    # from ``hi`` on start at or after it ends. Neither can overlap it.
+    order = sorted(range(len(actions)), key=lambda i: actions[i].interval.start_s)
+    starts = [actions[i].interval.start_s for i in order]
+    reach = list(accumulate((actions[i].interval.end_s for i in order), max))
     found = []
-    clips = sorted(entry.clips, key=lambda c: c.interval.start_s)
-    for clip in clips:
-        for idx, action in enumerate(actions):
-            decision = match_clip_action(clip, action, th)
+    for clip in sorted(entry.clips, key=lambda c: c.interval.start_s):
+        hi = bisect_left(starts, clip.interval.end_s)
+        lo = bisect_right(reach, clip.interval.start_s)
+        for idx in sorted(order[lo:hi]):
+            decision = match_clip_action(clip, actions[idx], th)
             if decision is not None:
                 found.append(
                     MatchRecord(
@@ -156,27 +170,18 @@ def _match_video(
 def match_dataset(
     m: DatasetManifest, th: MatchThresholds | None = None, threads: int = 1
 ) -> list[MatchRecord]:
-    """Run pairwise matching over every video in the manifest.
+    """Match actions to clips in every video of the manifest.
 
-    Output is deterministically ordered by (video_id, clip start, action
-    index) regardless of ``threads``; workers process whole videos and the
-    merge respects the fixed video order.
+    Output is ordered by (video_id, clip start, action index). All work runs
+    in the calling thread; ``threads`` is accepted for compatibility and
+    ignored.
     """
     th = th or MatchThresholds()
-    jobs = [
-        (video_id, m.videos[video_id], m.actions.get(video_id, []))
-        for video_id in sorted(m.videos)
-    ]
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_video = list(
-                pool.map(lambda j: _match_video(j[0], j[1], j[2], th), jobs)
-            )
-    else:
-        per_video = [_match_video(v, e, a, th) for v, e, a in jobs]
     merged: list[MatchRecord] = []
-    for records in per_video:
-        merged.extend(records)
+    for video_id in sorted(m.videos):
+        merged.extend(
+            _match_video(video_id, m.videos[video_id], m.actions.get(video_id, []), th)
+        )
     return merged
 
 
@@ -210,11 +215,16 @@ def filter_matched(
     record existed in the input.
     """
     by_clip: dict[tuple[str, str], list[MatchRecord]] = {}
+    # Clip ids of the video the previous match named. Match files are grouped
+    # by video, so each set is built once and only one is alive at a time.
+    ids_video, clip_ids = None, set()
     for rec in matches:
         entry = m.videos.get(rec.video_id)
         if entry is None:
             raise ValueError(f"match references unknown video '{rec.video_id}'")
-        if all(c.clip_id != rec.clip_id for c in entry.clips):
+        if rec.video_id != ids_video:
+            ids_video, clip_ids = rec.video_id, {c.clip_id for c in entry.clips}
+        if rec.clip_id not in clip_ids:
             raise ValueError(
                 f"match references unknown clip '{rec.clip_id}' in video "
                 f"'{rec.video_id}'"
@@ -279,6 +289,8 @@ def parse_match_records(lines: Iterable[str]) -> Iterator[MatchRecord]:
             continue
         try:
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError("record must be a JSON object")
             yield MatchRecord(
                 rec["video_id"],
                 rec["clip_id"],
@@ -287,5 +299,5 @@ def parse_match_records(lines: Iterable[str]) -> Iterator[MatchRecord]:
                 float(rec["start_diff_s"]),
                 MatchRule(rec["rule"]),
             )
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad match record at line {lineno}: {exc}") from exc

@@ -63,6 +63,24 @@ class TestValidate:
         assert rec["code"] == "clip-exceeds-duration"
         assert rec["clip_id"] == "c1"
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["duration_s", "start_s", "end_s"])
+    def test_non_finite_number_rejected(self, capsys, tmp_path, field, literal):
+        values = {"duration_s": "20.0", "start_s": "0.0", "end_s": "9.0", field: literal}
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            f'{{"kind": "video", "video_id": "v", "duration_s": {values["duration_s"]}}}\n'
+            f'{{"kind": "clip", "video_id": "v", "clip_id": "c1", "start_s": '
+            f'{values["start_s"]}, "end_s": {values["end_s"]}, "caption": "x"}}\n'
+        )
+        code, out, err = invoke(capsys, "validate", "--manifest", str(path))
+        assert code == 1
+        rec = json.loads(out)
+        assert rec["code"] == "parse-error"
+        assert rec["line"] == (1 if field == "duration_s" else 2)
+        assert err.startswith("error: ")
+        assert f"'{field}' must be a finite number" in err
+
 
 class TestMatch:
     def test_deterministic_output(self, capsys, manifest_path, tmp_path):
@@ -123,6 +141,17 @@ class TestFilter:
         for line in assignment.read_text().splitlines():
             rec = json.loads(line)
             assert len(rec["action_indices"]) == 1
+
+    @pytest.mark.parametrize("line", ["[1]", '"x"', "null"])
+    def test_non_object_match_line(self, capsys, manifest_path, tmp_path, line):
+        matches = tmp_path / "matches.jsonl"
+        matches.write_text(line + "\n")
+        code, out, err = invoke(
+            capsys, "filter", "--manifest", manifest_path, "--matches", str(matches)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bad match record at line 1: ")
 
 
 class TestStats:

@@ -32,7 +32,13 @@ class TestTimeInterval:
     def test_valid(self):
         assert TimeInterval(1.5, 2.0).length_s == 0.5
 
-    @pytest.mark.parametrize("start,end", [(5.0, 5.0), (5.0, 4.0), (-1.0, 2.0)])
+    @pytest.mark.parametrize(
+        "start,end",
+        [
+            (5.0, 5.0), (5.0, 4.0), (-1.0, 2.0),
+            (float("nan"), 5.0), (0.0, float("nan")), (0.0, float("inf")),
+        ],
+    )
     def test_invalid(self, start, end):
         with pytest.raises(ValueError):
             TimeInterval(start, end)
@@ -98,6 +104,27 @@ class TestParse:
 
     def test_blank_lines_skipped(self):
         assert parse_manifest(["", LINES[0], "   "]).n_videos == 1
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "overflow-float", "overflow-int"],
+    )
+    @pytest.mark.parametrize(
+        "field,record",
+        [
+            ("duration_s", '{"kind": "video", "video_id": "v2", "duration_s": %s}'),
+            ("start_s", '{"kind": "clip", "video_id": "v1", "clip_id": "c9", "start_s": %s, "end_s": 9.0, "caption": "x"}'),
+            ("end_s", '{"kind": "clip", "video_id": "v1", "clip_id": "c9", "start_s": 1.0, "end_s": %s, "caption": "x"}'),
+            ("start_s", '{"kind": "action", "video_id": "v1", "start_s": %s, "end_s": 9.0, "description": "x"}'),
+            ("end_s", '{"kind": "action", "video_id": "v1", "start_s": 1.0, "end_s": %s, "description": "x"}'),
+        ],
+        ids=["video-duration", "clip-start", "clip-end", "action-start", "action-end"],
+    )
+    def test_non_finite_number_rejected(self, field, record, literal):
+        with pytest.raises(ManifestError, match=f"'{field}' must be a finite number") as err:
+            parse_manifest([LINES[0], record % literal])
+        assert err.value.line == 2
 
 
 class TestValidate:

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_manifest
+from narrkit import matching
 from narrkit.manifest import (
     ActionRecord,
     ClipRecord,
@@ -51,6 +52,53 @@ def naive_matches(m, max_start_diff=5.0, iou_low=0.2, iou_high=0.5):
 
 def as_set(records):
     return {(r.video_id, r.clip_id, r.action_index, r.iou, r.rule.value) for r in records}
+
+
+def output_keys(m, records):
+    clip_start = {
+        (v, c.clip_id): c.interval.start_s for v, e in m.videos.items() for c in e.clips
+    }
+    return [
+        (r.video_id, clip_start[(r.video_id, r.clip_id)], r.action_index)
+        for r in records
+    ]
+
+
+def long_video_manifest(rng, n_videos=2, n_clips=400, n_actions=400, span=3600.0):
+    """Long videos whose actions stress the interval join.
+
+    Each video has one action covering the whole video, so from the first
+    position in start order on the running maximum of action ends is the
+    video end. The rest mirror clips, touch a clip at either end, repeat the
+    previous action's start, or are random. The action list is shuffled, so
+    list order differs from start order.
+    """
+    m = DatasetManifest()
+    for v in range(n_videos):
+        video_id = f"long{v}"
+        clips = []
+        for j in range(n_clips):
+            start = float(rng.uniform(60, span - 120))
+            clips.append(clip(video_id, f"c{j:04d}", start, start + float(rng.uniform(1, 60))))
+        acts = [action(video_id, 0.0, span)]
+        while len(acts) < n_actions:
+            src = clips[int(rng.integers(len(clips)))].interval
+            kind = int(rng.integers(5))
+            if kind == 0:
+                acts.append(action(video_id, src.start_s, src.end_s))
+            elif kind == 1:
+                acts.append(action(video_id, src.end_s, src.end_s + float(rng.uniform(1, 60))))
+            elif kind == 2:
+                acts.append(action(video_id, src.start_s - float(rng.uniform(1, 59)), src.start_s))
+            elif kind == 3:
+                prev = acts[-1].interval.start_s
+                acts.append(action(video_id, prev, prev + float(rng.uniform(1, 60))))
+            else:
+                start = float(rng.uniform(1, span - 60))
+                acts.append(action(video_id, start, start + float(rng.uniform(1, 60))))
+        m.videos[video_id] = VideoEntry(span, sorted(clips, key=lambda c: c.interval.start_s))
+        m.actions[video_id] = [acts[i] for i in rng.permutation(len(acts))]
+    return m
 
 
 def clip(video, cid, start, end):
@@ -190,17 +238,57 @@ class TestMatchDataset:
 
     def test_output_order(self, rng):
         m = random_manifest(rng, n_videos=20)
-        records = match_dataset(m)
-        clip_start = {
-            (v, c.clip_id): c.interval.start_s
-            for v, e in m.videos.items()
-            for c in e.clips
-        }
-        keys = [
-            (r.video_id, clip_start[(r.video_id, r.clip_id)], r.action_index)
-            for r in records
-        ]
+        keys = output_keys(m, match_dataset(m))
         assert keys == sorted(keys)
+
+    def test_long_videos_match_oracle(self, rng):
+        m = long_video_manifest(rng)
+        records = match_dataset(m)
+        assert len(records) == len(as_set(records))
+        assert as_set(records) == naive_matches(m)
+        keys = output_keys(m, records)
+        assert keys == sorted(keys)
+
+    def test_unsorted_clips_and_actions(self):
+        m = self.build(
+            [clip("v", "late", 50, 70), clip("v", "early", 0, 20), clip("v", "mid", 20, 45)],
+            [
+                action("v", 52, 70),   # 0: late
+                action("v", 20, 44),   # 1: mid; touches early's end
+                action("v", 0, 20),    # 2: early
+                action("v", 45, 50),   # 3: touches mid and late only
+                action("v", 1, 19),    # 4: early
+                action("v", 21, 30),   # 5: mid, start-aligned only
+                action("v", 0, 69),    # 6: overlaps every clip, matches none
+            ],
+        )
+        records = match_dataset(m)
+        assert [(r.clip_id, r.action_index, r.rule.value) for r in records] == [
+            ("early", 2, "RuleB"), ("early", 4, "RuleB"),
+            ("mid", 1, "RuleB"), ("mid", 5, "RuleA"),
+            ("late", 0, "RuleB"),
+        ]
+        assert as_set(records) == naive_matches(m)
+
+    def test_evaluates_only_candidate_pairs(self, rng, monkeypatch):
+        calls = 0
+        scalar = matching.match_clip_action
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return scalar(*args)
+
+        monkeypatch.setattr(matching, "match_clip_action", counting)
+        clips, acts = [], []
+        for j in range(1000):
+            start = float(rng.uniform(0, 36000))
+            clips.append(clip("v", f"c{j:04d}", start, start + float(rng.uniform(1, 60))))
+            start = float(rng.uniform(0, 36000))
+            acts.append(action("v", start, start + float(rng.uniform(1, 60))))
+        m = self.build(sorted(clips, key=lambda c: c.interval.start_s), acts)
+        assert match_dataset(m)
+        assert calls < 0.01 * 1000 * 1000
 
     def test_threads_do_not_change_output(self, rng):
         m = random_manifest(rng, n_videos=30)
@@ -286,6 +374,16 @@ class TestFilterMatched:
         bogus = MatchRecord("v", "nope", 0, 0.9, 0.0, MatchRule.RULE_B)
         with pytest.raises(ValueError, match="unknown clip"):
             filter_matched(self.m, [bogus])
+        # a clip id known only in another video, named after switching videos
+        self.m.videos["w"] = VideoEntry(None, [clip("w", "cw", 0, 10)])
+        self.m.actions["w"] = [action("w", 0, 10)]
+        interleaved = [
+            MatchRecord("v", "c1", 0, 0.4, 0.0, MatchRule.RULE_A),
+            MatchRecord("w", "cw", 0, 0.9, 0.0, MatchRule.RULE_B),
+            MatchRecord("v", "cw", 0, 0.9, 0.0, MatchRule.RULE_B),
+        ]
+        with pytest.raises(ValueError, match="unknown clip 'cw' in video 'v'"):
+            filter_matched(self.m, interleaved)
 
     def test_unknown_video_rejected(self):
         bogus = MatchRecord("w", "c1", 0, 0.9, 0.0, MatchRule.RULE_B)
@@ -324,5 +422,8 @@ class TestWireFormat:
         assert '"iou": 0.500000000' in line
 
     def test_bad_line_reports_position(self):
-        with pytest.raises(ValueError, match="line 1"):
-            list(parse_match_records(['{"video_id": "v"}']))
+        good = format_match_record(MatchRecord("v", "c", 0, 0.5, 1.0, MatchRule.RULE_B))
+        null_index = good.replace('"action_index": 0', '"action_index": null')
+        for line in ['{"video_id": "v"}', "[1]", '"x"', "null", "{nope", null_index]:
+            with pytest.raises(ValueError, match="bad match record at line 2"):
+                list(parse_match_records([good, line]))
