@@ -8,6 +8,7 @@ The package splits into small, independently usable modules:
 - ``scoring``: human tier rubric and 0-6 rating aggregation
 - ``embedcore``: losses, perturbations and distribution metrics over embeddings
 - ``embedio``: binary and JSONL embedding file formats
+- ``jsonl``: strict line-delimited JSON decoding and field checks for every reader
 - ``context``: narrative sequences, histories and rolling conditioning windows
 - ``cli``: the ``narrkit`` command-line driver
 """

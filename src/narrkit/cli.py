@@ -6,9 +6,10 @@ aggregation, embedding metrics, embedding perturbation, and conditioning
 window export. Primary outputs go to --out or stdout; logs go to stderr.
 
 Every subcommand is deterministic given its inputs, configuration and
---seed: two runs produce byte-identical primary outputs, and --threads can
-only change wall time. Flag values override the optional JSON config file,
-which overrides built-in defaults.
+--seed: two runs produce byte-identical primary outputs. --threads is
+accepted for compatibility and has no effect. Flag values override the
+optional JSON config file, which overrides built-in defaults. Primary output
+files are written whole or not at all.
 
 Exit codes: 0 success, 1 validation or data error, 2 usage error.
 """
@@ -16,13 +17,16 @@ Exit codes: 0 success, 1 validation or data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import context as ctx
 from . import embedcore, embedio, matching, scoring, stats
-from .manifest import DatasetManifest, ManifestError, parse_manifest, validate_manifest, write_manifest
+from .jsonl import InputError, decode_object, iter_json_objects, want_int, want_number, want_str
+from .manifest import ManifestError, parse_manifest, validate_manifest, write_manifest
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
 
@@ -37,49 +41,55 @@ class RunConfig:
     k: int
     histogram_edges: dict[str, list[float]]
     seed: int = 0
-    threads: int = 1
+
+
+# Config file keys and the JSON type of each; ``threads`` is accepted for
+# compatibility and ignored.
+_CONFIG_TYPES = {
+    "seed": int, "threads": int, "k": int, "shuffle": bool, "histogram_edges": dict,
+    "max_start_diff_s": float, "iou_low": float, "iou_high": float,
+    "alpha": float, "beta": float, "noise_scale": float, "mask_rate": float,
+}
 
 
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
+        cfg = decode_object(fh.read(), None, path)
+    unknown = sorted(set(cfg) - set(_CONFIG_TYPES))
+    if unknown:
+        raise InputError(f"unknown config key(s): {', '.join(unknown)}", source=path)
+    for key, value in cfg.items():
+        kind = _CONFIG_TYPES[key]
+        if kind is float:
+            cfg[key] = want_number(cfg, key, None, path)
+        elif type(value) is not kind:
+            raise InputError(f"field '{key}' must be a JSON {kind.__name__}", source=path)
+    edges = cfg.get("histogram_edges", {})
+    for name, values in edges.items():
+        if name not in stats.DEFAULT_EDGES or not isinstance(values, list):
+            raise InputError(f"field 'histogram_edges' has no list for '{name}'", source=path)
+        edges[name] = [want_number({name: v}, name, None, path) for v in values]
     return cfg
-
-
-def _pick(flag_value, cfg: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    return cfg.get(key, default)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = _load_config(getattr(args, "config", None))
-    get = lambda name, key, default: _pick(getattr(args, name, None), cfg, key, default)
-    seed = int(get("seed", "seed", 0))
+    for key in _CONFIG_TYPES:  # a flag overrides the config key of the same name
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
+
+    def section(cls):  # keys are named after the fields; the fields hold the defaults
+        return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg})
+
     return RunConfig(
-        thresholds=matching.MatchThresholds(
-            max_start_diff_s=float(get("max_start_diff", "max_start_diff_s", 5.0)),
-            iou_low=float(get("iou_low", "iou_low", 0.2)),
-            iou_high=float(get("iou_high", "iou_high", 0.5)),
-        ),
-        loss_params=embedcore.RegressionLossParams(
-            alpha=float(get("alpha", "alpha", 1.0)),
-            beta=float(get("beta", "beta", 1.0)),
-        ),
-        perturbation=embedcore.PerturbationSpec(
-            noise_scale=float(get("noise_scale", "noise_scale", 0.5)),
-            mask_rate=float(get("mask_rate", "mask_rate", 0.25)),
-            shuffle=bool(get("shuffle", "shuffle", True)),
-            seed=seed,
-        ),
-        k=int(get("k", "k", 2)),
+        thresholds=section(matching.MatchThresholds),
+        loss_params=section(embedcore.RegressionLossParams),
+        perturbation=section(embedcore.PerturbationSpec),
+        k=cfg.get("k", 2),
         histogram_edges=cfg.get("histogram_edges", {}),
-        seed=seed,
-        threads=int(get("threads", "threads", 1)),
+        seed=cfg.get("seed", 0),
     )
 
 
@@ -87,42 +97,57 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _outputs(*paths: str | None):
+    """Yield one text sink per primary output path; None stands for stdout.
 
-
-def _load_manifest(path: str) -> DatasetManifest:
-    return parse_manifest(path)
+    Each file is written to a temp file beside it, and the temp files replace
+    their paths only once the block has returned and all are closed: a failed
+    run leaves neither output nor temp file behind. An existing path that is
+    not a regular file, such as /dev/null, is written in place.
+    """
+    files, moves = [], []
+    try:
+        for path in paths:
+            if path is None:
+                continue
+            if os.path.exists(path) and not os.path.isfile(path):
+                files.append(open(path, "w", encoding="utf-8", newline=""))
+                continue
+            target = os.path.realpath(path)
+            tmp = f"{target}.{os.getpid()}.tmp"
+            try:
+                files.append(open(tmp, "x", encoding="utf-8", newline=""))
+            except OSError as exc:  # report the path asked for, not the temp file
+                raise type(exc)(exc.errno, exc.strerror, path) from exc
+            moves.append((tmp, target))
+        opened = iter(files)
+        yield [sys.stdout if path is None else next(opened) for path in paths]
+        for fh in files:
+            fh.close()
+        for tmp, target in moves:
+            os.replace(tmp, target)
+    finally:
+        for fh in files:
+            fh.close()
+        for tmp, _ in moves:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def cmd_validate(args, rc: RunConfig) -> int:
     try:
-        manifest = _load_manifest(args.manifest)
+        manifest = parse_manifest(args.manifest)
     except ManifestError as exc:
-        _emit(
-            json.dumps({"code": "parse-error", "line": exc.line, "message": str(exc)})
-            + "\n",
-            args.out,
-        )
-        _log(f"error: {args.manifest}: {exc}")
-        return 1
+        with _outputs(args.out) as (out,):
+            out.write(
+                json.dumps({"code": "parse-error", "line": exc.line, "message": str(exc)})
+                + "\n"
+            )
+        raise
     violations = validate_manifest(manifest)
-    lines = [
-        json.dumps(
-            {
-                "code": v.code,
-                "video_id": v.video_id,
-                "clip_id": v.clip_id,
-                "message": v.message,
-            }
-        )
-        for v in violations
-    ]
-    _emit("".join(line + "\n" for line in lines), args.out)
+    with _outputs(args.out) as (out,):
+        out.writelines(json.dumps(asdict(v)) + "\n" for v in violations)
     _log(
         f"checked {manifest.n_videos} videos, {manifest.n_clips} clips, "
         f"{manifest.n_actions} actions: {len(violations)} violation(s)"
@@ -131,31 +156,25 @@ def cmd_validate(args, rc: RunConfig) -> int:
 
 
 def cmd_match(args, rc: RunConfig) -> int:
-    manifest = _load_manifest(args.manifest)
-    records = matching.match_dataset(manifest, rc.thresholds, threads=rc.threads)
-    _emit(
-        "".join(matching.format_match_record(r) + "\n" for r in records), args.out
-    )
+    manifest = parse_manifest(args.manifest)
+    records = matching.match_dataset(manifest, rc.thresholds)
+    with _outputs(args.out) as (out,):
+        out.writelines(matching.format_match_record(r) + "\n" for r in records)
     _log(f"matched {len(records)} clip/action pairs")
     return 0
 
 
 def cmd_filter(args, rc: RunConfig) -> int:
-    manifest = _load_manifest(args.manifest)
+    manifest = parse_manifest(args.manifest)
     with open(args.matches, "r", encoding="utf-8") as fh:
         records = list(matching.parse_match_records(fh))
     policy = matching.FilterPolicy(args.policy)
     result = matching.filter_matched(manifest, records, policy)
-    if args.out:
-        write_manifest(result.manifest, args.out)
-    else:
-        from .manifest import dumps_manifest
-
-        sys.stdout.write(dumps_manifest(result.manifest))
-    if args.assignment:
-        with open(args.assignment, "w", encoding="utf-8", newline="") as fh:
+    with _outputs(args.out, args.assignment) as (out, assignment):
+        write_manifest(result.manifest, out)
+        if args.assignment:
             for (video_id, clip_id), indices in result.assignment.items():
-                fh.write(
+                assignment.write(
                     json.dumps(
                         {
                             "video_id": video_id,
@@ -170,49 +189,41 @@ def cmd_filter(args, rc: RunConfig) -> int:
     return 0
 
 
-def _read_keyed_tokens(path: str, key_fields: tuple[str, ...]) -> dict[tuple, int]:
+# Per kind of token file: the field that joins video_id in each record's key.
+_TOKEN_KEYS = {"caption": ("clip_id", want_str), "action": ("action_index", want_int)}
+
+
+def _read_token_counts(kind: str, path: str, keys: list[tuple]) -> list[int]:
+    """The ``tokens`` count of each key, in order; every key must be present."""
+    field, want_key = _TOKEN_KEYS[kind]
     table: dict[tuple, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            try:
-                key = tuple(rec[f] for f in key_fields)
-                table[key] = int(rec["tokens"])
-            except KeyError as exc:
-                raise ValueError(f"{path} line {lineno}: missing field {exc}") from exc
-    return table
+        for lineno, rec in iter_json_objects(fh, path):
+            key = (want_str(rec, "video_id", lineno, path), want_key(rec, field, lineno, path))
+            table[key] = want_int(rec, "tokens", lineno, path)
+    for key in keys:
+        if key not in table:
+            raise InputError(f"missing {kind} token count for {key}", source=path)
+    return [table[key] for key in keys]
 
 
 def cmd_stats(args, rc: RunConfig) -> int:
-    manifest = _load_manifest(args.manifest)
+    manifest = parse_manifest(args.manifest)
     caption_tokens = action_tokens = None
     if args.caption_tokens:
-        table = _read_keyed_tokens(args.caption_tokens, ("video_id", "clip_id"))
-        caption_tokens = []
-        for clip in manifest.iter_clips():
-            key = (clip.video_id, clip.clip_id)
-            if key not in table:
-                raise ValueError(f"missing caption token count for clip {key}")
-            caption_tokens.append(table[key])
+        clips = [(clip.video_id, clip.clip_id) for clip in manifest.iter_clips()]
+        caption_tokens = _read_token_counts("caption", args.caption_tokens, clips)
     if args.action_tokens:
-        table = _read_keyed_tokens(args.action_tokens, ("video_id", "action_index"))
-        action_tokens = []
-        for video_id, records in manifest.actions.items():
-            for idx in range(len(records)):
-                key = (video_id, idx)
-                if key not in table:
-                    raise ValueError(f"missing action token count for {key}")
-                action_tokens.append(table[key])
+        actions = [(v, i) for v, records in manifest.actions.items() for i in range(len(records))]
+        action_tokens = _read_token_counts("action", args.action_tokens, actions)
     report = stats.dataset_report(
         manifest,
         edges=rc.histogram_edges or None,
         caption_tokens=caption_tokens,
         action_tokens=action_tokens,
     )
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    with _outputs(args.out) as (out,):
+        out.write(json.dumps(report, indent=2) + "\n")
     _log(f"profiled {manifest.n_videos} videos")
     return 0
 
@@ -230,7 +241,8 @@ def cmd_score(args, rc: RunConfig) -> int:
         with open(args.ratings, "r", encoding="utf-8") as fh:
             ratings = scoring.read_vlm_ratings(fh)
         doc["ratings"] = scoring.aggregate_ratings(ratings).to_dict()
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    with _outputs(args.out) as (out,):
+        out.write(json.dumps(doc, indent=2) + "\n")
     return 0
 
 
@@ -243,12 +255,11 @@ def cmd_metrics(args, rc: RunConfig) -> int:
         value = embedcore.frechet_distance(
             embedcore.fit_moments(a), embedcore.fit_moments(b), jitter=jitter
         )
-        _emit(repr(value) + "\n", args.out)
+        output = repr(value) + "\n"
     elif kind == "clipt":
         text = embedio.read_embeddings(args.text)
         image = embedio.read_embeddings(args.image)
-        value = embedcore.clip_t_score(text, image, scale=args.scale)
-        _emit(repr(value) + "\n", args.out)
+        output = repr(embedcore.clip_t_score(text, image, scale=args.scale)) + "\n"
     elif kind == "regloss":
         pred = embedio.read_embeddings(args.pred)
         target = embedio.read_embeddings(args.target)
@@ -259,7 +270,7 @@ def cmd_metrics(args, rc: RunConfig) -> int:
             for p, t in zip(pred.vectors, target.vectors)
         ]
         n = len(losses)
-        _emit(
+        output = (
             json.dumps(
                 {
                     "total": sum(l.total for l in losses) / n,
@@ -268,8 +279,7 @@ def cmd_metrics(args, rc: RunConfig) -> int:
                     "pairs": n,
                 }
             )
-            + "\n",
-            args.out,
+            + "\n"
         )
     else:  # flowloss
         pred = embedio.read_embeddings(args.pred)
@@ -279,7 +289,9 @@ def cmd_metrics(args, rc: RunConfig) -> int:
         samples = [
             embedcore.FlowSample(p, t) for p, t in zip(pred.vectors, target.vectors)
         ]
-        _emit(repr(embedcore.flow_matching_loss(samples)) + "\n", args.out)
+        output = repr(embedcore.flow_matching_loss(samples)) + "\n"
+    with _outputs(args.out) as (out,):
+        out.write(output)
     return 0
 
 
@@ -302,9 +314,10 @@ def cmd_perturb(args, rc: RunConfig) -> int:
         basis,
         rc.perturbation,
         shuffle_mode=args.shuffle_mode,
-        threads=rc.threads,
     )
-    written = embedio.write_embeddings(result, args.out, fmt=args.format)
+    with _outputs(args.out) as (out,):
+        # binary output goes to the byte stream under the text sink
+        written = embedio.write_embeddings(result, out.buffer, fmt=args.format)
     _log(
         f"perturbed {len(result)} embeddings "
         f"(noise {rc.perturbation.noise_scale}, mask {rc.perturbation.mask_rate}, "
@@ -321,7 +334,8 @@ def cmd_windows(args, rc: RunConfig) -> int:
         seq = sequences[sequence_id]
         windows = ctx.build_windows(seq, rc.k)
         lines.extend(ctx.export_windows(seq, windows))
-    _emit("".join(line + "\n" for line in lines), args.out)
+    with _outputs(args.out) as (out,):
+        out.writelines(line + "\n" for line in lines)
     _log(f"exported {len(lines)} windows from {len(sequences)} sequences (k={rc.k})")
     return 0
 
@@ -330,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--seed", type=int, help="seed for all randomness (default 0)")
-    common.add_argument("--threads", type=int, help="worker threads for perturb; ignored elsewhere (never changes output)")
+    common.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     common.add_argument("--out", help="output path (default: stdout)")
 
     parser = argparse.ArgumentParser(
@@ -355,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--iou-high", type=float, help="IoU floor for the high-overlap rule (default 0.5)")
     p.add_argument(
-        "--max-start-diff", type=float, help="start-time gap ceiling in seconds (default 5)"
+        "--max-start-diff", type=float, dest="max_start_diff_s",
+        help="start-time gap ceiling in seconds (default 5)",
     )
     p.set_defaults(handler=cmd_match)
 
@@ -445,7 +460,10 @@ def run(argv: list[str] | None = None) -> int:
     try:
         rc = _resolve_config(args)
         return args.handler(args, rc)
-    except (ManifestError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except InputError as exc:
+        _log(f"error: {exc.source}: {exc}")
+        return 1
+    except (ValueError, OSError) as exc:
         _log(f"error: {exc}")
         return 1
 

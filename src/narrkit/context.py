@@ -21,6 +21,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from .jsonl import iter_json_objects, want_int, want_str, want_text
+
 __all__ = [
     "StepRecord",
     "NarrativeSequence",
@@ -266,26 +268,17 @@ def read_step_sequences(
     keyframe_id}. Steps may arrive in any order; they are sorted by index
     per sequence and must then be contiguous from 1.
     """
+    source = getattr(lines, "name", "<input>")
     grouped: dict[str, list[StepRecord]] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-        try:
-            step = StepRecord(
-                int(rec["index"]),
-                str(rec["action"]),
-                str(rec["caption"]),
-                str(rec["embedding_id"]),
-                str(rec["keyframe_id"]),
-            )
-            grouped.setdefault(str(rec["sequence_id"]), []).append(step)
-        except KeyError as exc:
-            raise ValueError(f"line {lineno}: missing field {exc}") from exc
+    for lineno, rec in iter_json_objects(lines, source):
+        step = StepRecord(
+            want_int(rec, "index", lineno, source),
+            want_text(rec, "action", lineno, source),
+            want_text(rec, "caption", lineno, source),
+            want_str(rec, "embedding_id", lineno, source),
+            want_str(rec, "keyframe_id", lineno, source),
+        )
+        grouped.setdefault(want_str(rec, "sequence_id", lineno, source), []).append(step)
     sequences: dict[str, NarrativeSequence] = {}
     for sequence_id in sorted(grouped):
         steps = sorted(grouped[sequence_id], key=lambda s: s.index)

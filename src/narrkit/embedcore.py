@@ -14,7 +14,6 @@ depend on scheduling or thread count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -276,8 +275,8 @@ def perturb_set(
 
     ``shuffle_mode`` selects what the shuffle stage permutes: "coords"
     shuffles coordinates within each vector, "sequence" permutes the order
-    of the vectors themselves (ids travel with their rows). Results are
-    identical for any thread count because each row owns its random stream.
+    of the vectors themselves (ids travel with their rows). Each row owns
+    its random stream. ``threads`` is accepted for compatibility and ignored.
     """
     if shuffle_mode not in ("coords", "sequence"):
         raise ValueError(f"shuffle_mode must be 'coords' or 'sequence', got {shuffle_mode!r}")
@@ -295,19 +294,10 @@ def perturb_set(
 
     coord_shuffle = shuffle_mode == "coords"
     rows = embeddings.vectors
-    if threads > 1 and len(rows) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            out = list(
-                pool.map(
-                    lambda i: _perturb_row(rows[i], basis, spec, i, coord_shuffle),
-                    range(len(rows)),
-                )
-            )
-    else:
-        out = [
-            _perturb_row(rows[i], basis, spec, i, coord_shuffle)
-            for i in range(len(rows))
-        ]
+    out = [
+        _perturb_row(rows[i], basis, spec, i, coord_shuffle)
+        for i in range(len(rows))
+    ]
     result = np.stack(out).astype(embeddings.vectors.dtype)
     ids = list(embeddings.ids) if embeddings.ids is not None else None
     if spec.shuffle and shuffle_mode == "sequence":

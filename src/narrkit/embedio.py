@@ -9,14 +9,16 @@ accepted interchangeably; readers sniff the magic bytes.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import struct
-from typing import IO, Union
+from typing import IO, Iterable, Union
 
 import numpy as np
 
 from .embedcore import EmbeddingSet
+from .jsonl import InputError, iter_json_objects, want_text
 
 __all__ = ["MAGIC", "read_embeddings", "write_embeddings"]
 
@@ -59,36 +61,34 @@ def _decode_binary(blob: bytes) -> EmbeddingSet:
     return EmbeddingSet(vectors.copy(), ids)
 
 
-def _decode_jsonl(text: str) -> EmbeddingSet:
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _decode_jsonl(lines: Iterable[str], source: str) -> EmbeddingSet:
     rows: list[np.ndarray] = []
     ids: list[str] = []
     have_ids = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, rec in iter_json_objects(lines, source):
+        values = rec.get("values")
+        numbers = isinstance(values, list) and _NUMBER_TYPES.issuperset(map(type, values))
+        if not numbers or not values:
+            raise InputError("field 'values' must be a non-empty array of numbers", lineno, source)
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(rec, dict) or "values" not in rec:
-            raise ValueError(f"line {lineno}: expected an object with 'values'")
-        values = rec["values"]
-        if not isinstance(values, list) or not values:
-            raise ValueError(f"line {lineno}: 'values' must be a non-empty array")
-        rows.append(np.asarray(values, dtype=np.float32))
-        if "id" in rec and rec["id"] is not None:
-            ids.append(str(rec["id"]))
+            rows.append(np.asarray(values, dtype=np.float32))
+        except OverflowError as exc:  # an integer literal beyond the float range
+            raise InputError(f"field 'values': {exc}", lineno, source) from exc
+        if rec.get("id") is not None:
+            ids.append(want_text(rec, "id", lineno, source))
             have_ids += 1
         else:
             ids.append("")
     if not rows:
-        raise ValueError("no embedding records found")
+        raise InputError("no embedding records found", source=source)
     dims = {r.shape[0] for r in rows}
     if len(dims) != 1:
-        raise ValueError(f"inconsistent embedding dimensions: {sorted(dims)}")
+        raise InputError(f"inconsistent embedding dimensions: {sorted(dims)}", source=source)
     if have_ids not in (0, len(rows)):
-        raise ValueError("either every record carries an id or none does")
+        raise InputError("either every record carries an id or none does", source=source)
     return EmbeddingSet(np.stack(rows), ids if have_ids else None)
 
 
@@ -97,7 +97,12 @@ def read_embeddings(source: Source) -> EmbeddingSet:
     blob = _read_bytes(source)
     if blob.startswith(MAGIC):
         return _decode_binary(blob)
-    return _decode_jsonl(blob.decode("utf-8"))
+    if isinstance(source, (str, os.PathLike)):
+        name = os.fspath(source)
+    else:
+        name = getattr(source, "name", "<input>")
+    # Split lines as a text-mode file does, so an id may hold U+2028.
+    return _decode_jsonl(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8"), name)
 
 
 def _encode_binary(es: EmbeddingSet) -> bytes:

@@ -1,0 +1,113 @@
+"""Strict line-delimited JSON, shared by every narrkit reader.
+
+Each non-blank line must hold one JSON object. ``NaN`` and ``Infinity`` are
+rejected, and the ``want_*`` helpers check field types instead of coercing
+them. Every error is an ``InputError`` naming the source and, for
+line-delimited input, the 1-based line.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from typing import Iterable, Iterator
+
+__all__ = ["InputError", "decode_object", "iter_json_objects", "want_choice", "want_int",
+           "want_number", "want_str", "want_text"]
+
+
+class InputError(ValueError):
+    """Malformed input. ``str()`` reads ``line N: reason``; ``source`` names the file."""
+
+    def __init__(self, message: str, line: int | None = None, source: str = "<input>"):
+        self.line = line
+        self.source = source
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+
+class _NonFinite(ValueError):
+    pass
+
+
+def _reject_constant(name: str):
+    raise _NonFinite(name)
+
+
+# One shared decoder: json.loads(text, parse_constant=...) builds a new
+# decoder on every call, which doubles the cost of decoding a short line.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _non_finite_reason(text: str, constant: str) -> str:
+    # The default decoder reads NaN and Infinity as floats, which finds the field.
+    try:
+        rec = json.loads(text)
+    except (RecursionError, ValueError):
+        rec = None
+    for key, value in rec.items() if isinstance(rec, dict) else ():
+        if isinstance(value, float) and not math.isfinite(value):
+            return f"field '{key}' must be a finite number"
+    return f"non-finite number {constant} is not allowed"
+
+
+def decode_object(text: str, line: int | None, source: str) -> dict:
+    """Decode one JSON object; anything else raises InputError."""
+    try:
+        rec = _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON: {exc.msg}", line, source) from exc
+    except _NonFinite as exc:
+        raise InputError(_non_finite_reason(text, str(exc)), line, source) from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep, or an overlong integer
+        raise InputError(f"invalid JSON: {exc}", line, source) from exc
+    if not isinstance(rec, dict):
+        raise InputError("record must be a JSON object", line, source)
+    return rec
+
+
+def iter_json_objects(lines: Iterable[str], source: str) -> Iterator[tuple[int, dict]]:
+    """Yield ``(lineno, record)`` for each non-blank line, numbered from 1."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line:
+            yield lineno, decode_object(line, lineno, source)
+
+
+def want_str(rec: dict, key: str, line: int | None, source: str) -> str:
+    value = rec.get(key)
+    if not isinstance(value, str) or not value:
+        raise InputError(f"field '{key}' must be a non-empty string", line, source)
+    return value
+
+
+def want_text(rec: dict, key: str, line: int | None, source: str) -> str:
+    value = rec.get(key)
+    if not isinstance(value, str):
+        raise InputError(f"field '{key}' must be a string", line, source)
+    return value
+
+
+def want_int(rec: dict, key: str, line: int | None, source: str) -> int:
+    value = rec.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"field '{key}' must be an integer", line, source)
+    return value
+
+
+def want_number(rec: dict, key: str, line: int | None, source: str) -> float:
+    value = rec.get(key)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise InputError(f"field '{key}' must be a finite number", line, source)
+
+
+def want_choice(rec: dict, key: str, choices: tuple, line: int | None, source: str):
+    value = rec.get(key)
+    if value not in choices:
+        raise InputError(f"field '{key}' must be one of {choices}, got {value!r}", line, source)
+    return value

@@ -24,6 +24,8 @@ import os
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Union
 
+from .jsonl import InputError, iter_json_objects, want_choice, want_number, want_str, want_text
+
 __all__ = [
     "ManifestError",
     "TimeInterval",
@@ -43,14 +45,8 @@ RECORD_KINDS = ("video", "clip", "action")
 ManifestSource = Union[str, os.PathLike, IO[str], Iterable[str]]
 
 
-class ManifestError(ValueError):
-    """Raised for malformed manifest input. Carries the 1-based line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+# The manifest reader's name for the error all readers raise (see jsonl).
+ManifestError = InputError
 
 
 @dataclass(frozen=True)
@@ -145,40 +141,6 @@ class Violation:
     message: str
 
 
-def _iter_lines(source: ManifestSource) -> Iterator[str]:
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
-    else:
-        yield from source
-
-
-def _want_str(rec: dict, key: str, lineno: int) -> str:
-    value = rec.get(key)
-    if not isinstance(value, str) or not value:
-        raise ManifestError(f"field '{key}' must be a non-empty string", lineno)
-    return value
-
-
-def _want_text(rec: dict, key: str, lineno: int) -> str:
-    value = rec.get(key)
-    if not isinstance(value, str):
-        raise ManifestError(f"field '{key}' must be a string", lineno)
-    return value
-
-
-def _want_number(rec: dict, key: str, lineno: int) -> float:
-    value = rec.get(key)
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer literal beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ManifestError(f"field '{key}' must be a finite number", lineno)
-
-
 def parse_manifest(source: ManifestSource) -> DatasetManifest:
     """Parse a line-delimited manifest into a DatasetManifest.
 
@@ -192,66 +154,56 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
     JSON, unknown kinds, missing or mistyped fields, invalid intervals, and
     duplicate ids.
     """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as fh:
+            return parse_manifest(fh)
+    name = getattr(source, "name", "<input>")
     durations: dict[str, float | None] = {}
     explicit_videos: set[str] = set()
     clips: dict[str, list[ClipRecord]] = {}
     clip_ids: dict[str, set[str]] = {}
     actions: dict[str, list[ActionRecord]] = {}
 
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"invalid JSON: {exc.msg}", lineno) from exc
-        if not isinstance(rec, dict):
-            raise ManifestError("record must be a JSON object", lineno)
-
-        kind = rec.get("kind")
-        if kind not in RECORD_KINDS:
-            raise ManifestError(
-                f"field 'kind' must be one of {RECORD_KINDS}, got {kind!r}", lineno
-            )
-        video_id = _want_str(rec, "video_id", lineno)
+    for lineno, rec in iter_json_objects(source, name):
+        kind = want_choice(rec, "kind", RECORD_KINDS, lineno, name)
+        video_id = want_str(rec, "video_id", lineno, name)
 
         if kind == "video":
             if video_id in explicit_videos:
-                raise ManifestError(f"duplicate video record '{video_id}'", lineno)
+                raise ManifestError(f"duplicate video record '{video_id}'", lineno, name)
             explicit_videos.add(video_id)
             duration = None
             if rec.get("duration_s") is not None:
-                duration = _want_number(rec, "duration_s", lineno)
+                duration = want_number(rec, "duration_s", lineno, name)
                 if duration <= 0:
-                    raise ManifestError("field 'duration_s' must be > 0", lineno)
+                    raise ManifestError("field 'duration_s' must be > 0", lineno, name)
             durations[video_id] = duration
         elif kind == "clip":
-            clip_id = _want_str(rec, "clip_id", lineno)
-            start = _want_number(rec, "start_s", lineno)
-            end = _want_number(rec, "end_s", lineno)
-            caption = _want_text(rec, "caption", lineno)
+            clip_id = want_str(rec, "clip_id", lineno, name)
+            start = want_number(rec, "start_s", lineno, name)
+            end = want_number(rec, "end_s", lineno, name)
+            caption = want_text(rec, "caption", lineno, name)
             try:
                 interval = TimeInterval(start, end)
             except ValueError as exc:
-                raise ManifestError(f"clip '{clip_id}': {exc}", lineno) from exc
+                raise ManifestError(f"clip '{clip_id}': {exc}", lineno, name) from exc
             seen = clip_ids.setdefault(video_id, set())
             if clip_id in seen:
                 raise ManifestError(
-                    f"duplicate clip_id '{clip_id}' in video '{video_id}'", lineno
+                    f"duplicate clip_id '{clip_id}' in video '{video_id}'", lineno, name
                 )
             seen.add(clip_id)
             clips.setdefault(video_id, []).append(
                 ClipRecord(video_id, clip_id, interval, caption)
             )
         else:
-            start = _want_number(rec, "start_s", lineno)
-            end = _want_number(rec, "end_s", lineno)
-            description = _want_text(rec, "description", lineno)
+            start = want_number(rec, "start_s", lineno, name)
+            end = want_number(rec, "end_s", lineno, name)
+            description = want_text(rec, "description", lineno, name)
             try:
                 interval = TimeInterval(start, end)
             except ValueError as exc:
-                raise ManifestError(f"action in video '{video_id}': {exc}", lineno) from exc
+                raise ManifestError(f"action in video '{video_id}': {exc}", lineno, name) from exc
             actions.setdefault(video_id, []).append(
                 ActionRecord(video_id, interval, description)
             )

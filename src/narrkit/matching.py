@@ -35,6 +35,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Iterator
 
+from .jsonl import iter_json_objects, want_choice, want_int, want_number, want_str
 from .manifest import ActionRecord, ClipRecord, DatasetManifest, TimeInterval, VideoEntry
 
 __all__ = [
@@ -283,21 +284,14 @@ def format_match_record(rec: MatchRecord) -> str:
 
 
 def parse_match_records(lines: Iterable[str]) -> Iterator[MatchRecord]:
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            if not isinstance(rec, dict):
-                raise ValueError("record must be a JSON object")
-            yield MatchRecord(
-                rec["video_id"],
-                rec["clip_id"],
-                int(rec["action_index"]),
-                float(rec["iou"]),
-                float(rec["start_diff_s"]),
-                MatchRule(rec["rule"]),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad match record at line {lineno}: {exc}") from exc
+    source = getattr(lines, "name", "<input>")
+    rules = tuple(rule.value for rule in MatchRule)
+    for lineno, rec in iter_json_objects(lines, source):
+        yield MatchRecord(
+            want_str(rec, "video_id", lineno, source),
+            want_str(rec, "clip_id", lineno, source),
+            want_int(rec, "action_index", lineno, source),
+            want_number(rec, "iou", lineno, source),
+            want_number(rec, "start_diff_s", lineno, source),
+            MatchRule(want_choice(rec, "rule", rules, lineno, source)),
+        )

@@ -11,10 +11,11 @@ any 0-100 conversion of ratings is left to consumers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
+
+from .jsonl import InputError, iter_json_objects, want_choice, want_int, want_str
 
 __all__ = [
     "MatchTier",
@@ -148,44 +149,29 @@ def aggregate_ratings(ratings: Iterable[VLMRating]) -> RatingAggregate:
     )
 
 
-def _iter_json_lines(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(rec, dict):
-            raise ValueError(f"line {lineno}: record must be a JSON object")
-        yield lineno, rec
-
-
 def read_tier_judgments(lines: Iterable[str]) -> list[TierJudgment]:
     """Read line-delimited {item_id, rater_id, tier} records."""
-    out = []
-    for lineno, rec in _iter_json_lines(lines):
-        try:
-            out.append(
-                TierJudgment(
-                    str(rec["item_id"]), MatchTier(rec["tier"]), str(rec["rater_id"])
-                )
-            )
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: bad judgment record: {exc}") from exc
-    return out
+    source = getattr(lines, "name", "<input>")
+    tiers = tuple(tier.value for tier in MatchTier)
+    return [
+        TierJudgment(
+            want_str(rec, "item_id", lineno, source),
+            MatchTier(want_choice(rec, "tier", tiers, lineno, source)),
+            want_str(rec, "rater_id", lineno, source),
+        )
+        for lineno, rec in iter_json_objects(lines, source)
+    ]
 
 
 def read_vlm_ratings(lines: Iterable[str]) -> list[VLMRating]:
     """Read line-delimited {item_id, rating} records; ratings must be 0..6."""
+    source = getattr(lines, "name", "<input>")
     out = []
-    for lineno, rec in _iter_json_lines(lines):
+    for lineno, rec in iter_json_objects(lines, source):
+        item_id = want_str(rec, "item_id", lineno, source)
+        rating = want_int(rec, "rating", lineno, source)
         try:
-            rating = rec["rating"]
-            if isinstance(rating, bool) or not isinstance(rating, int):
-                raise ValueError(f"rating must be an integer, got {rating!r}")
-            out.append(VLMRating(str(rec["item_id"]), rating))
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: bad rating record: {exc}") from exc
+            out.append(VLMRating(item_id, rating))
+        except ValueError as exc:
+            raise InputError(str(exc), lineno, source) from exc
     return out

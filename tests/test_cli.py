@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -151,7 +153,43 @@ class TestFilter:
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: bad match record at line 1: ")
+        assert err == f"error: {matches}: line 1: record must be a JSON object\n"
+
+    @pytest.mark.parametrize("failure", ["bad-record", "assignment-dir-missing"])
+    def test_failure_leaves_no_output(self, capsys, manifest_path, tmp_path, failure):
+        matches = tmp_path / "matches.jsonl"
+        invoke(capsys, "match", "--manifest", manifest_path, "--out", str(matches))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assignment = out_dir / "a.jsonl"
+        if failure == "bad-record":
+            with open(matches, "a") as fh:
+                fh.write('{"video_id": "v"}\n')
+        else:
+            assignment = out_dir / "missing" / "a.jsonl"
+        code, _, err = invoke(
+            capsys, "filter", "--manifest", manifest_path, "--matches", str(matches),
+            "--out", str(out_dir / "f.jsonl"), "--assignment", str(assignment),
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+        assert list(out_dir.iterdir()) == []
+
+    def test_outputs_replace_existing_files(self, capsys, manifest_path, tmp_path):
+        matches = tmp_path / "matches.jsonl"
+        invoke(capsys, "match", "--manifest", manifest_path, "--out", str(matches))
+        out, assignment = tmp_path / "f.jsonl", tmp_path / "a.jsonl"
+        out.write_text("stale\n")
+        assignment.write_text("stale\n")
+        code, _, _ = invoke(
+            capsys, "filter", "--manifest", manifest_path, "--matches", str(matches),
+            "--out", str(out), "--assignment", str(assignment),
+        )
+        assert code == 0
+        assert "stale" not in out.read_text() + assignment.read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.jsonl", "corpus.jsonl", "f.jsonl", "matches.jsonl"
+        ]
 
 
 class TestStats:
@@ -381,6 +419,25 @@ class TestUsageAndConfig:
         assert code == 1
         assert "error" in err
 
+    def test_pipe_output_written_in_place(self, capsys, manifest_path, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open at once
+        try:
+            code, _, _ = invoke(capsys, "match", "--manifest", manifest_path, "--out", str(fifo))
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert data.decode() == invoke(capsys, "match", "--manifest", manifest_path)[1] != ""
+
+    def test_missing_output_directory_named(self, capsys, manifest_path, tmp_path):
+        out = tmp_path / "missing" / "m.jsonl"
+        code, _, err = invoke(capsys, "match", "--manifest", manifest_path, "--out", str(out))
+        assert code == 1
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
     def test_config_file_applies(self, capsys, manifest_path, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"iou_low": 0.05, "max_start_diff_s": 50.0}))
@@ -404,3 +461,127 @@ class TestUsageAndConfig:
             "--iou-low", "0.2", "--max-start-diff", "5",
         )
         assert overridden == defaults
+
+
+STEP = {"sequence_id": "s", "index": 1, "action": "a", "caption": "c",
+        "embedding_id": "e", "keyframe_id": "k"}
+MATCH = {"video_id": "v", "clip_id": "c", "action_index": 0, "iou": 0.5,
+         "start_diff_s": 0.0, "rule": "RuleB"}
+
+
+class TestStrictInput:
+    """A bad line ends in exit 1 and one `error: <source>: line N: reason` line."""
+
+    @pytest.mark.parametrize(
+        "flag,line,reason",
+        [
+            ("--steps", "[1]", "record must be a JSON object"),
+            ("--steps", json.dumps({**STEP, "index": "1"}), "field 'index' must be an integer"),
+            ("--steps", json.dumps({**STEP, "caption": 7}), "field 'caption' must be a string"),
+            ("--caption-tokens", "[1]", "record must be a JSON object"),
+            ("--caption-tokens", '{"video_id": "v", "clip_id": "c", "tokens": "4"}',
+             "field 'tokens' must be an integer"),
+            ("--matches", json.dumps({**MATCH, "iou": float("nan")}),
+             "field 'iou' must be a finite number"),
+            ("--matches", json.dumps({**MATCH, "start_diff_s": float("-inf")}),
+             "field 'start_diff_s' must be a finite number"),
+            ("--matches", json.dumps({**MATCH, "video_id": 3}),
+             "field 'video_id' must be a non-empty string"),
+            ("--tiers", '{"item_id": "a", "rater_id": null, "tier": "VeryMatch"}',
+             "field 'rater_id' must be a non-empty string"),
+            ("--ratings", '{"item_id": "a", "rating": true}', "field 'rating' must be an integer"),
+        ],
+        ids=[
+            "steps-array", "steps-string-index", "steps-number-caption", "tokens-array",
+            "tokens-string-count", "matches-nan", "matches-minus-infinity",
+            "matches-number-video", "tiers-null-rater", "ratings-bool",
+        ],
+    )
+    def test_bad_line(self, capsys, tmp_path, flag, line, reason):
+        # one clip and one action, so the match record above is valid but for its defect
+        manifest_path = str(tmp_path / "m.jsonl")
+        with open(manifest_path, "w") as fh:
+            fh.write('{"kind": "clip", "video_id": "v", "clip_id": "c", "start_s": 0.0, '
+                     '"end_s": 9.0, "caption": "x"}\n')
+            fh.write('{"kind": "action", "video_id": "v", "start_s": 0.0, "end_s": 9.0, '
+                     '"description": "y"}\n')
+        bad = tmp_path / "bad.jsonl"
+        # a valid step 2 follows, so the steps read as one sequence but for the defect
+        tail = json.dumps({**STEP, "index": 2}) + "\n" if flag == "--steps" else ""
+        bad.write_text("\n" + line + "\n" + tail)
+        argv = {
+            "--steps": ["windows", "--steps", str(bad), "--k", "1"],
+            "--caption-tokens": ["stats", "--manifest", manifest_path, "--caption-tokens", str(bad)],
+            "--matches": ["filter", "--manifest", manifest_path, "--matches", str(bad)],
+            "--tiers": ["score", "--tiers", str(bad)],
+            "--ratings": ["score", "--ratings", str(bad)],
+        }[flag]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {bad}: line 2: {reason}\n")
+
+
+class TestConfig:
+    @pytest.fixture
+    def steps_path(self, tmp_path):
+        path = tmp_path / "steps.jsonl"  # one 6-step sequence: k may be 1, 2 or 3
+        path.write_text("".join(json.dumps({**STEP, "index": t}) + "\n" for t in range(1, 7)))
+        return str(path)
+
+    def window_ks(self, capsys, steps_path, *argv):
+        code, out, err = invoke(capsys, "windows", "--steps", steps_path, *argv)
+        assert code == 0, err
+        return {json.loads(line)["k"] for line in out.splitlines()}
+
+    def test_precedence(self, capsys, steps_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"k": 1, "threads": 4}')
+        assert self.window_ks(capsys, steps_path) == {2}
+        assert self.window_ks(capsys, steps_path, "--config", str(cfg)) == {1}
+        assert self.window_ks(capsys, steps_path, "--config", str(cfg), "--k", "3") == {3}
+
+    def test_shuffle_from_config(self, capsys, emb_paths, tmp_path):
+        a, _ = emb_paths
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"shuffle": false}')
+        outs = {name: tmp_path / f"{name}.emb" for name in ("cfg", "flag", "both", "default")}
+        for name, argv in (
+            ("cfg", ["--config", str(cfg)]),
+            ("flag", ["--no-shuffle"]),
+            ("both", ["--config", str(cfg), "--shuffle"]),
+            ("default", []),
+        ):
+            assert invoke(capsys, "perturb", "--in", a, "--out", str(outs[name]), *argv)[0] == 0
+        assert outs["cfg"].read_bytes() == outs["flag"].read_bytes()
+        assert outs["both"].read_bytes() == outs["default"].read_bytes()
+        assert outs["cfg"].read_bytes() != outs["default"].read_bytes()
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ('{"shuffle": "false"}', "field 'shuffle' must be a JSON bool"),
+            ('{"shuffle": 0}', "field 'shuffle' must be a JSON bool"),
+            ('{"iou_lo": 0.9, "alpha": 1, "beta_": 2}', "unknown config key(s): beta_, iou_lo"),
+            ("[1]", "record must be a JSON object"),
+            ('"k"', "record must be a JSON object"),
+            ('{"k": 2', "invalid JSON: Expecting ',' delimiter"),
+            ('{"k": 2.0}', "field 'k' must be a JSON int"),
+            ('{"seed": true}', "field 'seed' must be a JSON int"),
+            ('{"iou_low": "0.2"}', "field 'iou_low' must be a finite number"),
+            ('{"iou_low": NaN}', "field 'iou_low' must be a finite number"),
+            ('{"histogram_edges": [0, 5]}', "field 'histogram_edges' must be a JSON dict"),
+            ('{"histogram_edges": {"clip_length": [0, 5]}}',
+             "field 'histogram_edges' has no list for 'clip_length'"),
+            ('{"histogram_edges": {"clip_length_s": [0, "5"]}}',
+             "field 'clip_length_s' must be a finite number"),
+        ],
+        ids=[
+            "shuffle-string", "shuffle-int", "unknown-keys", "array", "string",
+            "invalid-json", "k-float", "seed-bool", "float-string", "float-nan",
+            "edges-array", "edges-unknown-name", "edges-string-value",
+        ],
+    )
+    def test_bad_config_rejected(self, capsys, steps_path, tmp_path, text, reason):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = invoke(capsys, "windows", "--steps", steps_path, "--config", str(cfg))
+        assert (code, out, err) == (1, "", f"error: {cfg}: {reason}\n")

@@ -99,6 +99,12 @@ class TestJsonl:
         assert es.ids == ["a", "b"]
         assert np.array_equal(es.vectors, np.array([[1, 2], [3, 4]], dtype=np.float32))
 
+    def test_id_may_hold_line_separator(self):
+        # a raw U+2028 inside a JSON string is not a line break
+        text = '{"id": "a\u2028b", "values": [1.0]}\n'
+        es = read_embeddings(io.BytesIO(text.encode()))
+        assert es.ids == ["a\u2028b"]
+
     def test_ids_optional(self):
         text = '{"values": [1.0]}\n{"values": [2.0]}\n'
         es = read_embeddings(io.BytesIO(text.encode()))

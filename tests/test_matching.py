@@ -425,5 +425,5 @@ class TestWireFormat:
         good = format_match_record(MatchRecord("v", "c", 0, 0.5, 1.0, MatchRule.RULE_B))
         null_index = good.replace('"action_index": 0', '"action_index": null')
         for line in ['{"video_id": "v"}', "[1]", '"x"', "null", "{nope", null_index]:
-            with pytest.raises(ValueError, match="bad match record at line 2"):
+            with pytest.raises(ValueError, match="^line 2: "):
                 list(parse_match_records([good, line]))
