@@ -46,6 +46,7 @@ from .embedcore import (
     clip_t_score,
     cosine_similarity,
     fit_moments,
+    flow_loss,
     flow_matching_loss,
     frechet_distance,
     perturb,

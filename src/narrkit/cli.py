@@ -260,36 +260,14 @@ def cmd_metrics(args, rc: RunConfig) -> int:
         text = embedio.read_embeddings(args.text)
         image = embedio.read_embeddings(args.image)
         output = repr(embedcore.clip_t_score(text, image, scale=args.scale)) + "\n"
-    elif kind == "regloss":
+    else:
         pred = embedio.read_embeddings(args.pred)
         target = embedio.read_embeddings(args.target)
-        if len(pred) != len(target):
-            raise ValueError(f"pair count mismatch: {len(pred)} vs {len(target)}")
-        losses = [
-            embedcore.regression_loss(p, t, rc.loss_params)
-            for p, t in zip(pred.vectors, target.vectors)
-        ]
-        n = len(losses)
-        output = (
-            json.dumps(
-                {
-                    "total": sum(l.total for l in losses) / n,
-                    "cosine_term": sum(l.cosine_term for l in losses) / n,
-                    "mse_term": sum(l.mse_term for l in losses) / n,
-                    "pairs": n,
-                }
-            )
-            + "\n"
-        )
-    else:  # flowloss
-        pred = embedio.read_embeddings(args.pred)
-        target = embedio.read_embeddings(args.target)
-        if len(pred) != len(target):
-            raise ValueError(f"pair count mismatch: {len(pred)} vs {len(target)}")
-        samples = [
-            embedcore.FlowSample(p, t) for p, t in zip(pred.vectors, target.vectors)
-        ]
-        output = repr(embedcore.flow_matching_loss(samples)) + "\n"
+        if kind == "regloss":
+            loss = embedcore.regression_loss(pred, target, rc.loss_params)
+            output = json.dumps({**loss.to_dict(), "pairs": len(pred)}) + "\n"
+        else:  # flowloss
+            output = repr(embedcore.flow_loss(pred, target)) + "\n"
     with _outputs(args.out) as (out,):
         out.write(output)
     return 0
@@ -399,27 +377,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_score)
 
     p = sub.add_parser("metrics", help="embedding metrics")
+    p.set_defaults(handler=cmd_metrics)
     msub = p.add_subparsers(dest="metric", required=True)
     mp = msub.add_parser("frechet", parents=[common])
     mp.add_argument("--a", required=True)
     mp.add_argument("--b", required=True)
     mp.add_argument("--jitter", type=float, help="covariance diagonal jitter (default 1e-6)")
-    mp.set_defaults(handler=cmd_metrics)
     mp = msub.add_parser("clipt", parents=[common])
     mp.add_argument("--text", required=True)
     mp.add_argument("--image", required=True)
     mp.add_argument("--scale", choices=["raw", "percent"], default="raw")
-    mp.set_defaults(handler=cmd_metrics)
     mp = msub.add_parser("regloss", parents=[common])
     mp.add_argument("--pred", required=True)
     mp.add_argument("--target", required=True)
     mp.add_argument("--alpha", type=float, help="cosine term weight (default 1)")
     mp.add_argument("--beta", type=float, help="MSE term weight (default 1)")
-    mp.set_defaults(handler=cmd_metrics)
     mp = msub.add_parser("flowloss", parents=[common])
     mp.add_argument("--pred", required=True)
     mp.add_argument("--target", required=True)
-    mp.set_defaults(handler=cmd_metrics)
 
     p = sub.add_parser("perturb", parents=[common], help="corrupt an embedding file")
     p.add_argument("--in", dest="input", required=True)

@@ -6,6 +6,11 @@ perturbations (noise, masking, shuffling) for robustness studies, Gaussian
 moment fitting with the Frechet distribution distance, paired cosine
 scoring, and a drift-field matching loss.
 
+The pair losses are batch kernels: ``regression_loss`` and ``flow_loss``
+take two whole sets of index-paired rows (a vector is one row) and return
+the mean over the pairs. ``cosine_similarity`` and ``flow_matching_loss``
+are one-row and record-list calls of the same code.
+
 Everything computes in double precision regardless of storage dtype, and
 every random operation is a pure function of an explicit seed. Per-item
 random streams are derived from (seed, item index), so batch results never
@@ -14,7 +19,7 @@ depend on scheduling or thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -37,6 +42,7 @@ __all__ = [
     "fit_moments",
     "frechet_distance",
     "clip_t_score",
+    "flow_loss",
     "flow_matching_loss",
 ]
 
@@ -82,14 +88,17 @@ class EmbeddingSet:
 
 
 ArrayLike = Union[np.ndarray, Sequence[float]]
-Matrix = Union[EmbeddingSet, np.ndarray]
+Rows = Union[EmbeddingSet, ArrayLike]
 
 
-def _as_matrix(x: Matrix, name: str = "embeddings") -> np.ndarray:
+def _as_rows(x: Rows, name: str = "embeddings") -> np.ndarray:
+    """Rows of a set, 2-D array or vector (one row), in their stored dtype."""
     m = x.vectors if isinstance(x, EmbeddingSet) else np.asarray(x)
+    if m.ndim == 1 and m.size:
+        return m[None, :]
     if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    return m.astype(np.float64, copy=False)
+        raise ValueError(f"{name} must be a non-empty vector or 2-D, got shape {m.shape}")
+    return m
 
 
 def _as_vector(x: ArrayLike, name: str) -> np.ndarray:
@@ -99,17 +108,57 @@ def _as_vector(x: ArrayLike, name: str) -> np.ndarray:
     return v
 
 
+# Rows per block in the pair kernels; bounds their float64 temporaries.
+_BLOCK = 1024
+
+
+def _pairs(a: Rows, b: Rows, names=("pred", "target")) -> tuple[np.ndarray, np.ndarray]:
+    """Check two index-paired inputs and return them as rows (see _as_rows)."""
+    x, y = _as_rows(a, names[0]), _as_rows(b, names[1])
+    if len(x) != len(y):
+        raise ValueError(f"pair count mismatch: {len(x)} vs {len(y)}")
+    if x.shape[1] != y.shape[1]:
+        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    if not len(x):
+        raise ValueError("no pairs to score")
+    return x, y
+
+
+def _blocks(x: np.ndarray, y: np.ndarray):
+    """Yield (first row index, x rows, y rows) in float64, _BLOCK rows at a time."""
+    for lo in range(0, len(x), _BLOCK):
+        hi = lo + _BLOCK
+        yield lo, x[lo:hi].astype(np.float64, copy=False), y[lo:hi].astype(np.float64, copy=False)
+
+
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Stacked matmul gives the bits of a 1-D x[i] @ y[i]; einsum does not.
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _check_nonzero(nx: np.ndarray, ny: np.ndarray, first: int = 0) -> None:
+    bad = np.flatnonzero((nx == 0) | (ny == 0))
+    if bad.size:
+        raise ValueError(f"zero-norm embedding at pair index {first + int(bad[0])}")
+
+
+def _row_cosines(x: np.ndarray, y: np.ndarray, first: int = 0):
+    """Clipped cosines of paired float64 rows and both row norms; row 0 is pair ``first``."""
+    nx, ny = np.sqrt(_rowdot(x, x)), np.sqrt(_rowdot(y, y))
+    _check_nonzero(nx, ny, first)
+    return np.clip(_rowdot(x, y) / (nx * ny), -1.0, 1.0), nx, ny
+
+
+def _mean(values: np.ndarray) -> float:
+    # Summed left to right, as a per-pair loop sums; numpy's pairwise
+    # summation rounds differently and would change the reported bits.
+    return sum(values.tolist()) / len(values)
+
+
 def cosine_similarity(a: ArrayLike, b: ArrayLike) -> float:
     """Cosine of the angle between two vectors, clipped to [-1, 1]."""
-    va = _as_vector(a, "a")
-    vb = _as_vector(b, "b")
-    if va.shape != vb.shape:
-        raise ValueError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm input")
-    return float(np.clip(va @ vb / (na * nb), -1.0, 1.0))
+    x, y = _pairs(_as_vector(a, "a"), _as_vector(b, "b"))
+    return float(_row_cosines(x, y)[0][0])
 
 
 @dataclass(frozen=True)
@@ -134,54 +183,43 @@ class RegressionLoss:
     mse_term: float
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "cosine_term": self.cosine_term,
-            "mse_term": self.mse_term,
-        }
+        return asdict(self)
 
 
 def regression_loss(
-    pred: ArrayLike, target: ArrayLike, p: RegressionLossParams | None = None
+    pred: Rows, target: Rows, p: RegressionLossParams | None = None
 ) -> RegressionLoss:
-    """alpha * (1 - cosine(pred, target)) + beta * mean((pred - target)^2)."""
+    """alpha * (1 - cosine(pred, target)) + beta * mean((pred - target)^2), each
+    term averaged over the index-paired rows of two sets, or over one vector pair."""
     p = p or RegressionLossParams()
-    vp = _as_vector(pred, "pred")
-    vt = _as_vector(target, "target")
-    if vp.shape != vt.shape:
-        raise ValueError(f"dimension mismatch: {vp.shape[0]} vs {vt.shape[0]}")
-    cos = cosine_similarity(vp, vt)
-    cosine_term = p.alpha * (1.0 - cos)
-    mse_term = p.beta * float(np.mean((vp - vt) ** 2))
-    return RegressionLoss(cosine_term + mse_term, cosine_term, mse_term)
+    x, y = _pairs(pred, target)
+    cos_term, mse_term = np.empty(len(x)), np.empty(len(x))
+    for lo, a, b in _blocks(x, y):
+        cos_term[lo : lo + len(a)] = p.alpha * (1.0 - _row_cosines(a, b, lo)[0])
+        mse_term[lo : lo + len(a)] = p.beta * np.mean((a - b) ** 2, axis=1)
+    return RegressionLoss(_mean(cos_term + mse_term), _mean(cos_term), _mean(mse_term))
 
 
 def regression_loss_grad(
     pred: ArrayLike, target: ArrayLike, p: RegressionLossParams | None = None
 ) -> np.ndarray:
-    """Analytic gradient of regression_loss with respect to ``pred``.
+    """Analytic gradient of regression_loss for one pair, with respect to ``pred``.
 
     d/dp [alpha (1 - p.t / (|p||t|))] = alpha (cos * p / |p|^2 - t / (|p||t|))
     d/dp [beta/N sum (p - t)^2]       = 2 beta / N * (p - t)
     """
     p = p or RegressionLossParams()
-    vp = _as_vector(pred, "pred")
-    vt = _as_vector(target, "target")
-    if vp.shape != vt.shape:
-        raise ValueError(f"dimension mismatch: {vp.shape[0]} vs {vt.shape[0]}")
-    np_norm = np.linalg.norm(vp)
-    nt_norm = np.linalg.norm(vt)
-    if np_norm == 0.0 or nt_norm == 0.0:
-        raise ValueError("gradient undefined for zero-norm input")
-    cos = float(vp @ vt / (np_norm * nt_norm))
+    x, y = _pairs(_as_vector(pred, "pred"), _as_vector(target, "target"))
+    (cos,), (np_norm,), (nt_norm,) = _row_cosines(x, y)
+    vp, vt = x[0], y[0]
     grad_cos = p.alpha * (cos * vp / np_norm**2 - vt / (np_norm * nt_norm))
     grad_mse = (2.0 * p.beta / vp.size) * (vp - vt)
     return grad_cos + grad_mse
 
 
-def population_std(embeddings: Matrix) -> np.ndarray:
+def population_std(embeddings: Rows) -> np.ndarray:
     """Per-dimension sample standard deviation (n-1 denominator)."""
-    m = _as_matrix(embeddings)
+    m = _as_rows(embeddings).astype(np.float64, copy=False)
     if m.shape[0] < 2:
         raise ValueError("population_std needs at least 2 vectors")
     return np.std(m, axis=0, ddof=1)
@@ -358,9 +396,9 @@ class GaussianMoments:
         return self.mean.shape[0]
 
 
-def fit_moments(embeddings: Matrix) -> GaussianMoments:
+def fit_moments(embeddings: Rows) -> GaussianMoments:
     """Sample mean and unbiased covariance of an embedding population."""
-    m = _as_matrix(embeddings)
+    m = _as_rows(embeddings).astype(np.float64, copy=False)
     if m.shape[0] < 2:
         raise ValueError("fit_moments needs at least 2 vectors")
     mean = m.mean(axis=0)
@@ -421,7 +459,7 @@ def frechet_distance(
     return max(0.0, value)
 
 
-def clip_t_score(text_embs: Matrix, image_embs: Matrix, scale: str = "raw") -> float:
+def clip_t_score(text_embs: Rows, image_embs: Rows, scale: str = "raw") -> float:
     """Mean cosine similarity over index-paired text/image embeddings.
 
     ``scale`` is "raw" for the bare mean or "percent" for the conventional
@@ -429,19 +467,11 @@ def clip_t_score(text_embs: Matrix, image_embs: Matrix, scale: str = "raw") -> f
     """
     if scale not in ("raw", "percent"):
         raise ValueError(f"scale must be 'raw' or 'percent', got {scale!r}")
-    t = _as_matrix(text_embs, "text embeddings")
-    v = _as_matrix(image_embs, "image embeddings")
-    if t.shape[0] != v.shape[0]:
-        raise ValueError(f"pair count mismatch: {t.shape[0]} vs {v.shape[0]}")
-    if t.shape[1] != v.shape[1]:
-        raise ValueError(f"dimension mismatch: {t.shape[1]} vs {v.shape[1]}")
-    if t.shape[0] == 0:
-        raise ValueError("no pairs to score")
+    t, v = _pairs(text_embs, image_embs, ("text embeddings", "image embeddings"))
+    t, v = t.astype(np.float64, copy=False), v.astype(np.float64, copy=False)
     tn = np.linalg.norm(t, axis=1)
     vn = np.linalg.norm(v, axis=1)
-    bad = np.flatnonzero((tn == 0) | (vn == 0))
-    if bad.size:
-        raise ValueError(f"zero-norm embedding at pair index {int(bad[0])}")
+    _check_nonzero(tn, vn)
     cosines = np.clip(np.einsum("ij,ij->i", t, v) / (tn * vn), -1.0, 1.0)
     mean = float(cosines.mean())
     return mean * 100.0 if scale == "percent" else mean
@@ -455,31 +485,34 @@ class FlowSample:
     target_drift: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "predicted_drift", _as_vector(self.predicted_drift, "predicted_drift")
+        pred, target = _pairs(
+            _as_vector(self.predicted_drift, "predicted_drift"),
+            _as_vector(self.target_drift, "target_drift"),
         )
-        object.__setattr__(
-            self, "target_drift", _as_vector(self.target_drift, "target_drift")
-        )
-        if self.predicted_drift.shape != self.target_drift.shape:
-            raise ValueError(
-                f"drift dimension mismatch: {self.predicted_drift.shape[0]} vs "
-                f"{self.target_drift.shape[0]}"
-            )
+        object.__setattr__(self, "predicted_drift", pred[0])
+        object.__setattr__(self, "target_drift", target[0])
+
+
+def flow_loss(pred: Rows, target: Rows) -> float:
+    """Mean squared L2 distance between predicted and target drifts, over the
+    index-paired rows of two sets, or over one vector pair."""
+    x, y = _pairs(pred, target)
+    sq = np.empty(len(x))
+    for lo, a, b in _blocks(x, y):
+        d = a - b
+        sq[lo : lo + len(d)] = _rowdot(d, d)
+    return _mean(sq)
 
 
 def flow_matching_loss(samples: Iterable[FlowSample]) -> float:
-    """Mean squared L2 distance between predicted and target drifts."""
+    """flow_loss over FlowSample records."""
     records = list(samples)
     if not records:
         raise ValueError("no flow samples to evaluate")
-    dim = records[0].predicted_drift.shape[0]
-    total = 0.0
-    for i, s in enumerate(records):
-        if s.predicted_drift.shape[0] != dim:
-            raise ValueError(
-                f"sample {i} has dimension {s.predicted_drift.shape[0]}, expected {dim}"
-            )
-        d = s.predicted_drift - s.target_drift
-        total += float(d @ d)
-    return total / len(records)
+    dims = sorted({s.predicted_drift.shape[0] for s in records})
+    if len(dims) > 1:
+        raise ValueError(f"flow samples differ in dimension: {dims}")
+    return flow_loss(
+        np.stack([s.predicted_drift for s in records]),
+        np.stack([s.target_drift for s in records]),
+    )

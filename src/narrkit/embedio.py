@@ -74,9 +74,13 @@ def _decode_jsonl(lines: Iterable[str], source: str) -> EmbeddingSet:
         if not numbers or not values:
             raise InputError("field 'values' must be a non-empty array of numbers", lineno, source)
         try:
-            rows.append(np.asarray(values, dtype=np.float32))
+            with np.errstate(over="ignore"):  # rejected just below, by line
+                row = np.asarray(values, dtype=np.float32)
         except OverflowError as exc:  # an integer literal beyond the float range
             raise InputError(f"field 'values': {exc}", lineno, source) from exc
+        if not np.isfinite(row).all():
+            raise InputError("field 'values' exceeds the float32 range", lineno, source)
+        rows.append(row)
         if rec.get("id") is not None:
             ids.append(want_text(rec, "id", lineno, source))
             have_ids += 1
@@ -95,12 +99,15 @@ def _decode_jsonl(lines: Iterable[str], source: str) -> EmbeddingSet:
 def read_embeddings(source: Source) -> EmbeddingSet:
     """Load an embedding set from a binary or JSONL file (auto-detected)."""
     blob = _read_bytes(source)
-    if blob.startswith(MAGIC):
-        return _decode_binary(blob)
     if isinstance(source, (str, os.PathLike)):
         name = os.fspath(source)
     else:
         name = getattr(source, "name", "<input>")
+    if blob.startswith(MAGIC):
+        try:
+            return _decode_binary(blob)
+        except ValueError as exc:  # the layout checks, the id block and EmbeddingSet's
+            raise InputError(str(exc), source=name) from exc
     # Split lines as a text-mode file does, so an id may hold U+2028.
     return _decode_jsonl(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8"), name)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_manifest, random_sequence
+from narrkit import embedcore
 from narrkit.cli import run
 from narrkit.embedcore import EmbeddingSet
 from narrkit.embedio import read_embeddings, write_embeddings
@@ -291,6 +292,70 @@ class TestMetrics:
         code, out, _ = invoke(capsys, "metrics", "flowloss", "--pred", a, "--target", a)
         assert code == 0
         assert float(out.strip()) == 0.0
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (2.0, 0.5)])
+    def test_loss_bytes_match_per_pair_formula(self, capsys, tmp_path, alpha, beta):
+        # The per-pair formula the loss commands computed before they were
+        # batched: 1-D dot products and norms, summed by Python left to right.
+        rng = np.random.default_rng(11)
+        n = embedcore._BLOCK + 1
+        pred = rng.normal(size=(n, 768)).astype(np.float32)
+        target = (pred + rng.normal(scale=0.5, size=pred.shape)).astype(np.float32)
+        paths = [str(tmp_path / "pred.emb"), str(tmp_path / "target.emb")]
+        for vectors, path in zip((pred, target), paths):
+            write_embeddings(EmbeddingSet(vectors), path)
+        terms = []
+        for p, t in zip(pred.astype(np.float64), target.astype(np.float64)):
+            cos = float(np.clip(np.dot(p, t) / (np.linalg.norm(p) * np.linalg.norm(t)), -1.0, 1.0))
+            cos_term, mse_term = alpha * (1.0 - cos), beta * float(np.mean((p - t) ** 2))
+            terms.append((cos_term + mse_term, cos_term, mse_term, float(np.dot(p - t, p - t))))
+        total, cos_term, mse_term, flow = (sum(column) / n for column in zip(*terms))
+        regloss = {"total": total, "cosine_term": cos_term, "mse_term": mse_term, "pairs": n}
+
+        pair = ["--pred", paths[0], "--target", paths[1]]
+        weights = ["--alpha", str(alpha), "--beta", str(beta)]
+        assert invoke(capsys, "metrics", "regloss", *pair, *weights) == (0, json.dumps(regloss) + "\n", "")
+        assert invoke(capsys, "metrics", "flowloss", *pair) == (0, repr(flow) + "\n", "")
+
+    def test_regloss_zero_norm_names_pair(self, capsys, tmp_path, rng):
+        pred = rng.normal(size=(embedcore._BLOCK + 3, 4)).astype(np.float32)
+        pred[embedcore._BLOCK + 1] = 0.0
+        a, b = str(tmp_path / "a.emb"), str(tmp_path / "b.emb")
+        write_embeddings(EmbeddingSet(pred), a)
+        write_embeddings(EmbeddingSet(np.ones_like(pred)), b)
+        code, out, err = invoke(capsys, "metrics", "regloss", "--pred", a, "--target", b)
+        assert (code, out, err) == (
+            1, "", f"error: zero-norm embedding at pair index {embedcore._BLOCK + 1}\n"
+        )
+
+    @pytest.mark.parametrize("metric", ["regloss", "flowloss"])
+    def test_pair_count_mismatch(self, capsys, tmp_path, emb_paths, metric):
+        short = str(tmp_path / "short.emb")
+        write_embeddings(EmbeddingSet(np.ones((29, 8), dtype=np.float32)), short)
+        code, out, err = invoke(capsys, "metrics", metric, "--pred", emb_paths[0], "--target", short)
+        assert (code, out, err) == (1, "", "error: pair count mismatch: 30 vs 29\n")
+
+    @pytest.mark.parametrize("metric", ["regloss", "flowloss"])
+    def test_empty_sets_rejected(self, capsys, tmp_path, metric):
+        empty = str(tmp_path / "empty.emb")
+        write_embeddings(EmbeddingSet(np.ones((0, 8), dtype=np.float32)), empty)
+        code, out, err = invoke(capsys, "metrics", metric, "--pred", empty, "--target", empty)
+        assert (code, out, err) == (1, "", "error: no pairs to score\n")
+
+    def test_bad_binary_input_is_named(self, capsys, tmp_path, emb_paths):
+        bad = tmp_path / "trunc.emb"
+        bad.write_bytes(b"EMB1\x01")
+        code, out, err = invoke(capsys, "metrics", "frechet", "--a", emb_paths[0], "--b", str(bad))
+        assert (code, out, err) == (1, "", f"error: {bad}: embedding file truncated before header\n")
+
+    def test_jsonl_value_beyond_float32_is_named(self, capsys, tmp_path):
+        good, bad = tmp_path / "good.jsonl", tmp_path / "big.jsonl"
+        good.write_text('{"values": [1.0, 1.0]}\n')
+        bad.write_text('{"values": [1e39, 1.0]}\n')
+        code, out, err = invoke(capsys, "metrics", "clipt", "--text", str(good), "--image", str(bad))
+        assert (code, out, err) == (
+            1, "", f"error: {bad}: line 1: field 'values' exceeds the float32 range\n"
+        )
 
 
 class TestPerturb:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from narrkit import embedcore
 from narrkit.embedcore import (
     EmbeddingSet,
     FlowSample,
@@ -12,6 +13,7 @@ from narrkit.embedcore import (
     clip_t_score,
     cosine_similarity,
     fit_moments,
+    flow_loss,
     flow_matching_loss,
     frechet_distance,
     perturb,
@@ -76,6 +78,39 @@ class TestRegressionLoss:
         for _ in range(200):
             loss = regression_loss(rng.normal(size=16), rng.normal(size=16))
             assert loss.total >= 0.0
+
+    def test_set_is_left_to_right_mean_of_one_row_calls(self, rng):
+        # one row past a block boundary, stored as float32 like a file-backed set
+        n = embedcore._BLOCK + 1
+        pred = EmbeddingSet(rng.normal(size=(n, 24)).astype(np.float32))
+        target = rng.normal(size=(n, 24)).astype(np.float32)
+        params = RegressionLossParams(alpha=2.0, beta=0.5)
+        rows = [regression_loss(p, t, params) for p, t in zip(pred.vectors, target)]
+        batch = regression_loss(pred, target, params)
+        assert batch.total == sum(r.total for r in rows) / n
+        assert batch.cosine_term == sum(r.cosine_term for r in rows) / n
+        assert batch.mse_term == sum(r.mse_term for r in rows) / n
+
+    def test_zero_norm_names_pair_index(self, rng):
+        pred = rng.normal(size=(embedcore._BLOCK + 5, 3))
+        pred[embedcore._BLOCK + 2] = 0.0
+        with pytest.raises(ValueError, match=f"^zero-norm embedding at pair index {embedcore._BLOCK + 2}$"):
+            regression_loss(pred, rng.normal(size=pred.shape))
+
+    @pytest.mark.parametrize("loss", [regression_loss, flow_loss])
+    @pytest.mark.parametrize(
+        "pred,target,reason",
+        [
+            (np.ones((3, 2)), np.ones((2, 2)), "pair count mismatch: 3 vs 2"),
+            (np.ones((2, 3)), np.ones((2, 2)), "dimension mismatch: 3 vs 2"),
+            (np.ones((0, 2)), np.ones((0, 2)), "no pairs to score"),
+            (np.ones((1, 1, 2)), np.ones((1, 2)), "pred must be a non-empty vector or 2-D"),
+        ],
+        ids=["count", "dim", "empty", "rank"],
+    )
+    def test_pair_checks(self, loss, pred, target, reason):
+        with pytest.raises(ValueError, match="^" + reason):
+            loss(pred, target)
 
     @pytest.mark.parametrize("alpha,beta", [(-1, 1), (1, -1), (0, 0)])
     def test_bad_params(self, alpha, beta):
@@ -428,6 +463,14 @@ class TestFlowLoss:
     def test_sample_dim_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             FlowSample([1.0, 2.0], [1.0])
+
+    def test_batch_matches_samples_and_one_row_calls(self, rng):
+        n = embedcore._BLOCK + 1
+        pred = rng.normal(size=(n, 7)).astype(np.float32)
+        target = EmbeddingSet(rng.normal(size=(n, 7)).astype(np.float32))
+        batch = flow_loss(pred, target)
+        assert batch == flow_matching_loss(FlowSample(p, t) for p, t in zip(pred, target.vectors))
+        assert batch == sum(flow_loss(p, t) for p, t in zip(pred, target.vectors)) / n
 
     def test_cross_sample_dims_checked(self):
         samples = [FlowSample([1.0], [0.0]), FlowSample([1.0, 2.0], [0.0, 0.0])]

@@ -5,6 +5,7 @@ import pytest
 
 from narrkit.embedcore import EmbeddingSet
 from narrkit.embedio import MAGIC, read_embeddings, write_embeddings
+from narrkit.jsonl import InputError
 
 
 def make_set(rng, n=10, dim=6, with_ids=True):
@@ -58,6 +59,25 @@ class TestBinary:
         write_embeddings(es, buf)
         with pytest.raises(ValueError, match="ids"):
             read_embeddings(io.BytesIO(buf.getvalue() + b"\nextra"))
+
+    @pytest.mark.parametrize(
+        "blob,reason",
+        [
+            (MAGIC + b"\x01", "embedding file truncated before header"),
+            (MAGIC + (1).to_bytes(4, "little") * 2, "embedding file truncated: expected 4 data bytes, got 0"),
+            (MAGIC + (1).to_bytes(4, "little") * 2 + np.float32(np.nan).tobytes(), "embeddings must be finite"),
+            (MAGIC + (1).to_bytes(4, "little") * 2 + bytes(4) + b"\xff", "'utf-8' codec can't decode"),
+        ],
+        ids=["header", "payload", "nan", "id-bytes"],
+    )
+    def test_errors_name_the_file(self, tmp_path, blob, reason):
+        path = tmp_path / "bad.emb"
+        path.write_bytes(blob)
+        with pytest.raises(InputError) as info:
+            read_embeddings(path)
+        assert info.value.source == str(path)
+        assert info.value.line is None
+        assert str(info.value).startswith(reason)
 
     def test_newline_in_id_rejected(self):
         es = EmbeddingSet(np.ones((1, 2), dtype=np.float32), ids=["bad\nid"])
@@ -119,6 +139,18 @@ class TestJsonl:
         text = '{"values": [1.0]}\n{"values": [2.0, 3.0]}\n'
         with pytest.raises(ValueError, match="dimensions"):
             read_embeddings(io.BytesIO(text.encode()))
+
+    @pytest.mark.parametrize("value", ["1e39", "-3.5e38", "340282356779733661637539395458142568448"])
+    def test_beyond_float32_range_rejected_by_line(self, value):
+        # the largest float32 is 3.4028234664e38; each value rounds past it
+        text = f'{{"values": [1.0, 2.0]}}\n{{"values": [{value}, 1.0]}}\n'
+        with pytest.raises(InputError, match="^line 2: field 'values' exceeds the float32 range$"):
+            read_embeddings(io.BytesIO(text.encode()))
+
+    def test_float32_max_accepted(self):
+        text = '{"values": [3.4028234663852886e38, -3.4028234663852886e38]}\n'
+        es = read_embeddings(io.BytesIO(text.encode()))
+        assert es.vectors.tolist() == [[np.finfo(np.float32).max, np.finfo(np.float32).min]]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no embedding records"):
