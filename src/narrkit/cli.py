@@ -246,16 +246,22 @@ def cmd_score(args, rc: RunConfig) -> int:
     return 0
 
 
+def _fit_moments(path: str) -> embedcore.GaussianMoments:
+    # The set is dropped on return, so frechet holds one set at a time.
+    embeddings = embedio.read_embeddings(path)
+    try:
+        return embedcore.fit_moments(embeddings)
+    except ValueError as exc:
+        raise InputError(str(exc), source=path) from exc
+
+
 def cmd_metrics(args, rc: RunConfig) -> int:
     kind = args.metric
     if kind == "frechet":
-        a = embedio.read_embeddings(args.a)
-        b = embedio.read_embeddings(args.b)
+        a = _fit_moments(args.a)
+        b = _fit_moments(args.b)
         jitter = args.jitter if args.jitter is not None else 1e-6
-        value = embedcore.frechet_distance(
-            embedcore.fit_moments(a), embedcore.fit_moments(b), jitter=jitter
-        )
-        output = repr(value) + "\n"
+        output = repr(embedcore.frechet_distance(a, b, jitter=jitter)) + "\n"
     elif kind == "clipt":
         text = embedio.read_embeddings(args.text)
         image = embedio.read_embeddings(args.image)
@@ -273,23 +279,26 @@ def cmd_metrics(args, rc: RunConfig) -> int:
     return 0
 
 
+def _population_std(args, source: embedcore.EmbeddingSet):
+    # A --population set is dropped on return, before the input is perturbed.
+    path = args.population or args.input
+    population = embedio.read_embeddings(path) if args.population else source
+    if len(population) < 2:
+        raise InputError(
+            "std basis needs a population of at least 2 vectors; supply --population",
+            source=path,
+        )
+    return embedcore.population_std(population)
+
+
 def cmd_perturb(args, rc: RunConfig) -> int:
     if not args.out:
         _log("perturb: --out is required (binary output does not go to stdout)")
         return 2
     source = embedio.read_embeddings(args.input)
-    if args.population:
-        basis_set = embedio.read_embeddings(args.population)
-    else:
-        basis_set = source
-    if len(basis_set) < 2:
-        raise ValueError(
-            "std basis needs a population of at least 2 vectors; supply --population"
-        )
-    basis = embedcore.population_std(basis_set)
     result = embedcore.perturb_set(
         source,
-        basis,
+        _population_std(args, source),
         rc.perturbation,
         shuffle_mode=args.shuffle_mode,
     )

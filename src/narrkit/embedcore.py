@@ -15,6 +15,11 @@ Everything computes in double precision regardless of storage dtype, and
 every random operation is a pure function of an explicit seed. Per-item
 random streams are derived from (seed, item index), so batch results never
 depend on scheduling or thread count.
+
+Memory: kernels read a set in its stored dtype. ``fit_moments`` and
+``population_std`` make at most one float64 working copy of it, the pair
+losses upcast bounded row blocks, and ``perturb_set`` writes each row into
+one output array of the set's dtype.
 """
 
 from __future__ import annotations
@@ -218,11 +223,12 @@ def regression_loss_grad(
 
 
 def population_std(embeddings: Rows) -> np.ndarray:
-    """Per-dimension sample standard deviation (n-1 denominator)."""
-    m = _as_rows(embeddings).astype(np.float64, copy=False)
+    """Per-dimension sample standard deviation (n-1 denominator), in float64."""
+    m = _as_rows(embeddings)
     if m.shape[0] < 2:
         raise ValueError("population_std needs at least 2 vectors")
-    return np.std(m, axis=0, ddof=1)
+    # dtype= upcasts as numpy reduces, with no float64 copy of the whole set.
+    return np.std(m, axis=0, ddof=1, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -278,6 +284,15 @@ def _perturb_row(
     return x
 
 
+def _std_basis(std_basis: ArrayLike, dim: int) -> np.ndarray:
+    basis = _as_vector(std_basis, "std_basis")
+    if basis.shape[0] != dim:
+        raise ValueError(
+            f"std_basis dimension {basis.shape[0]} does not match embedding dimension {dim}"
+        )
+    return basis
+
+
 def perturb(
     z: ArrayLike, std_basis: ArrayLike, spec: PerturbationSpec, item_index: int = 0
 ) -> np.ndarray:
@@ -291,12 +306,7 @@ def perturb(
     out_dtype = v.dtype if np.issubdtype(v.dtype, np.floating) else np.float64
     if v.ndim != 1 or v.size < 1:
         raise ValueError("embedding must be a non-empty 1-D vector")
-    basis = _as_vector(std_basis, "std_basis")
-    if basis.shape != v.shape:
-        raise ValueError(
-            f"std_basis dimension {basis.shape[0]} does not match embedding "
-            f"dimension {v.shape[0]}"
-        )
+    basis = _std_basis(std_basis, v.shape[0])
     if spec.is_identity:
         return np.array(v, dtype=out_dtype, copy=True)
     return _perturb_row(v, basis, spec, item_index, coord_shuffle=True).astype(out_dtype)
@@ -318,12 +328,7 @@ def perturb_set(
     """
     if shuffle_mode not in ("coords", "sequence"):
         raise ValueError(f"shuffle_mode must be 'coords' or 'sequence', got {shuffle_mode!r}")
-    basis = _as_vector(std_basis, "std_basis")
-    if basis.shape[0] != embeddings.dim:
-        raise ValueError(
-            f"std_basis dimension {basis.shape[0]} does not match embedding "
-            f"dimension {embeddings.dim}"
-        )
+    basis = _std_basis(std_basis, embeddings.dim)
     if spec.is_identity or len(embeddings) == 0:
         return EmbeddingSet(
             embeddings.vectors.copy(),
@@ -332,17 +337,17 @@ def perturb_set(
 
     coord_shuffle = shuffle_mode == "coords"
     rows = embeddings.vectors
-    out = [
-        _perturb_row(rows[i], basis, spec, i, coord_shuffle)
-        for i in range(len(rows))
-    ]
-    result = np.stack(out).astype(embeddings.vectors.dtype)
     ids = list(embeddings.ids) if embeddings.ids is not None else None
+    # Row i lands at slot[i] of the output; a sequence shuffle puts row order[k] at k.
+    slot = range(len(rows))
     if spec.shuffle and shuffle_mode == "sequence":
-        order = _order_rng(spec.seed).permutation(len(result))
-        result = result[order]
+        order = _order_rng(spec.seed).permutation(len(rows))
+        slot = np.argsort(order)
         if ids is not None:
             ids = [ids[i] for i in order]
+    result = np.empty_like(rows)
+    for i in range(len(rows)):
+        result[slot[i]] = _perturb_row(rows[i], basis, spec, i, coord_shuffle)
     return EmbeddingSet(result, ids)
 
 
@@ -397,13 +402,18 @@ class GaussianMoments:
 
 
 def fit_moments(embeddings: Rows) -> GaussianMoments:
-    """Sample mean and unbiased covariance of an embedding population."""
-    m = _as_rows(embeddings).astype(np.float64, copy=False)
-    if m.shape[0] < 2:
+    """Sample mean and unbiased covariance of an embedding population.
+
+    Works on one float64 copy of the rows, centred in place. These are the
+    steps ``np.cov(rowvar=False, ddof=1)`` takes, so the bits are the same,
+    without the second copy ``np.cov`` would make.
+    """
+    x = np.array(_as_rows(embeddings), dtype=np.float64)
+    if x.shape[0] < 2:
         raise ValueError("fit_moments needs at least 2 vectors")
-    mean = m.mean(axis=0)
-    cov = np.atleast_2d(np.cov(m, rowvar=False, ddof=1))
-    return GaussianMoments(mean, cov)
+    mean = x.mean(axis=0)
+    x -= mean
+    return GaussianMoments(mean, np.dot(x.T, x) * np.true_divide(1, x.shape[0] - 1))
 
 
 def _psd_sqrt(c: np.ndarray, stage: str) -> np.ndarray:

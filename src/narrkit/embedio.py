@@ -5,6 +5,11 @@ dimension, then count*dim little-endian float32 values row-major, then an
 optional block of newline-separated UTF-8 ids (one per vector). A JSONL
 alternative with one ``{"id": ..., "values": [...]}`` object per line is
 accepted interchangeably; readers sniff the magic bytes.
+
+Memory: a set is held once. The reader reads a binary payload straight
+into the array that becomes the set's vectors and decodes JSONL line by
+line; the writer sends the header, the vector buffer and the id block (or
+one JSONL line at a time) to the sink without joining them first.
 """
 
 from __future__ import annotations
@@ -28,37 +33,29 @@ _HEADER = struct.Struct("<II")
 Source = Union[str, os.PathLike, IO[bytes]]
 
 
-def _read_bytes(source: Source) -> bytes:
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            return fh.read()
-    return source.read()
-
-
-def _decode_binary(blob: bytes) -> EmbeddingSet:
-    if len(blob) < len(MAGIC) + _HEADER.size:
+def _decode_binary(fh: IO[bytes]) -> EmbeddingSet:
+    header = fh.read(len(MAGIC) + _HEADER.size)
+    if len(header) < len(MAGIC) + _HEADER.size:
         raise ValueError("embedding file truncated before header")
-    count, dim = _HEADER.unpack_from(blob, len(MAGIC))
+    count, dim = _HEADER.unpack_from(header, len(MAGIC))
     if dim < 1:
         raise ValueError("embedding dimension must be >= 1")
-    offset = len(MAGIC) + _HEADER.size
     payload = count * dim * 4
-    if len(blob) < offset + payload:
-        raise ValueError(
-            f"embedding file truncated: expected {payload} data bytes, "
-            f"got {len(blob) - offset}"
-        )
-    vectors = np.frombuffer(
-        blob, dtype="<f4", count=count * dim, offset=offset
-    ).reshape(count, dim)
+    here = fh.tell()
+    got = fh.seek(0, io.SEEK_END) - here  # sized before allocating: the header may claim any size
+    fh.seek(here)
+    if got >= payload:
+        vectors = np.empty((count, dim), dtype="<f4")
+        got = fh.readinto(vectors)  # the payload lands in the set's own buffer
+    if got < payload:
+        raise ValueError(f"embedding file truncated: expected {payload} data bytes, got {got}")
     ids = None
-    tail = blob[offset + payload :]
+    tail = fh.read()
     if tail:
         ids = tail.decode("utf-8").split("\n")
         if len(ids) != count:
             raise ValueError(f"expected {count} ids, found {len(ids)}")
-    # copy: frombuffer views are read-only over the input bytes
-    return EmbeddingSet(vectors.copy(), ids)
+    return EmbeddingSet(vectors, ids)
 
 
 _NUMBER_TYPES = frozenset({int, float})
@@ -96,43 +93,66 @@ def _decode_jsonl(lines: Iterable[str], source: str) -> EmbeddingSet:
     return EmbeddingSet(np.stack(rows), ids if have_ids else None)
 
 
-def read_embeddings(source: Source) -> EmbeddingSet:
-    """Load an embedding set from a binary or JSONL file (auto-detected)."""
-    blob = _read_bytes(source)
-    if isinstance(source, (str, os.PathLike)):
-        name = os.fspath(source)
-    else:
-        name = getattr(source, "name", "<input>")
-    if blob.startswith(MAGIC):
+def _read(fh: IO[bytes], name: str) -> EmbeddingSet:
+    if not fh.seekable():  # a pipe: held whole, so that it can be sniffed and sized
+        fh = io.BytesIO(fh.read())
+    start = fh.tell()
+    binary = fh.read(len(MAGIC)) == MAGIC
+    fh.seek(start)
+    if binary:
         try:
-            return _decode_binary(blob)
+            return _decode_binary(fh)
         except ValueError as exc:  # the layout checks, the id block and EmbeddingSet's
             raise InputError(str(exc), source=name) from exc
     # Split lines as a text-mode file does, so an id may hold U+2028.
-    return _decode_jsonl(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8"), name)
+    text = io.TextIOWrapper(fh, encoding="utf-8")
+    try:
+        return _decode_jsonl(text, name)
+    finally:
+        text.detach()  # leaves a caller's stream open
 
 
-def _encode_binary(es: EmbeddingSet) -> bytes:
+def read_embeddings(source: Source) -> EmbeddingSet:
+    """Load an embedding set from a binary or JSONL file (auto-detected).
+
+    A binary set's vectors are a writable float32 array that owns the
+    file's payload; no other copy of it is made.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as fh:
+            return _read(fh, os.fspath(source))
+    return _read(source, getattr(source, "name", "<input>"))
+
+
+def _encode_binary(es: EmbeddingSet) -> list:
     parts = [MAGIC, _HEADER.pack(len(es), es.dim)]
-    parts.append(np.ascontiguousarray(es.vectors, dtype="<f4").tobytes())
+    parts.append(np.ascontiguousarray(es.vectors, dtype="<f4"))
     if es.ids is not None:
         for item in es.ids:
             if "\n" in item:
                 raise ValueError(f"embedding id may not contain a newline: {item!r}")
         parts.append("\n".join(es.ids).encode("utf-8"))
-    return b"".join(parts)
+    return parts
 
 
-def _encode_jsonl(es: EmbeddingSet) -> bytes:
-    lines = []
+def _encode_jsonl(es: EmbeddingSet) -> Iterable[bytes]:
     f32 = np.ascontiguousarray(es.vectors, dtype=np.float32)
     for i, row in enumerate(f32):
         rec = {}
         if es.ids is not None:
             rec["id"] = es.ids[i]
         rec["values"] = [float(x) for x in row]
-        lines.append(json.dumps(rec))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        yield (json.dumps(rec) + "\n").encode("utf-8")
+    if not len(f32):
+        yield b"\n"  # an empty set is one blank line
+
+
+def _write_parts(fh: IO[bytes], parts: Iterable) -> int:
+    written = 0
+    for part in parts:
+        fh.write(part)
+        written += memoryview(part).nbytes
+    return written
 
 
 def write_embeddings(
@@ -141,17 +161,16 @@ def write_embeddings(
     """Write an embedding set in the given format; returns bytes written.
 
     Both formats store single precision, so writing a float32 set and
-    reading it back is bit-exact.
+    reading it back is bit-exact. The output is written part by part, so a
+    float32 set is never copied.
     """
     if fmt == "binary":
-        blob = _encode_binary(es)
+        parts = _encode_binary(es)
     elif fmt == "jsonl":
-        blob = _encode_jsonl(es)
+        parts = _encode_jsonl(es)
     else:
         raise ValueError(f"fmt must be 'binary' or 'jsonl', got {fmt!r}")
     if isinstance(sink, (str, os.PathLike)):
         with open(sink, "wb") as fh:
-            fh.write(blob)
-    else:
-        sink.write(blob)
-    return len(blob)
+            return _write_parts(fh, parts)
+    return _write_parts(sink, parts)

@@ -348,6 +348,18 @@ class TestMetrics:
         code, out, err = invoke(capsys, "metrics", "frechet", "--a", emb_paths[0], "--b", str(bad))
         assert (code, out, err) == (1, "", f"error: {bad}: embedding file truncated before header\n")
 
+    def test_frechet_names_a_set_too_small_to_fit(self, capsys, tmp_path, emb_paths):
+        one = tmp_path / "one.emb"
+        write_embeddings(EmbeddingSet(np.ones((1, 8), dtype=np.float32)), one)
+        code, out, err = invoke(capsys, "metrics", "frechet", "--a", emb_paths[0], "--b", str(one))
+        assert (code, out, err) == (1, "", f"error: {one}: fit_moments needs at least 2 vectors\n")
+
+    def test_frechet_fits_a_before_reading_b(self, capsys, tmp_path):
+        one, missing = tmp_path / "one.emb", tmp_path / "missing.emb"
+        write_embeddings(EmbeddingSet(np.ones((1, 8), dtype=np.float32)), one)
+        code, out, err = invoke(capsys, "metrics", "frechet", "--a", str(one), "--b", str(missing))
+        assert (code, out, err) == (1, "", f"error: {one}: fit_moments needs at least 2 vectors\n")
+
     def test_jsonl_value_beyond_float32_is_named(self, capsys, tmp_path):
         good, bad = tmp_path / "good.jsonl", tmp_path / "big.jsonl"
         good.write_text('{"values": [1.0, 1.0]}\n')
@@ -389,6 +401,18 @@ class TestPerturb:
         a, _ = emb_paths
         code, _, err = invoke(capsys, "perturb", "--in", a)
         assert code == 2
+
+    @pytest.mark.parametrize("population", [False, True])
+    def test_names_a_population_too_small(self, capsys, emb_paths, tmp_path, population):
+        one = tmp_path / "one.emb"
+        write_embeddings(EmbeddingSet(np.ones((1, 8), dtype=np.float32)), one)
+        files = ["--in", emb_paths[0], "--population", str(one)] if population else ["--in", str(one)]
+        out_path = tmp_path / "o.emb"
+        code, out, err = invoke(capsys, "perturb", *files, "--out", str(out_path))
+        assert (code, out, err) == (
+            1, "", f"error: {one}: std basis needs a population of at least 2 vectors; supply --population\n"
+        )
+        assert not out_path.exists()
 
     def test_population_file(self, capsys, emb_paths, tmp_path):
         a, b = emb_paths

@@ -178,6 +178,11 @@ class TestPopulationStd:
         with pytest.raises(ValueError, match="at least 2"):
             population_std(np.ones((1, 4)))
 
+    def test_float32_set_bit_identical_to_float64_std(self, rng):
+        m = rng.normal(loc=3.0, size=(301, 17)).astype(np.float32)
+        std = population_std(EmbeddingSet(m))
+        assert np.array_equal(std, np.std(m.astype(np.float64), axis=0, ddof=1))
+
 
 class TestPerturb:
     def test_identity_spec_bitwise(self):
@@ -273,6 +278,20 @@ class TestPerturbSet:
         for i, row in zip(out.ids, out.vectors):
             assert np.array_equal(row, lookup[i])
 
+    @pytest.mark.parametrize("mode", ["coords", "sequence"])
+    def test_equals_stacked_one_row_calls(self, rng, mode):
+        es = self.make_set(rng, n=50)
+        basis = rng.uniform(0.5, 2.0, size=es.dim)
+        spec = PerturbationSpec(seed=6)
+        out = perturb_set(es, basis, spec, shuffle_mode=mode)
+        # A sequence shuffle permutes the rows instead of their coordinates.
+        row_spec = spec if mode == "coords" else PerturbationSpec(spec.noise_scale, spec.mask_rate, False, spec.seed)
+        rows = np.stack([perturb(v, basis, row_spec, item_index=i) for i, v in enumerate(es.vectors)])
+        order = np.arange(len(es)) if mode == "coords" else embedcore._order_rng(spec.seed).permutation(len(es))
+        assert out.vectors.dtype == np.float32
+        assert np.array_equal(out.vectors, rows[order])
+        assert out.ids == [es.ids[i] for i in order]
+
     def test_identity_spec_returns_equal_set(self, rng):
         es = self.make_set(rng)
         spec = PerturbationSpec(0.0, 0.0, False, seed=0)
@@ -330,6 +349,21 @@ class TestMoments:
     def test_needs_two_vectors(self):
         with pytest.raises(ValueError, match="at least 2"):
             fit_moments(np.ones((1, 3)))
+
+    @pytest.mark.parametrize(
+        "shape,dtype",
+        [((500, 12), np.float32), ((500, 12), np.float64), ((40, 1), np.float32)],
+        ids=["float32", "float64", "one-dim"],
+    )
+    def test_bit_identical_to_np_cov(self, rng, shape, dtype):
+        m = rng.normal(loc=2.0, size=shape).astype(dtype)
+        before = m.copy()
+        moments = fit_moments(EmbeddingSet(m))
+        assert np.array_equal(moments.mean, m.astype(np.float64).mean(axis=0))
+        assert np.array_equal(
+            moments.covariance, np.atleast_2d(np.cov(m.astype(np.float64), rowvar=False, ddof=1))
+        )
+        assert np.array_equal(m, before)  # centred in a copy, never in the caller's rows
 
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):

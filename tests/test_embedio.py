@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -31,11 +32,45 @@ class TestBinary:
         assert back.ids is None
         assert np.array_equal(back.vectors, es.vectors)
 
+    @pytest.mark.parametrize("from_path", [True, False], ids=["path", "stream"])
+    def test_read_returns_writable_array(self, rng, tmp_path, from_path):
+        es = make_set(rng)
+        path = tmp_path / "x.emb"
+        write_embeddings(es, path)
+        source = path if from_path else io.BytesIO(path.read_bytes())
+        back = read_embeddings(source)
+        assert back.vectors.flags.writeable
+        back.vectors[0, 0] = 1.5
+        assert back.vectors[0, 0] == 1.5
+
+    @pytest.mark.parametrize("fmt", ["binary", "jsonl"])
+    def test_reads_a_pipe(self, rng, fmt):
+        es = make_set(rng, n=4, dim=3)
+        buf = io.BytesIO()
+        write_embeddings(es, buf, fmt=fmt)
+        r, w = os.pipe()
+        os.write(w, buf.getvalue())
+        os.close(w)
+        with os.fdopen(r, "rb") as fh:
+            back = read_embeddings(fh)
+        assert np.array_equal(back.vectors, es.vectors)
+        assert back.ids == es.ids
+
     def test_byte_count(self, rng):
         es = make_set(rng, n=3, dim=2, with_ids=False)
         buf = io.BytesIO()
         n = write_embeddings(es, buf)
         assert n == len(buf.getvalue()) == len(MAGIC) + 8 + 3 * 2 * 4
+
+    @pytest.mark.parametrize(
+        "fmt,n,with_ids",
+        [("binary", 5, True), ("binary", 5, False), ("jsonl", 5, True), ("binary", 0, False), ("jsonl", 0, False)],
+        ids=["binary-ids", "binary", "jsonl", "binary-empty", "jsonl-empty"],
+    )
+    def test_returns_bytes_written(self, rng, tmp_path, fmt, n, with_ids):
+        path = tmp_path / "x.out"
+        written = write_embeddings(make_set(rng, n=n, dim=3, with_ids=with_ids), path, fmt=fmt)
+        assert written == path.stat().st_size > 0
 
     def test_header_layout(self, rng):
         es = make_set(rng, n=5, dim=7, with_ids=False)
@@ -65,10 +100,11 @@ class TestBinary:
         [
             (MAGIC + b"\x01", "embedding file truncated before header"),
             (MAGIC + (1).to_bytes(4, "little") * 2, "embedding file truncated: expected 4 data bytes, got 0"),
+            (MAGIC + b"\xff" * 8 + bytes(8), f"embedding file truncated: expected {4 * (2**32 - 1) ** 2} data bytes, got 8"),
             (MAGIC + (1).to_bytes(4, "little") * 2 + np.float32(np.nan).tobytes(), "embeddings must be finite"),
             (MAGIC + (1).to_bytes(4, "little") * 2 + bytes(4) + b"\xff", "'utf-8' codec can't decode"),
         ],
-        ids=["header", "payload", "nan", "id-bytes"],
+        ids=["header", "payload", "huge-header", "nan", "id-bytes"],
     )
     def test_errors_name_the_file(self, tmp_path, blob, reason):
         path = tmp_path / "bad.emb"
@@ -112,6 +148,13 @@ class TestJsonl:
         b = read_embeddings(text_path)
         assert a.vectors.tobytes() == b.vectors.tobytes()
         assert a.ids == b.ids
+
+    def test_leaves_the_stream_open(self, rng):
+        buf = io.BytesIO()
+        write_embeddings(make_set(rng), buf, fmt="jsonl")
+        buf.seek(0)
+        read_embeddings(buf)
+        assert not buf.closed
 
     def test_reads_hand_written_records(self):
         text = '{"id": "a", "values": [1.0, 2.0]}\n{"id": "b", "values": [3.0, 4.0]}\n'
