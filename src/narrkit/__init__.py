@@ -9,63 +9,35 @@ The package splits into small, independently usable modules:
 - ``embedcore``: losses, perturbations and distribution metrics over embeddings
 - ``embedio``: binary and JSONL embedding file formats
 - ``jsonl``: strict line-delimited JSON decoding and field checks for every reader
+- ``params``: numpy-free settings for the embedding loss and perturbation
 - ``context``: narrative sequences, histories and rolling conditioning windows
 - ``cli``: the ``narrkit`` command-line driver
+
+Each name in a library module's ``__all__`` is also a package attribute,
+imported on first use: ``from narrkit import histogram`` loads no numpy.
 """
 
-from .manifest import (
-    ActionRecord,
-    ClipRecord,
-    DatasetManifest,
-    ManifestError,
-    TimeInterval,
-    VideoEntry,
-    Violation,
-    parse_manifest,
-    partition,
-    validate_manifest,
-    write_manifest,
-)
-from .matching import (
-    FilterPolicy,
-    MatchRecord,
-    MatchRule,
-    MatchThresholds,
-    filter_matched,
-    interval_iou,
-    match_clip_action,
-    match_dataset,
-)
-from .embedcore import (
-    EmbeddingSet,
-    FlowSample,
-    GaussianMoments,
-    PerturbationSpec,
-    RegressionLossParams,
-    add_noise,
-    clip_t_score,
-    cosine_similarity,
-    fit_moments,
-    flow_loss,
-    flow_matching_loss,
-    frechet_distance,
-    perturb,
-    perturb_set,
-    population_std,
-    regression_loss,
-    regression_loss_grad,
-    rescale_latent,
-)
-from .embedio import read_embeddings, write_embeddings
-from .context import (
-    ConditioningWindow,
-    NarrativeSequence,
-    StepRecord,
-    build_history,
-    build_windows,
-    tile_captions,
-)
-from .scoring import MatchTier, aggregate_ratings, aggregate_tiers, tier_to_score
-from .stats import Histogram, SummaryStats, histogram, summarize
+import importlib.util
 
 __version__ = "0.1.0"
+
+# Library modules whose ``__all__`` makes up the package namespace (``cli``
+# is the driver, not a library). The numpy-free ones come first, so that a
+# corpus name never loads numpy.
+_MODULES = ("jsonl", "manifest", "matching", "stats", "scoring", "context", "params",
+            "embedcore", "embedio")
+
+
+def __getattr__(name: str):
+    """Resolve ``narrkit.X`` lazily from the ``__all__`` of the module defining X."""
+    modules = (importlib.import_module(f".{m}", __name__) for m in _MODULES)
+    if name == "__all__":
+        return list(dict.fromkeys(n for module in modules for n in module.__all__))
+    # Dunders and submodules are left to the import system: ``from . import
+    # matching`` asks here first and must not walk every module.
+    public = name.isidentifier() and not name.startswith("__")
+    if public and importlib.util.find_spec(f"{__name__}.{name}") is None:
+        for module in modules:
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,11 +22,16 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from typing import TYPE_CHECKING
 
 from . import context as ctx
-from . import embedcore, embedio, matching, scoring, stats
+from . import matching, scoring, stats
 from .jsonl import InputError, decode_object, iter_json_objects, want_int, want_number, want_str
 from .manifest import ManifestError, parse_manifest, validate_manifest, write_manifest
+from .params import PerturbationSpec, RegressionLossParams
+
+if TYPE_CHECKING:  # it loads numpy, so the embedding handlers import it as they run
+    from . import embedcore
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
 
@@ -36,11 +41,10 @@ class RunConfig:
     """Resolved per-run parameters shared by the subcommand handlers."""
 
     thresholds: matching.MatchThresholds
-    loss_params: embedcore.RegressionLossParams
-    perturbation: embedcore.PerturbationSpec
+    loss_params: RegressionLossParams
+    perturbation: PerturbationSpec
     k: int
     histogram_edges: dict[str, list[float]]
-    seed: int = 0
 
 
 # Config file keys and the JSON type of each; ``threads`` is accepted for
@@ -55,7 +59,7 @@ _CONFIG_TYPES = {
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         cfg = decode_object(fh.read(), None, path)
     unknown = sorted(set(cfg) - set(_CONFIG_TYPES))
     if unknown:
@@ -85,11 +89,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
     return RunConfig(
         thresholds=section(matching.MatchThresholds),
-        loss_params=section(embedcore.RegressionLossParams),
-        perturbation=section(embedcore.PerturbationSpec),
+        loss_params=section(RegressionLossParams),
+        perturbation=section(PerturbationSpec),
         k=cfg.get("k", 2),
         histogram_edges=cfg.get("histogram_edges", {}),
-        seed=cfg.get("seed", 0),
     )
 
 
@@ -166,7 +169,7 @@ def cmd_match(args, rc: RunConfig) -> int:
 
 def cmd_filter(args, rc: RunConfig) -> int:
     manifest = parse_manifest(args.manifest)
-    with open(args.matches, "r", encoding="utf-8") as fh:
+    with open(args.matches, "r", encoding="utf-8", errors="surrogateescape") as fh:
         records = list(matching.parse_match_records(fh))
     policy = matching.FilterPolicy(args.policy)
     result = matching.filter_matched(manifest, records, policy)
@@ -197,7 +200,7 @@ def _read_token_counts(kind: str, path: str, keys: list[tuple]) -> list[int]:
     """The ``tokens`` count of each key, in order; every key must be present."""
     field, want_key = _TOKEN_KEYS[kind]
     table: dict[tuple, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, rec in iter_json_objects(fh, path):
             key = (want_str(rec, "video_id", lineno, path), want_key(rec, field, lineno, path))
             table[key] = want_int(rec, "tokens", lineno, path)
@@ -234,11 +237,11 @@ def cmd_score(args, rc: RunConfig) -> int:
         return 2
     doc = {}
     if args.tiers:
-        with open(args.tiers, "r", encoding="utf-8") as fh:
+        with open(args.tiers, "r", encoding="utf-8", errors="surrogateescape") as fh:
             judgments = scoring.read_tier_judgments(fh)
         doc["tiers"] = scoring.aggregate_tiers(judgments).to_dict()
     if args.ratings:
-        with open(args.ratings, "r", encoding="utf-8") as fh:
+        with open(args.ratings, "r", encoding="utf-8", errors="surrogateescape") as fh:
             ratings = scoring.read_vlm_ratings(fh)
         doc["ratings"] = scoring.aggregate_ratings(ratings).to_dict()
     with _outputs(args.out) as (out,):
@@ -247,6 +250,8 @@ def cmd_score(args, rc: RunConfig) -> int:
 
 
 def _fit_moments(path: str) -> embedcore.GaussianMoments:
+    from . import embedcore, embedio
+
     # The set is dropped on return, so frechet holds one set at a time.
     embeddings = embedio.read_embeddings(path)
     try:
@@ -256,6 +261,8 @@ def _fit_moments(path: str) -> embedcore.GaussianMoments:
 
 
 def cmd_metrics(args, rc: RunConfig) -> int:
+    from . import embedcore, embedio
+
     kind = args.metric
     if kind == "frechet":
         a = _fit_moments(args.a)
@@ -280,18 +287,20 @@ def cmd_metrics(args, rc: RunConfig) -> int:
 
 
 def _population_std(args, source: embedcore.EmbeddingSet):
+    from . import embedcore, embedio
+
     # A --population set is dropped on return, before the input is perturbed.
     path = args.population or args.input
     population = embedio.read_embeddings(path) if args.population else source
     if len(population) < 2:
-        raise InputError(
-            "std basis needs a population of at least 2 vectors; supply --population",
-            source=path,
-        )
+        advice = "" if args.population else "; supply --population"
+        raise InputError(f"std basis needs a population of at least 2 vectors{advice}", source=path)
     return embedcore.population_std(population)
 
 
 def cmd_perturb(args, rc: RunConfig) -> int:
+    from . import embedcore, embedio
+
     if not args.out:
         _log("perturb: --out is required (binary output does not go to stdout)")
         return 2
@@ -314,7 +323,7 @@ def cmd_perturb(args, rc: RunConfig) -> int:
 
 
 def cmd_windows(args, rc: RunConfig) -> int:
-    with open(args.steps, "r", encoding="utf-8") as fh:
+    with open(args.steps, "r", encoding="utf-8", errors="surrogateescape") as fh:
         sequences = ctx.read_step_sequences(fh)
     lines: list[str] = []
     for sequence_id in sorted(sequences):
@@ -447,7 +456,10 @@ def run(argv: list[str] | None = None) -> int:
     except InputError as exc:
         _log(f"error: {exc.source}: {exc}")
         return 1
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
+        _log(f"error: {exc}" if exc.filename is None else f"error: {exc.filename}: {exc.strerror}")
+        return 1
+    except ValueError as exc:
         _log(f"error: {exc}")
         return 1
 

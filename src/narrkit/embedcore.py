@@ -29,6 +29,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from .params import PerturbationSpec, RegressionLossParams
+
 __all__ = [
     "EmbeddingSet",
     "RegressionLossParams",
@@ -167,21 +169,6 @@ def cosine_similarity(a: ArrayLike, b: ArrayLike) -> float:
 
 
 @dataclass(frozen=True)
-class RegressionLossParams:
-    """Weights for the combined loss: alpha scales the direction (cosine)
-    term, beta the magnitude (mean squared error) term."""
-
-    alpha: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
-        if self.alpha + self.beta == 0:
-            raise ValueError("alpha + beta must be positive")
-
-
-@dataclass(frozen=True)
 class RegressionLoss:
     total: float
     cosine_term: float
@@ -229,33 +216,6 @@ def population_std(embeddings: Rows) -> np.ndarray:
         raise ValueError("population_std needs at least 2 vectors")
     # dtype= upcasts as numpy reduces, with no float64 copy of the whole set.
     return np.std(m, axis=0, ddof=1, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Noise-then-mask-then-shuffle corruption settings.
-
-    ``noise_scale`` multiplies a per-dimension std basis (typically the
-    empirical std of a reference population) to set the additive Gaussian
-    noise level; ``mask_rate`` zeroes each coordinate independently;
-    ``shuffle`` applies a uniform random permutation. Defaults follow the
-    robustness ablation settings: 0.5 noise, 25% masking, shuffling on.
-    """
-
-    noise_scale: float = 0.5
-    mask_rate: float = 0.25
-    shuffle: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.noise_scale < 0:
-            raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
-        if not 0.0 <= self.mask_rate <= 1.0:
-            raise ValueError(f"mask_rate must be in [0, 1], got {self.mask_rate}")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.noise_scale == 0 and self.mask_rate == 0 and not self.shuffle
 
 
 def _item_rng(seed: int, item_index: int) -> np.random.Generator:

@@ -105,7 +105,7 @@ def _read(fh: IO[bytes], name: str) -> EmbeddingSet:
         except ValueError as exc:  # the layout checks, the id block and EmbeddingSet's
             raise InputError(str(exc), source=name) from exc
     # Split lines as a text-mode file does, so an id may hold U+2028.
-    text = io.TextIOWrapper(fh, encoding="utf-8")
+    text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
     try:
         return _decode_jsonl(text, name)
     finally:

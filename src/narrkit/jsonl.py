@@ -3,13 +3,15 @@
 Each non-blank line must hold one JSON object. ``NaN`` and ``Infinity`` are
 rejected, and the ``want_*`` helpers check field types instead of coercing
 them. Every error is an ``InputError`` naming the source and, for
-line-delimited input, the 1-based line.
+line-delimited input, the 1-based line. Readers open text with
+``errors="surrogateescape"``, so a byte that is not UTF-8 is such an error too.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from typing import Iterable, Iterator
 
 __all__ = ["InputError", "decode_object", "iter_json_objects", "want_choice", "want_int",
@@ -50,8 +52,15 @@ def _non_finite_reason(text: str, constant: str) -> str:
     return f"non-finite number {constant} is not allowed"
 
 
+# Text read with errors="surrogateescape" holds each byte that is not UTF-8
+# as one of these lone surrogates; text decoded from valid UTF-8 holds none.
+_RAW_BYTE = re.compile("[\udc80-\udcff]")
+
+
 def decode_object(text: str, line: int | None, source: str) -> dict:
     """Decode one JSON object; anything else raises InputError."""
+    if not text.isascii() and _RAW_BYTE.search(text):
+        raise InputError("invalid UTF-8", line, source)
     try:
         rec = _DECODER.decode(text)
     except json.JSONDecodeError as exc:

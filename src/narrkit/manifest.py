@@ -155,7 +155,7 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
     duplicate ids.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return parse_manifest(fh)
     name = getattr(source, "name", "<input>")
     durations: dict[str, float | None] = {}

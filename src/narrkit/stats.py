@@ -9,11 +9,10 @@ even sample sizes, keeping summaries deterministic without interpolation.
 from __future__ import annotations
 
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .manifest import DatasetManifest
 
@@ -72,24 +71,17 @@ class SummaryStats:
 
 def histogram(values: Iterable[float], bin_edges: Sequence[float]) -> Histogram:
     """Count values into half-open bins defined by strictly increasing edges."""
-    edges = np.asarray(bin_edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
+    edges = [float(e) for e in bin_edges]
+    if len(edges) < 2:
         raise ValueError("need at least two bin edges")
-    if not np.all(np.diff(edges) > 0):
+    if not all(hi > lo for lo, hi in zip(edges, edges[1:])):  # a NaN edge fails too
         raise ValueError("bin edges must be strictly increasing")
-    data = np.asarray(list(values), dtype=float)
-    k = edges.size - 1
-    if data.size == 0:
-        return Histogram(tuple(edges.tolist()), (0,) * k, 0, 0)
-    # searchsorted(right) maps edge values into the bin they open
-    pos = np.searchsorted(edges, data, side="right")
-    slots = np.bincount(pos, minlength=k + 2)
-    return Histogram(
-        tuple(edges.tolist()),
-        tuple(int(c) for c in slots[1 : k + 1]),
-        int(slots[0]),
-        int(slots[k + 1]),
-    )
+    # slot 0 is the underflow and slot len(edges) the overflow; bisect_right
+    # maps an edge value into the bin it opens, and a NaN value past the end.
+    slots = [0] * (len(edges) + 1)
+    for value in values:
+        slots[bisect_right(edges, float(value))] += 1
+    return Histogram(tuple(edges), tuple(slots[1:-1]), slots[0], slots[-1])
 
 
 def summarize(values: Iterable[float]) -> SummaryStats:

@@ -84,6 +84,16 @@ class TestValidate:
         assert err.startswith("error: ")
         assert f"'{field}' must be a finite number" in err
 
+    def test_bad_utf8_recorded_as_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b'{"kind": "video", "video_id": "v"}\n{"kind": "video", "video_id": "\xff"}\n')
+        out_path = tmp_path / "v.jsonl"
+        code, _, err = invoke(capsys, "validate", "--manifest", str(path), "--out", str(out_path))
+        assert (code, err) == (1, f"error: {path}: line 2: invalid UTF-8\n")
+        assert json.loads(out_path.read_text()) == {
+            "code": "parse-error", "line": 2, "message": "line 2: invalid UTF-8"
+        }
+
 
 class TestMatch:
     def test_deterministic_output(self, capsys, manifest_path, tmp_path):
@@ -409,8 +419,9 @@ class TestPerturb:
         files = ["--in", emb_paths[0], "--population", str(one)] if population else ["--in", str(one)]
         out_path = tmp_path / "o.emb"
         code, out, err = invoke(capsys, "perturb", *files, "--out", str(out_path))
+        advice = "" if population else "; supply --population"
         assert (code, out, err) == (
-            1, "", f"error: {one}: std basis needs a population of at least 2 vectors; supply --population\n"
+            1, "", f"error: {one}: std basis needs a population of at least 2 vectors{advice}\n"
         )
         assert not out_path.exists()
 
@@ -525,7 +536,7 @@ class TestUsageAndConfig:
         out = tmp_path / "missing" / "m.jsonl"
         code, _, err = invoke(capsys, "match", "--manifest", manifest_path, "--out", str(out))
         assert code == 1
-        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert err == f"error: {out}: No such file or directory\n"
 
     def test_config_file_applies(self, capsys, manifest_path, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -579,11 +590,17 @@ class TestStrictInput:
             ("--tiers", '{"item_id": "a", "rater_id": null, "tier": "VeryMatch"}',
              "field 'rater_id' must be a non-empty string"),
             ("--ratings", '{"item_id": "a", "rating": true}', "field 'rating' must be an integer"),
+            # "\udcff" is written as the raw byte 0xff, which is not UTF-8
+            *((flag, '{"x": "\udcff"}', "invalid UTF-8") for flag in (
+                "--manifest", "--matches", "--caption-tokens", "--action-tokens", "--tiers",
+                "--ratings", "--steps", "--text")),
         ],
         ids=[
             "steps-array", "steps-string-index", "steps-number-caption", "tokens-array",
             "tokens-string-count", "matches-nan", "matches-minus-infinity",
-            "matches-number-video", "tiers-null-rater", "ratings-bool",
+            "matches-number-video", "tiers-null-rater", "ratings-bool", "manifest-bad-utf8",
+            "matches-bad-utf8", "caption-tokens-bad-utf8", "action-tokens-bad-utf8",
+            "tiers-bad-utf8", "ratings-bad-utf8", "steps-bad-utf8", "embeddings-bad-utf8",
         ],
     )
     def test_bad_line(self, capsys, tmp_path, flag, line, reason):
@@ -597,10 +614,13 @@ class TestStrictInput:
         bad = tmp_path / "bad.jsonl"
         # a valid step 2 follows, so the steps read as one sequence but for the defect
         tail = json.dumps({**STEP, "index": 2}) + "\n" if flag == "--steps" else ""
-        bad.write_text("\n" + line + "\n" + tail)
+        bad.write_text("\n" + line + "\n" + tail, encoding="utf-8", errors="surrogateescape")
         argv = {
+            "--manifest": ["match", "--manifest", str(bad)],
             "--steps": ["windows", "--steps", str(bad), "--k", "1"],
             "--caption-tokens": ["stats", "--manifest", manifest_path, "--caption-tokens", str(bad)],
+            "--action-tokens": ["stats", "--manifest", manifest_path, "--action-tokens", str(bad)],
+            "--text": ["metrics", "clipt", "--text", str(bad), "--image", str(bad)],
             "--matches": ["filter", "--manifest", manifest_path, "--matches", str(bad)],
             "--tiers": ["score", "--tiers", str(bad)],
             "--ratings": ["score", "--ratings", str(bad)],
@@ -662,15 +682,16 @@ class TestConfig:
              "field 'histogram_edges' has no list for 'clip_length'"),
             ('{"histogram_edges": {"clip_length_s": [0, "5"]}}',
              "field 'clip_length_s' must be a finite number"),
+            ('{"k": 1,\n "x": "\udcff"}', "invalid UTF-8"),  # the raw byte 0xff
         ],
         ids=[
             "shuffle-string", "shuffle-int", "unknown-keys", "array", "string",
             "invalid-json", "k-float", "seed-bool", "float-string", "float-nan",
-            "edges-array", "edges-unknown-name", "edges-string-value",
+            "edges-array", "edges-unknown-name", "edges-string-value", "bad-utf8",
         ],
     )
     def test_bad_config_rejected(self, capsys, steps_path, tmp_path, text, reason):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(text)
+        cfg.write_text(text, encoding="utf-8", errors="surrogateescape")
         code, out, err = invoke(capsys, "windows", "--steps", steps_path, "--config", str(cfg))
         assert (code, out, err) == (1, "", f"error: {cfg}: {reason}\n")

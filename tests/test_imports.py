@@ -1,0 +1,154 @@
+"""The package namespace and what each command imports.
+
+The corpus commands handle records only, so they must run where numpy cannot
+be imported; the package's lazy namespace must still offer every public name.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from conftest import random_manifest
+
+import narrkit
+from narrkit.cli import run
+from narrkit.manifest import write_manifest
+
+_SRC = os.path.dirname(os.path.dirname(narrkit.__file__))
+
+# Setting sys.modules["numpy"] to None makes every later `import numpy` fail.
+_CLI_WITHOUT_NUMPY = (
+    "import sys; sys.modules['numpy'] = None; "
+    "from narrkit.cli import run; sys.exit(run(sys.argv[1:]))"
+)
+
+
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpus")
+    manifest = random_manifest(np.random.default_rng(7), n_videos=12)
+    paths = {name: str(root / f"{name}.jsonl") for name in (
+        "manifest", "matches", "captions", "actions", "steps", "tiers", "ratings")}
+    write_manifest(manifest, paths["manifest"])
+    assert run(["match", "--manifest", paths["manifest"], "--out", paths["matches"]]) == 0
+    with open(paths["captions"], "w") as fh:
+        for clip in manifest.iter_clips():
+            fh.write(json.dumps({"video_id": clip.video_id, "clip_id": clip.clip_id, "tokens": 5})
+                     + "\n")
+    with open(paths["actions"], "w") as fh:
+        for video_id, records in manifest.actions.items():
+            for i in range(len(records)):
+                fh.write(json.dumps({"video_id": video_id, "action_index": i, "tokens": 4}) + "\n")
+    with open(paths["steps"], "w") as fh:
+        for t in range(1, 7):
+            fh.write(json.dumps({"sequence_id": "s", "index": t, "action": "a", "caption": "c",
+                                 "embedding_id": f"e{t}", "keyframe_id": f"k{t}"}) + "\n")
+    with open(paths["tiers"], "w") as fh:
+        fh.write('{"item_id": "a", "rater_id": "r1", "tier": "VeryMatch"}\n')
+    with open(paths["ratings"], "w") as fh:
+        fh.write('{"item_id": "a", "rating": 6}\n')
+    return paths, root
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--manifest", "{manifest}"],
+        ["match", "--manifest", "{manifest}"],
+        ["filter", "--manifest", "{manifest}", "--matches", "{matches}",
+         "--assignment", "{root}/assignment.jsonl"],
+        ["stats", "--manifest", "{manifest}", "--caption-tokens", "{captions}",
+         "--action-tokens", "{actions}"],
+        ["windows", "--steps", "{steps}", "--k", "2"],
+        ["score", "--tiers", "{tiers}", "--ratings", "{ratings}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_corpus_commands_run_without_numpy(corpus, argv):
+    paths, root = corpus
+    argv = [arg.format(**paths, root=root) for arg in argv]
+    proc = _python("-c", _CLI_WITHOUT_NUMPY, *argv, "--out", str(root / f"{argv[0]}.out"))
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,cfg,err",
+    [
+        (["windows", "--steps", "{steps}"], {"mask_rate": 2},
+         "error: mask_rate must be in [0, 1], got 2.0\n"),
+        (["match", "--manifest", "{manifest}"], {"alpha": -1},
+         "error: alpha and beta must be non-negative\n"),
+    ],
+    ids=["windows-mask-rate", "match-alpha"],
+)
+def test_every_config_section_checked_without_numpy(corpus, tmp_path, argv, cfg, err):
+    # a shared config file with an embedding setting out of range fails every command
+    paths, _ = corpus
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = [arg.format(**paths) for arg in argv] + ["--config", str(cfg_path)]
+    proc = _python("-c", _CLI_WITHOUT_NUMPY, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+
+
+# The names the package exported before its namespace became lazy, by module.
+_EXPORTED = {
+    "manifest": ["ActionRecord", "ClipRecord", "DatasetManifest", "ManifestError", "TimeInterval",
+                 "VideoEntry", "Violation", "parse_manifest", "partition", "validate_manifest",
+                 "write_manifest"],
+    "matching": ["FilterPolicy", "MatchRecord", "MatchRule", "MatchThresholds", "filter_matched",
+                 "interval_iou", "match_clip_action", "match_dataset"],
+    "embedcore": ["EmbeddingSet", "FlowSample", "GaussianMoments", "PerturbationSpec",
+                  "RegressionLossParams", "add_noise", "clip_t_score", "cosine_similarity",
+                  "fit_moments", "flow_loss", "flow_matching_loss", "frechet_distance", "perturb",
+                  "perturb_set", "population_std", "regression_loss", "regression_loss_grad",
+                  "rescale_latent"],
+    "embedio": ["read_embeddings", "write_embeddings"],
+    "context": ["ConditioningWindow", "NarrativeSequence", "StepRecord", "build_history",
+                "build_windows", "tile_captions"],
+    "scoring": ["MatchTier", "aggregate_ratings", "aggregate_tiers", "tier_to_score"],
+    "stats": ["Histogram", "SummaryStats", "histogram", "summarize"],
+}
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, names in _EXPORTED.items() for n in names])
+def test_exported_name_resolves_to_its_module(module, name):
+    namespace: dict = {}
+    exec(f"from narrkit import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"narrkit.{module}"), name)
+
+
+def test_star_import_binds_every_exported_name():
+    assert sum(map(len, _EXPORTED.values())) == 53
+    namespace: dict = {}
+    exec("from narrkit import *", namespace)
+    for module, names in _EXPORTED.items():
+        for name in names:
+            assert namespace[name] is getattr(importlib.import_module(f"narrkit.{module}"), name)
+    assert set(namespace) - {"__builtins__"} == set(narrkit.__all__)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        narrkit.nope  # noqa: B018
+    assert not hasattr(narrkit, "a.b")  # not a module path either
+
+
+def test_corpus_names_and_submodules_load_no_numpy():
+    proc = _python("-c", (
+        "import sys; import narrkit.cli; from narrkit import matching, stats; "
+        "from narrkit import histogram, parse_manifest, InputError, PerturbationSpec; "
+        "assert 'numpy' not in sys.modules, 'numpy loaded'; "
+        "from narrkit import fit_moments; assert 'numpy' in sys.modules"
+    ))
+    assert proc.returncode == 0, proc.stderr

@@ -20,15 +20,23 @@ def test_yields_objects_with_line_numbers():
         ('{"x": NaN, "y": ', "non-finite number NaN is not allowed"),
         ("[" * 100000, "invalid JSON: maximum recursion depth exceeded"),
         ('{"x": 1' + "0" * 5000 + "}", "invalid JSON: Exceeds the limit"),
+        # bytes that are not UTF-8, as text read with errors="surrogateescape" holds them
+        (b'{"x": "\xff"}'.decode("utf-8", "surrogateescape"), "invalid UTF-8"),
+        (b'{"x": "\xed\xb2\x80"}'.decode("utf-8", "surrogateescape"), "invalid UTF-8"),
     ],
     ids=["array", "null", "invalid", "nan", "minus-infinity", "nested-infinity",
-         "nan-then-invalid", "deep", "long-integer"],
+         "nan-then-invalid", "deep", "long-integer", "raw-byte", "encoded-surrogate"],
 )
 def test_rejects_with_source_and_line(line, reason):
     with pytest.raises(InputError) as err:
         list(iter_json_objects(['{"ok": 1}', line], "in.jsonl"))
     assert (err.value.source, err.value.line) == ("in.jsonl", 2)
     assert str(err.value).startswith(f"line 2: {reason}")
+
+
+def test_escaped_surrogate_is_valid_json():
+    # only a raw byte is rejected; the JSON escape \udcff is six ASCII characters
+    assert list(iter_json_objects(['{"x": "\\udcff"}'], "in.jsonl")) == [(1, {"x": "\udcff"})]
 
 
 @pytest.mark.parametrize(

@@ -58,6 +58,24 @@ class TestHistogram:
         h = histogram(values, edges)
         assert h.total == len(values)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.floats(), st.integers(-5, 50), st.sampled_from([0, 2.5, 40])),
+                        max_size=100),
+        edges=st.lists(st.floats(-10, 60), min_size=2, max_size=8, unique=True).map(sorted),
+    )
+    def test_matches_numpy_reference(self, values, edges):
+        # the numpy count it replaced: an edge opens its bin, NaN lands in overflow
+        pos = np.searchsorted(np.asarray(edges), np.asarray(values, dtype=float), side="right")
+        slots = np.bincount(pos, minlength=len(edges) + 1).tolist()
+        h = histogram(values, edges)
+        assert (h.underflow, list(h.counts), h.overflow) == (slots[0], slots[1:-1], slots[-1])
+        assert h.bin_edges == tuple(float(e) for e in edges)
+
+    def test_nan_edge_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            histogram([1], [0, float("nan"), 4])
+
 
 class TestSummaries:
     def test_hand_values(self):
