@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, get_type_hints
 
 from . import context as ctx
 from . import matching, scoring, stats
@@ -47,13 +47,23 @@ class RunConfig:
     histogram_edges: dict[str, list[float]]
 
 
+# The settings sections of RunConfig, in its field order. Each field is set by
+# the config key of the same name and by the flag whose dest is that name.
+_SECTIONS = (matching.MatchThresholds, RegressionLossParams, PerturbationSpec)
+
 # Config file keys and the JSON type of each; ``threads`` is accepted for
 # compatibility and ignored.
 _CONFIG_TYPES = {
-    "seed": int, "threads": int, "k": int, "shuffle": bool, "histogram_edges": dict,
-    "max_start_diff_s": float, "iou_low": float, "iou_high": float,
-    "alpha": float, "beta": float, "noise_scale": float, "mask_rate": float,
+    "threads": int, "k": int, "histogram_edges": dict,
+    **{key: kind for cls in _SECTIONS for key, kind in get_type_hints(cls).items()},
 }
+
+# The flags whose option name is not their dest spelled with dashes.
+_FLAG_NAMES = {"max_start_diff_s": "--max-start-diff"}
+
+
+class _FlagError(InputError):
+    """A flag value out of range; ``source`` is the flag. A usage error: exit 2."""
 
 
 def _load_config(path: str | None) -> dict:
@@ -79,20 +89,24 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = _load_config(getattr(args, "config", None))
-    for key in _CONFIG_TYPES:  # a flag overrides the config key of the same name
-        if getattr(args, key, None) is not None:
-            cfg[key] = getattr(args, key)
-
-    def section(cls):  # keys are named after the fields; the fields hold the defaults
-        return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg})
-
+    path = getattr(args, "config", None)
+    cfg = _load_config(path)
+    flagged = [key for key in _CONFIG_TYPES if getattr(args, key, None) is not None]
+    for key in flagged:  # a flag overrides the config key of the same name
+        cfg[key] = getattr(args, key)
+    sections = []
+    for cls in _SECTIONS:  # the fields hold the defaults
+        names = [f.name for f in fields(cls) if f.name in cfg]
+        try:
+            sections.append(cls(**{name: cfg[name] for name in names}))
+        except ValueError as exc:  # blame a flag of the section if one was given
+            flags = [name for name in names if name in flagged]
+            if not flags:
+                raise InputError(str(exc), source=path) from exc
+            flag = _FLAG_NAMES.get(flags[0], "--" + flags[0].replace("_", "-"))
+            raise _FlagError(str(exc), source=flag) from exc
     return RunConfig(
-        thresholds=section(matching.MatchThresholds),
-        loss_params=section(RegressionLossParams),
-        perturbation=section(PerturbationSpec),
-        k=cfg.get("k", 2),
-        histogram_edges=cfg.get("histogram_edges", {}),
+        *sections, k=cfg.get("k", 2), histogram_edges=cfg.get("histogram_edges", {})
     )
 
 
@@ -455,7 +469,7 @@ def run(argv: list[str] | None = None) -> int:
         return args.handler(args, rc)
     except InputError as exc:
         _log(f"error: {exc.source}: {exc}")
-        return 1
+        return 2 if isinstance(exc, _FlagError) else 1
     except OSError as exc:
         _log(f"error: {exc}" if exc.filename is None else f"error: {exc.filename}: {exc.strerror}")
         return 1

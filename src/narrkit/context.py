@@ -10,9 +10,9 @@ derive two export products:
 * conditioning windows: 2k-step views where the first k steps supply
   reference frames and the last k are render targets. Windows advance with
   stride k, so each window's targets become the next window's references
-  (the rolling contract). When the tail of a sequence leaves fewer than k
-  fresh steps, a final partial window re-uses the last reference block and
-  is flagged as such.
+  (the rolling contract). When the steps run out before the last window's
+  targets are complete, that window is the same slice cut short by the end
+  of the sequence and is flagged partial.
 """
 
 from __future__ import annotations
@@ -110,9 +110,8 @@ def tile_captions(captions: Iterable[str], separator: str = "\n") -> str:
 class ConditioningWindow:
     """One render window: k reference steps followed by the target steps.
 
-    ``partial`` marks the trailing window that re-uses the previous
-    reference block because fewer than k fresh steps remained; only then
-    can the target block be shorter than k.
+    ``partial`` marks the last window when the end of the sequence cuts its
+    target block short of k steps; no other window is shorter.
     """
 
     window_index: int
@@ -159,31 +158,10 @@ def build_windows(seq: NarrativeSequence, k: int) -> list[ConditioningWindow]:
             f"for k={k}"
         )
     steps = seq.steps
-    windows: list[ConditioningWindow] = []
-    start = 0
-    while start + 2 * k <= n:
-        windows.append(
-            _make_window(
-                len(windows),
-                k,
-                steps[start : start + k],
-                steps[start + k : start + 2 * k],
-                partial=False,
-            )
-        )
-        start += k
-    covered = start + k  # highest step index already rendered
-    if covered < n:
-        windows.append(
-            _make_window(
-                len(windows),
-                k,
-                steps[start : start + k],
-                steps[covered:n],
-                partial=True,
-            )
-        )
-    return windows
+    return [
+        _make_window(i, k, steps[s : s + k], steps[s + k : s + 2 * k], partial=s + 2 * k > n)
+        for i, s in enumerate(range(0, n - k, k))
+    ]
 
 
 def window_count(n_steps: int, k: int) -> int:

@@ -258,8 +258,9 @@ def perturb(
 ) -> np.ndarray:
     """Corrupt one embedding: add scaled noise, mask, then shuffle coordinates.
 
-    Bitwise deterministic in (spec.seed, item_index); the identity spec
-    returns an unmodified copy. Output dtype matches the input when it is a
+    Bitwise deterministic in (spec.seed, item_index). The row is computed in
+    float64, so the identity spec returns an unmodified copy of any vector of
+    at most double precision. Output dtype matches the input when it is a
     float array, otherwise float64.
     """
     v = np.asarray(z)
@@ -267,8 +268,6 @@ def perturb(
     if v.ndim != 1 or v.size < 1:
         raise ValueError("embedding must be a non-empty 1-D vector")
     basis = _std_basis(std_basis, v.shape[0])
-    if spec.is_identity:
-        return np.array(v, dtype=out_dtype, copy=True)
     return _perturb_row(v, basis, spec, item_index, coord_shuffle=True).astype(out_dtype)
 
 
@@ -289,12 +288,6 @@ def perturb_set(
     if shuffle_mode not in ("coords", "sequence"):
         raise ValueError(f"shuffle_mode must be 'coords' or 'sequence', got {shuffle_mode!r}")
     basis = _std_basis(std_basis, embeddings.dim)
-    if spec.is_identity or len(embeddings) == 0:
-        return EmbeddingSet(
-            embeddings.vectors.copy(),
-            list(embeddings.ids) if embeddings.ids is not None else None,
-        )
-
     coord_shuffle = shuffle_mode == "coords"
     rows = embeddings.vectors
     ids = list(embeddings.ids) if embeddings.ids is not None else None

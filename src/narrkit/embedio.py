@@ -52,7 +52,11 @@ def _decode_binary(fh: IO[bytes]) -> EmbeddingSet:
     ids = None
     tail = fh.read()
     if tail:
-        ids = tail.decode("utf-8").split("\n")
+        try:
+            ids = tail.decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:  # name the id that holds the first bad byte
+            number = tail.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"invalid UTF-8 in id {number}") from None
         if len(ids) != count:
             raise ValueError(f"expected {count} ids, found {len(ids)}")
     return EmbeddingSet(vectors, ids)

@@ -44,7 +44,3 @@ class PerturbationSpec:
             raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
         if not 0.0 <= self.mask_rate <= 1.0:
             raise ValueError(f"mask_rate must be in [0, 1], got {self.mask_rate}")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.noise_scale == 0 and self.mask_rate == 0 and not self.shuffle

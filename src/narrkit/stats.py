@@ -198,20 +198,10 @@ def dataset_report(
         "action_words": _entry(action_words, cfg["action_words"]),
         "caption_words": _entry(caption_words, cfg["caption_words"]),
     }
-    if action_tokens is not None:
-        hist, summary = text_length_stats(
-            None, TextCounter.PRECOMPUTED_TOKENS, cfg["action_tokens"], action_tokens
-        )
-        report["action_tokens"] = {
-            "histogram": hist.to_dict(),
-            "summary": summary.to_dict(),
-        }
-    if caption_tokens is not None:
-        hist, summary = text_length_stats(
-            None, TextCounter.PRECOMPUTED_TOKENS, cfg["caption_tokens"], caption_tokens
-        )
-        report["caption_tokens"] = {
-            "histogram": hist.to_dict(),
-            "summary": summary.to_dict(),
-        }
+    for name, counts in (("action_tokens", action_tokens), ("caption_tokens", caption_tokens)):
+        if counts is not None:
+            lengths = [int(c) for c in counts]
+            if not lengths:
+                raise ValueError("no records to profile")
+            report[name] = _entry(lengths, cfg[name])
     return report

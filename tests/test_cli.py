@@ -240,6 +240,14 @@ class TestStats:
         assert code == 1
         assert "missing caption token count" in err
 
+    @pytest.mark.parametrize("flag", ["--caption-tokens", "--action-tokens"])
+    def test_no_records_to_profile(self, capsys, tmp_path, flag):
+        manifest, tokens = tmp_path / "m.jsonl", tmp_path / "tokens.jsonl"
+        manifest.write_text('{"kind": "video", "video_id": "v1", "duration_s": 120.0}\n')
+        tokens.write_text("")
+        code, out, err = invoke(capsys, "stats", "--manifest", str(manifest), flag, str(tokens))
+        assert (code, out, err) == (1, "", "error: no records to profile\n")
+
 
 class TestScore:
     def test_both_sections(self, capsys, tmp_path):
@@ -665,6 +673,35 @@ class TestConfig:
         assert outs["cfg"].read_bytes() != outs["default"].read_bytes()
 
     @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["match", "--manifest", "{m}", "--iou-low", "nan"],
+             "--iou-low: need 0 <= iou_low <= iou_high <= 1, got nan/0.5"),
+            (["match", "--manifest", "{m}", "--max-start-diff", "-1"],
+             "--max-start-diff: max_start_diff_s must be >= 0, got -1.0"),
+            (["match", "--manifest", "{m}", "--config", "{cfg}", "--iou-low", "0.3"],
+             "--iou-low: need 0 <= iou_low <= iou_high <= 1, got 0.3/0.25"),
+            (["perturb", "--in", "{a}", "--out", "{out}", "--mask-rate", "2"],
+             "--mask-rate: mask_rate must be in [0, 1], got 2.0"),
+            (["metrics", "regloss", "--pred", "{a}", "--target", "{a}", "--alpha", "-1"],
+             "--alpha: alpha and beta must be non-negative"),
+        ],
+        ids=["iou-low-nan", "max-start-diff", "flag-against-config", "mask-rate", "alpha"],
+    )
+    def test_out_of_range_flag_named(self, capsys, manifest_path, emb_paths, tmp_path, argv, err):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.emb"
+        cfg.write_text('{"iou_high": 0.25}')
+        argv = [arg.format(m=manifest_path, a=emb_paths[0], cfg=cfg, out=out) for arg in argv]
+        assert invoke(capsys, *argv) == (2, "", f"error: {err}\n")
+        assert not out.exists()
+
+    def test_flag_of_another_section_leaves_the_config_named(self, capsys, manifest_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"mask_rate": 2}')
+        argv = ["match", "--manifest", manifest_path, "--config", str(cfg), "--iou-low", "0.3"]
+        assert invoke(capsys, *argv) == (1, "", f"error: {cfg}: mask_rate must be in [0, 1], got 2.0\n")
+
+    @pytest.mark.parametrize(
         "text,reason",
         [
             ('{"shuffle": "false"}', "field 'shuffle' must be a JSON bool"),
@@ -683,11 +720,15 @@ class TestConfig:
             ('{"histogram_edges": {"clip_length_s": [0, "5"]}}',
              "field 'clip_length_s' must be a finite number"),
             ('{"k": 1,\n "x": "\udcff"}', "invalid UTF-8"),  # the raw byte 0xff
+            ('{"iou_low": 0.9}', "need 0 <= iou_low <= iou_high <= 1, got 0.9/0.5"),
+            ('{"beta": -1}', "alpha and beta must be non-negative"),
+            ('{"noise_scale": -1}', "noise_scale must be >= 0, got -1.0"),
         ],
         ids=[
             "shuffle-string", "shuffle-int", "unknown-keys", "array", "string",
             "invalid-json", "k-float", "seed-bool", "float-string", "float-nan",
             "edges-array", "edges-unknown-name", "edges-string-value", "bad-utf8",
+            "thresholds-range", "loss-range", "perturbation-range",
         ],
     )
     def test_bad_config_rejected(self, capsys, steps_path, tmp_path, text, reason):

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from conftest import random_sequence
 from narrkit.context import (
+    ConditioningWindow,
     NarrativeSequence,
     StepRecord,
     build_history,
@@ -15,6 +17,32 @@ from narrkit.context import (
     tile_captions,
     window_count,
 )
+
+
+def windows_two_branch(seq, k):
+    """Reference loop: full windows while 2k steps remain, then one partial tail."""
+    steps, n = seq.steps, len(seq)
+    spans, start = [], 0
+    while start + 2 * k <= n:
+        spans.append((steps[start : start + k], steps[start + k : start + 2 * k], False))
+        start += k
+    if start + k < n:
+        spans.append((steps[start : start + k], steps[start + k : n], True))
+    return [
+        ConditioningWindow(
+            window_index=i,
+            k=k,
+            ref_step_indices=tuple(s.index for s in refs),
+            target_step_indices=tuple(s.index for s in targets),
+            reference_frames=tuple(s.keyframe_id for s in refs),
+            target_frames=tuple(s.keyframe_id for s in targets),
+            reference_embeddings=tuple(s.embedding_id for s in refs),
+            target_embeddings=tuple(s.embedding_id for s in targets),
+            tiled_caption="\n".join(s.caption for s in refs + targets),
+            partial=partial,
+        )
+        for i, (refs, targets, partial) in enumerate(spans)
+    ]
 
 
 def make_seq(n, context_window=8):
@@ -139,6 +167,13 @@ class TestWindows:
                 for w in build_windows(make_seq(n), k):
                     targets.update(w.target_step_indices)
                 assert targets >= set(range(2 * k, n + 1))
+
+    def test_equals_two_branch_loop(self, rng):
+        for k in (1, 2, 3):
+            for n in range(2 * k, 31):
+                seq = random_sequence(rng, n)
+                got = [dataclasses.asdict(w) for w in build_windows(seq, k)]
+                assert got == [dataclasses.asdict(w) for w in windows_two_branch(seq, k)], (k, n)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):

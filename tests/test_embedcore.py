@@ -193,6 +193,14 @@ class TestPerturb:
             assert out.dtype == dtype
             assert out.tobytes() == z.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.int32])
+    def test_identity_spec_returns_a_copy(self, dtype):
+        z = np.array([0.0, -0.0, 1e-40, -3.5, 6e4, 7.0]).astype(dtype)
+        out = perturb(z, np.ones(z.size), PerturbationSpec(0.0, 0.0, False, seed=3))
+        assert out.dtype == (np.float64 if dtype is np.int32 else dtype)
+        assert out.tobytes() == z.astype(out.dtype).tobytes()
+        assert not np.shares_memory(out, z)
+
     def test_same_seed_same_output(self):
         z = np.arange(64, dtype=float)
         basis = np.ones(64)
@@ -297,6 +305,17 @@ class TestPerturbSet:
         spec = PerturbationSpec(0.0, 0.0, False, seed=0)
         out = perturb_set(es, np.ones(es.dim), spec)
         assert out.vectors.tobytes() == es.vectors.tobytes()
+
+    @pytest.mark.parametrize("mode", ["coords", "sequence"])
+    @pytest.mark.parametrize("n", [0, 40])
+    def test_identity_spec_returns_a_copy(self, rng, mode, n):
+        es = self.make_set(rng, n=n)
+        spec = PerturbationSpec(0.0, 0.0, False, seed=0)
+        out = perturb_set(es, np.ones(es.dim), spec, shuffle_mode=mode)
+        assert (out.vectors.dtype, out.vectors.shape) == (es.vectors.dtype, es.vectors.shape)
+        assert out.vectors.tobytes() == es.vectors.tobytes()
+        assert out.ids == es.ids and out.ids is not es.ids
+        assert not np.shares_memory(out.vectors, es.vectors)
 
     def test_bad_mode(self, rng):
         es = self.make_set(rng, n=4)

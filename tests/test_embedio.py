@@ -102,9 +102,11 @@ class TestBinary:
             (MAGIC + (1).to_bytes(4, "little") * 2, "embedding file truncated: expected 4 data bytes, got 0"),
             (MAGIC + b"\xff" * 8 + bytes(8), f"embedding file truncated: expected {4 * (2**32 - 1) ** 2} data bytes, got 8"),
             (MAGIC + (1).to_bytes(4, "little") * 2 + np.float32(np.nan).tobytes(), "embeddings must be finite"),
-            (MAGIC + (1).to_bytes(4, "little") * 2 + bytes(4) + b"\xff", "'utf-8' codec can't decode"),
+            (MAGIC + (1).to_bytes(4, "little") * 2 + bytes(4) + b"\xff", "invalid UTF-8 in id 1"),
+            (MAGIC + (2).to_bytes(4, "little") + (1).to_bytes(4, "little") + bytes(8) + b"a\n\xff",
+             "invalid UTF-8 in id 2"),
         ],
-        ids=["header", "payload", "huge-header", "nan", "id-bytes"],
+        ids=["header", "payload", "huge-header", "nan", "id-bytes", "second-id-bytes"],
     )
     def test_errors_name_the_file(self, tmp_path, blob, reason):
         path = tmp_path / "bad.emb"

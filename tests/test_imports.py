@@ -85,9 +85,9 @@ def test_corpus_commands_run_without_numpy(corpus, argv):
     "argv,cfg,err",
     [
         (["windows", "--steps", "{steps}"], {"mask_rate": 2},
-         "error: mask_rate must be in [0, 1], got 2.0\n"),
+         "error: {cfg}: mask_rate must be in [0, 1], got 2.0\n"),
         (["match", "--manifest", "{manifest}"], {"alpha": -1},
-         "error: alpha and beta must be non-negative\n"),
+         "error: {cfg}: alpha and beta must be non-negative\n"),
     ],
     ids=["windows-mask-rate", "match-alpha"],
 )
@@ -98,7 +98,7 @@ def test_every_config_section_checked_without_numpy(corpus, tmp_path, argv, cfg,
     cfg_path.write_text(json.dumps(cfg))
     argv = [arg.format(**paths) for arg in argv] + ["--config", str(cfg_path)]
     proc = _python("-c", _CLI_WITHOUT_NUMPY, *argv)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err.format(cfg=cfg_path))
 
 
 # The names the package exported before its namespace became lazy, by module.
