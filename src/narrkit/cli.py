@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -94,20 +95,28 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     flagged = [key for key in _CONFIG_TYPES if getattr(args, key, None) is not None]
     for key in flagged:  # a flag overrides the config key of the same name
         cfg[key] = getattr(args, key)
+
+    def range_error(message: str, names: list[str]) -> InputError:
+        # Blame the first of the keys that a flag set, or else the config file.
+        flags = [name for name in names if name in flagged]
+        if not flags:
+            return InputError(message, source=path)
+        flag = _FLAG_NAMES.get(flags[0], "--" + flags[0].replace("_", "-"))
+        return _FlagError(message, source=flag)
+
     sections = []
     for cls in _SECTIONS:  # the fields hold the defaults
         names = [f.name for f in fields(cls) if f.name in cfg]
         try:
             sections.append(cls(**{name: cfg[name] for name in names}))
-        except ValueError as exc:  # blame a flag of the section if one was given
-            flags = [name for name in names if name in flagged]
-            if not flags:
-                raise InputError(str(exc), source=path) from exc
-            flag = _FLAG_NAMES.get(flags[0], "--" + flags[0].replace("_", "-"))
-            raise _FlagError(str(exc), source=flag) from exc
-    return RunConfig(
-        *sections, k=cfg.get("k", 2), histogram_edges=cfg.get("histogram_edges", {})
-    )
+        except ValueError as exc:
+            raise range_error(str(exc), names) from exc
+    k = cfg.get("k", 2)
+    try:  # before any input is read
+        ctx.check_context_length(k)
+    except ValueError as exc:
+        raise range_error(str(exc), ["k"]) from exc
+    return RunConfig(*sections, k=k, histogram_edges=cfg.get("histogram_edges", {}))
 
 
 def _log(message: str) -> None:
@@ -279,9 +288,13 @@ def cmd_metrics(args, rc: RunConfig) -> int:
 
     kind = args.metric
     if kind == "frechet":
+        jitter = args.jitter if args.jitter is not None else 1e-6
+        try:  # before any input is read
+            embedcore.check_jitter(jitter)
+        except ValueError as exc:
+            raise _FlagError(str(exc), source="--jitter") from exc
         a = _fit_moments(args.a)
         b = _fit_moments(args.b)
-        jitter = args.jitter if args.jitter is not None else 1e-6
         output = repr(embedcore.frechet_distance(a, b, jitter=jitter)) + "\n"
     elif kind == "clipt":
         text = embedio.read_embeddings(args.text)
@@ -479,4 +492,8 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    # One run builds its records once and they hold no reference cycles, so
+    # the cyclic collector would only rescan them; reference counting frees
+    # everything a command drops.
+    gc.disable()
     sys.exit(run())

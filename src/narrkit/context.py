@@ -30,6 +30,7 @@ __all__ = [
     "ConditioningWindow",
     "build_history",
     "tile_captions",
+    "check_context_length",
     "build_windows",
     "window_count",
     "export_windows",
@@ -41,7 +42,7 @@ __all__ = [
 DEFAULT_CONTEXT_WINDOW = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     index: int  # 1-based position within the sequence
     action: str
@@ -143,14 +144,19 @@ def _make_window(
     )
 
 
+def check_context_length(k: int) -> None:
+    """Raise ValueError unless k is a context length build_windows accepts."""
+    if not 1 <= k <= 3:
+        raise ValueError(f"context length k must be in 1..3, got {k}")
+
+
 def build_windows(seq: NarrativeSequence, k: int) -> list[ConditioningWindow]:
     """Slice a sequence into rolling conditioning windows of context length k.
 
     Windows start at step 1 and advance with stride k; window i's targets
     are window i+1's references. Requires 1 <= k <= 3 and at least 2k steps.
     """
-    if not 1 <= k <= 3:
-        raise ValueError(f"context length k must be in 1..3, got {k}")
+    check_context_length(k)
     n = len(seq)
     if n < 2 * k:
         raise ValueError(

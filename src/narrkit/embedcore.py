@@ -47,6 +47,7 @@ __all__ = [
     "rescale_latent",
     "add_noise",
     "fit_moments",
+    "check_jitter",
     "frechet_distance",
     "clip_t_score",
     "flow_loss",
@@ -378,6 +379,12 @@ def _psd_sqrt(c: np.ndarray, stage: str) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
+def check_jitter(jitter: float) -> None:
+    """Raise ValueError unless jitter is a diagonal term frechet_distance accepts."""
+    if not 0 <= jitter < np.inf:
+        raise ValueError(f"jitter must be finite and >= 0, got {jitter}")
+
+
 def frechet_distance(
     a: GaussianMoments, b: GaussianMoments, jitter: float = 1e-6
 ) -> float:
@@ -391,8 +398,7 @@ def frechet_distance(
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if jitter < 0:
-        raise ValueError(f"jitter must be >= 0, got {jitter}")
+    check_jitter(jitter)
     eye = np.eye(a.dim)
     ca = a.covariance + jitter * eye
     cb = b.covariance + jitter * eye

@@ -5,6 +5,12 @@ rejected, and the ``want_*`` helpers check field types instead of coercing
 them. Every error is an ``InputError`` naming the source and, for
 line-delimited input, the 1-based line. Readers open text with
 ``errors="surrogateescape"``, so a byte that is not UTF-8 is such an error too.
+
+Each line takes a fast path first: one ``raw_decode`` call, accepted only when
+it reads the whole text and yields an object (the lines are already stripped,
+so the whitespace scans of ``JSONDecoder.decode`` would find nothing). Any
+other outcome runs ``decode`` on the same text, which gives every error its
+message.
 """
 
 from __future__ import annotations
@@ -62,6 +68,12 @@ def decode_object(text: str, line: int | None, source: str) -> dict:
     if not text.isascii() and _RAW_BYTE.search(text):
         raise InputError("invalid UTF-8", line, source)
     try:
+        rec, end = _DECODER.raw_decode(text)
+        if end == len(text) and type(rec) is dict:
+            return rec
+    except (RecursionError, ValueError):  # raised again below, with its message
+        pass
+    try:
         rec = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc.msg}", line, source) from exc
@@ -98,20 +110,20 @@ def want_text(rec: dict, key: str, line: int | None, source: str) -> str:
 
 def want_int(rec: dict, key: str, line: int | None, source: str) -> int:
     value = rec.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"field '{key}' must be an integer", line, source)
-    return value
+    if type(value) is int or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise InputError(f"field '{key}' must be an integer", line, source)
 
 
 def want_number(rec: dict, key: str, line: int | None, source: str) -> float:
     value = rec.get(key)
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            number = float(value)
+    if type(value) is not float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:  # an int or a float subclass becomes a plain float
+            value = float(value)
         except OverflowError:  # an integer literal beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
+            value = math.inf
+    if type(value) is float and math.isfinite(value):
+        return value
     raise InputError(f"field '{key}' must be a finite number", line, source)
 
 

@@ -49,7 +49,7 @@ ManifestSource = Union[str, os.PathLike, IO[str], Iterable[str]]
 ManifestError = InputError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeInterval:
     """Finite time span in seconds; end must lie strictly after start."""
 
@@ -73,7 +73,7 @@ class TimeInterval:
         return self.end_s - self.start_s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClipRecord:
     video_id: str
     clip_id: str
@@ -81,7 +81,7 @@ class ClipRecord:
     caption: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionRecord:
     video_id: str
     interval: TimeInterval
@@ -163,10 +163,13 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
     clips: dict[str, list[ClipRecord]] = {}
     clip_ids: dict[str, set[str]] = {}
     actions: dict[str, list[ActionRecord]] = {}
+    # Each id maps to its first copy, so all the records of a video share one string.
+    ids: dict[str, str] = {}
 
     for lineno, rec in iter_json_objects(source, name):
         kind = want_choice(rec, "kind", RECORD_KINDS, lineno, name)
         video_id = want_str(rec, "video_id", lineno, name)
+        video_id = ids.setdefault(video_id, video_id)
 
         if kind == "video":
             if video_id in explicit_videos:

@@ -29,6 +29,7 @@ finite, which ``TimeInterval`` enforces, so the sweep's sorted order holds.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -73,18 +74,20 @@ class MatchThresholds:
                 f"need 0 <= iou_low <= iou_high <= 1, got "
                 f"{self.iou_low}/{self.iou_high}"
             )
+        if not math.isfinite(self.max_start_diff_s):
+            raise ValueError(f"max_start_diff_s must be finite, got {self.max_start_diff_s}")
         if self.max_start_diff_s < 0:
             raise ValueError(f"max_start_diff_s must be >= 0, got {self.max_start_diff_s}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchDecision:
     iou: float
     start_diff_s: float
     rule: MatchRule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchRecord:
     video_id: str
     clip_id: str
@@ -286,9 +289,14 @@ def format_match_record(rec: MatchRecord) -> str:
 def parse_match_records(lines: Iterable[str]) -> Iterator[MatchRecord]:
     source = getattr(lines, "name", "<input>")
     rules = tuple(rule.value for rule in MatchRule)
+    # Match files are grouped by video: a run of records shares one id string.
+    video_id = None
     for lineno, rec in iter_json_objects(lines, source):
+        value = want_str(rec, "video_id", lineno, source)
+        if value != video_id:
+            video_id = value
         yield MatchRecord(
-            want_str(rec, "video_id", lineno, source),
+            video_id,
             want_str(rec, "clip_id", lineno, source),
             want_int(rec, "action_index", lineno, source),
             want_number(rec, "iou", lineno, source),

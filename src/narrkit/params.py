@@ -3,6 +3,7 @@ them for every command; ``embedcore`` re-exports both under the same names."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["RegressionLossParams", "PerturbationSpec"]
@@ -17,6 +18,8 @@ class RegressionLossParams:
     beta: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"alpha and beta must be finite, got {self.alpha}/{self.beta}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
         if self.alpha + self.beta == 0:
@@ -40,6 +43,8 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.noise_scale):
+            raise ValueError(f"noise_scale must be finite, got {self.noise_scale}")
         if self.noise_scale < 0:
             raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
         if not 0.0 <= self.mask_rate <= 1.0:

@@ -53,14 +53,14 @@ def tier_to_score(tier: MatchTier) -> float:
     return _TIER_SCORES[tier]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TierJudgment:
     item_id: str
     tier: MatchTier
     rater_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VLMRating:
     item_id: str
     rating: int

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import stat
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_manifest, random_sequence
-from narrkit import embedcore
+from narrkit import cli, embedcore
 from narrkit.cli import run
 from narrkit.embedcore import EmbeddingSet
 from narrkit.embedio import read_embeddings, write_embeddings
@@ -522,6 +523,17 @@ class TestUsageAndConfig:
         code, _, _ = invoke(capsys, "frobnicate")
         assert code == 2
 
+    def test_only_main_turns_the_cyclic_collector_off(self, capsys, manifest_path, monkeypatch):
+        assert invoke(capsys, "validate", "--manifest", manifest_path)[0] == 0
+        assert gc.isenabled()
+        monkeypatch.setattr(cli, "run", gc.isenabled)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.main()
+        finally:
+            gc.enable()
+        assert exc.value.code is False
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = invoke(capsys, "validate", "--manifest", "/nope/missing.jsonl")
         assert code == 1
@@ -685,8 +697,29 @@ class TestConfig:
              "--mask-rate: mask_rate must be in [0, 1], got 2.0"),
             (["metrics", "regloss", "--pred", "{a}", "--target", "{a}", "--alpha", "-1"],
              "--alpha: alpha and beta must be non-negative"),
+            (["metrics", "regloss", "--pred", "{a}", "--target", "{a}", "--alpha", "nan"],
+             "--alpha: alpha and beta must be finite, got nan/1.0"),
+            (["metrics", "regloss", "--pred", "{a}", "--target", "{a}", "--beta", "inf"],
+             "--beta: alpha and beta must be finite, got 1.0/inf"),
+            (["perturb", "--in", "{a}", "--out", "{out}", "--noise-scale", "nan"],
+             "--noise-scale: noise_scale must be finite, got nan"),
+            (["match", "--manifest", "{m}", "--max-start-diff", "nan"],
+             "--max-start-diff: max_start_diff_s must be finite, got nan"),
+            # the input named is missing: a range error is reported before any input is read
+            (["windows", "--steps", "{out}", "--k", "0"],
+             "--k: context length k must be in 1..3, got 0"),
+            (["windows", "--steps", "{out}", "--config", "{cfg}", "--k", "4"],
+             "--k: context length k must be in 1..3, got 4"),
+            (["metrics", "frechet", "--a", "{out}", "--b", "{out}", "--jitter", "nan"],
+             "--jitter: jitter must be finite and >= 0, got nan"),
+            (["metrics", "frechet", "--a", "{out}", "--b", "{out}", "--jitter", "-1"],
+             "--jitter: jitter must be finite and >= 0, got -1.0"),
+            (["metrics", "frechet", "--a", "{out}", "--b", "{out}", "--jitter", "inf"],
+             "--jitter: jitter must be finite and >= 0, got inf"),
         ],
-        ids=["iou-low-nan", "max-start-diff", "flag-against-config", "mask-rate", "alpha"],
+        ids=["iou-low-nan", "max-start-diff", "flag-against-config", "mask-rate", "alpha",
+             "alpha-nan", "beta-inf", "noise-scale-nan", "max-start-diff-nan", "k-0",
+             "k-4-with-config", "jitter-nan", "jitter-negative", "jitter-inf"],
     )
     def test_out_of_range_flag_named(self, capsys, manifest_path, emb_paths, tmp_path, argv, err):
         cfg, out = tmp_path / "cfg.json", tmp_path / "o.emb"
@@ -723,12 +756,13 @@ class TestConfig:
             ('{"iou_low": 0.9}', "need 0 <= iou_low <= iou_high <= 1, got 0.9/0.5"),
             ('{"beta": -1}', "alpha and beta must be non-negative"),
             ('{"noise_scale": -1}', "noise_scale must be >= 0, got -1.0"),
+            ('{"k": 0}', "context length k must be in 1..3, got 0"),
         ],
         ids=[
             "shuffle-string", "shuffle-int", "unknown-keys", "array", "string",
             "invalid-json", "k-float", "seed-bool", "float-string", "float-nan",
             "edges-array", "edges-unknown-name", "edges-string-value", "bad-utf8",
-            "thresholds-range", "loss-range", "perturbation-range",
+            "thresholds-range", "loss-range", "perturbation-range", "k-range",
         ],
     )
     def test_bad_config_rejected(self, capsys, steps_path, tmp_path, text, reason):

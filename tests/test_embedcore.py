@@ -112,7 +112,7 @@ class TestRegressionLoss:
         with pytest.raises(ValueError, match="^" + reason):
             loss(pred, target)
 
-    @pytest.mark.parametrize("alpha,beta", [(-1, 1), (1, -1), (0, 0)])
+    @pytest.mark.parametrize("alpha,beta", [(-1, 1), (1, -1), (0, 0), (np.nan, 1), (1, np.inf)])
     def test_bad_params(self, alpha, beta):
         with pytest.raises(ValueError):
             RegressionLossParams(alpha, beta)
@@ -244,7 +244,9 @@ class TestPerturb:
         with pytest.raises(ValueError, match="dimension"):
             perturb(np.ones(4), np.ones(5), PerturbationSpec())
 
-    @pytest.mark.parametrize("kwargs", [dict(noise_scale=-1), dict(mask_rate=1.5)])
+    @pytest.mark.parametrize(
+        "kwargs", [dict(noise_scale=-1), dict(mask_rate=1.5), dict(noise_scale=np.nan), dict(noise_scale=np.inf)]
+    )
     def test_bad_spec(self, kwargs):
         with pytest.raises(ValueError):
             PerturbationSpec(**kwargs)
@@ -445,6 +447,12 @@ class TestFrechet:
     def test_dim_mismatch(self, rng):
         with pytest.raises(ValueError, match="mismatch"):
             frechet_distance(random_moments(rng, 3), random_moments(rng, 4))
+
+    @pytest.mark.parametrize("jitter", [-1.0, np.nan, np.inf])
+    def test_bad_jitter(self, rng, jitter):
+        m = random_moments(rng, 3)
+        with pytest.raises(ValueError, match="^jitter must be finite and >= 0"):
+            frechet_distance(m, m, jitter=jitter)
 
     def test_non_finite_names_stage(self):
         a = GaussianMoments([np.inf], [[1.0]])

@@ -1,6 +1,12 @@
-import pytest
+import json
+import math
 
-from narrkit.jsonl import InputError, iter_json_objects, want_int, want_number, want_str
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from narrkit import jsonl
+from narrkit.jsonl import InputError, decode_object, iter_json_objects, want_int, want_number, want_str
 
 
 def test_yields_objects_with_line_numbers():
@@ -57,3 +63,103 @@ def test_field_checks_accept_exact_types():
     assert (want_str(rec, "s", 1, ""), want_int(rec, "i", 1, ""), want_number(rec, "n", 1, "")) == (
         "x", 7, 2.0
     )
+
+
+# The decode-only path and the integer and number checks as they were before
+# each took an exact-type fast path; the fast paths must not change a result
+# or a message.
+def decode_only(text, line, source):
+    if not text.isascii() and jsonl._RAW_BYTE.search(text):
+        raise InputError("invalid UTF-8", line, source)
+    try:
+        rec = jsonl._DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON: {exc.msg}", line, source) from exc
+    except jsonl._NonFinite as exc:
+        raise InputError(jsonl._non_finite_reason(text, str(exc)), line, source) from exc
+    except (RecursionError, ValueError) as exc:
+        raise InputError(f"invalid JSON: {exc}", line, source) from exc
+    if not isinstance(rec, dict):
+        raise InputError("record must be a JSON object", line, source)
+    return rec
+
+
+def checked_int(rec, key, line, source):
+    value = rec.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"field '{key}' must be an integer", line, source)
+    return value
+
+
+def checked_number(rec, key, line, source):
+    value = rec.get(key)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise InputError(f"field '{key}' must be a finite number", line, source)
+
+
+def outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except InputError as exc:
+        return "raised", str(exc), exc.line, exc.source
+    return "returned", type(result), result
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# NaN and Infinity are written as such, and each document may be cut short or
+# carry extra text around it, so lines reach every branch of both paths.
+documents = json_values.map(json.dumps)
+affixes = st.sampled_from(["", " ", "\t", "\n", "x", "}", "]", ",", "{}", '"', "\udcff", "\u2028"])
+texts = st.one_of(
+    documents,
+    st.tuples(affixes, documents, affixes).map("".join),
+    st.tuples(documents, st.integers(0, 40)).map(lambda d: d[0][: d[1]]),
+    st.text(max_size=30),
+    st.sampled_from(["[" * 3000, '{"x": 1' + "0" * 5000 + "}", '{"a": NaN, "b": Infinity}']),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts)
+def test_decode_fast_path_matches_decode_only(text):
+    assert outcome(decode_object, text, 4, "in.jsonl") == outcome(decode_only, text, 4, "in.jsonl")
+
+
+class Real(float):
+    pass
+
+
+class Text(str):
+    pass
+
+
+field_values = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.integers(min_value=2**1024), st.integers(max_value=-(2**1024)),  # beyond the float range
+    st.floats().map(Real), st.text(max_size=3), st.text(max_size=3).map(Text),
+    st.sampled_from(["", math.nan, math.inf, -math.inf, Real("nan"), Real("inf"), 10**400]),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+@pytest.mark.parametrize(
+    "fast,checked",
+    [(want_int, checked_int), (want_number, checked_number)],
+    ids=["int", "number"],
+)
+@settings(max_examples=300, deadline=None)
+@given(value=field_values)
+def test_field_fast_paths_match_checks(fast, checked, value):
+    rec = {"f": value}
+    assert outcome(fast, rec, "f", 2, "in.jsonl") == outcome(checked, rec, "f", 2, "in.jsonl")
+    assert outcome(fast, {}, "f", 2, "in.jsonl") == outcome(checked, {}, "f", 2, "in.jsonl")

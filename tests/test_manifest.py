@@ -102,6 +102,13 @@ class TestParse:
         with pytest.raises(ManifestError, match=field):
             parse_manifest([record])
 
+    def test_records_of_a_video_share_its_id(self, rng):
+        m = parse_manifest(dumps_manifest(random_manifest(rng, n_videos=10)).splitlines())
+        ids = {video_id: video_id for video_id in m.videos}
+        for record in [*m.iter_clips(), *m.iter_actions()]:
+            assert record.video_id is ids[record.video_id]
+        assert all(video_id is ids[video_id] for video_id in m.actions)
+
     def test_blank_lines_skipped(self):
         assert parse_manifest(["", LINES[0], "   "]).n_videos == 1
 

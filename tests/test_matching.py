@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -202,6 +204,11 @@ class TestMatchClipAction:
     def test_bad_thresholds(self, low, high):
         with pytest.raises(ValueError):
             MatchThresholds(iou_low=low, iou_high=high)
+
+    @pytest.mark.parametrize("diff", [-1.0, math.nan, math.inf])
+    def test_bad_start_diff(self, diff):
+        with pytest.raises(ValueError, match="^max_start_diff_s must be"):
+            MatchThresholds(max_start_diff_s=diff)
 
 
 class TestMatchDataset:
@@ -415,6 +422,12 @@ class TestWireFormat:
                 parsed.rule,
             )
             assert parsed.iou == pytest.approx(orig.iou, abs=1e-9)
+
+    def test_records_of_a_video_share_its_id(self, rng):
+        lines = [format_match_record(r) for r in match_dataset(random_manifest(rng, n_videos=10))]
+        by_video = {}
+        for rec in parse_match_records(lines):
+            assert by_video.setdefault(rec.video_id, rec.video_id) is rec.video_id
 
     def test_iou_has_at_least_six_decimals(self):
         rec = MatchRecord("v", "c", 0, 0.5, 1.0, MatchRule.RULE_B)

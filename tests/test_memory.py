@@ -1,18 +1,28 @@
-"""Peak-memory guards for the embedding kernels and I/O.
+"""Memory guards for the embedding kernels and I/O, and for the record readers.
 
 numpy reports its data buffers to tracemalloc, so a traced peak counts every
 array a call allocates, exactly and repeatably. Each bound is in units of
 S, the byte size of the float32 input set, and sits between what one stored
 copy per set costs and what an extra whole-set copy would add.
+
+The readers' guards compare the bytes their records keep alive with the same
+records rebuilt in place two ways, on the same interpreter: with an instance
+dict each, and with one copy of the video id each. The readers must keep less
+than both, so the guards hold whatever the interpreter's object layout.
 """
 
+import struct
 import tracemalloc
+from dataclasses import fields, make_dataclass, replace
 
 import numpy as np
 import pytest
 
+from conftest import random_manifest
 from narrkit.embedcore import EmbeddingSet, PerturbationSpec, fit_moments, perturb_set, population_std
 from narrkit.embedio import read_embeddings, write_embeddings
+from narrkit.manifest import ActionRecord, ClipRecord, TimeInterval, dumps_manifest, parse_manifest
+from narrkit.matching import MatchRecord, format_match_record, match_dataset, parse_match_records
 
 N, DIM = 4000, 256
 S = N * DIM * 4
@@ -31,6 +41,21 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def traced_retained(fn, *args):
+    """Bytes still traced when fn(*args) returns, its result alive."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)  # alive while the size is read
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def manifest_lines():
+    return dumps_manifest(random_manifest(np.random.default_rng(11), n_videos=300)).splitlines()
 
 
 def test_binary_read_holds_one_copy(es, tmp_path):
@@ -54,3 +79,54 @@ def test_fit_moments_upcasts_once(es):
 @pytest.mark.parametrize("mode", ["coords", "sequence"])
 def test_perturb_set_writes_rows_in_place(es, mode):
     assert traced_peak(perturb_set, es, np.ones(DIM), PerturbationSpec(seed=3), mode) <= 1.5 * S
+
+
+# The record types the readers build, without slots, so each instance carries a dict.
+_DICT_TWINS = {cls: make_dataclass(cls.__name__, [f.name for f in fields(cls)], frozen=True)
+               for cls in (TimeInterval, ClipRecord, ActionRecord, MatchRecord)}
+
+
+def with_instance_dict(record):
+    twin = _DICT_TWINS.get(type(record))
+    if twin is None:
+        return record
+    return twin(*[with_instance_dict(getattr(record, f.name)) for f in fields(record)])
+
+
+def with_own_id(record):
+    return replace(record, video_id=record.video_id.encode().decode())  # equal, not shared
+
+
+def manifest_lists(m):
+    return [entry.clips for entry in m.videos.values()] + list(m.actions.values())
+
+
+def retained_by_variant(read, record_lists, rebuild):
+    """Bytes kept by read()'s result with each record replaced in place by rebuild(record)."""
+
+    def variant():
+        result = read()
+        for records in record_lists(result):
+            records[:] = map(rebuild, records)  # same length, so the list is not resized
+        return result
+
+    variant()  # fill the interpreter's free lists first, so the traced run leaves none behind
+    return traced_retained(variant)
+
+
+def check_compact(read, record_lists):
+    # Each variant must keep at least one machine word a record more than the reader.
+    n_records = sum(map(len, record_lists(read())))
+    kept = retained_by_variant(read, record_lists, lambda record: record)
+    for rebuild in (with_instance_dict, with_own_id):
+        extra = retained_by_variant(read, record_lists, rebuild) - kept
+        assert extra >= struct.calcsize("P") * n_records, rebuild.__name__
+
+
+def test_manifest_records_are_compact(manifest_lines):
+    check_compact(lambda: parse_manifest(manifest_lines), manifest_lists)
+
+
+def test_match_records_are_compact(manifest_lines):
+    lines = [format_match_record(r) for r in match_dataset(parse_manifest(manifest_lines))]
+    check_compact(lambda: list(parse_match_records(lines)), lambda records: [records])
