@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, get_type_hints
 
 from . import context as ctx
 from . import matching, scoring, stats
-from .jsonl import InputError, decode_object, iter_json_objects, want_int, want_number, want_str
+from .jsonl import TEXT, InputError, decode_object, iter_json_objects, want_int, want_number, want_str
 from .manifest import ManifestError, parse_manifest, validate_manifest, write_manifest
 from .params import PerturbationSpec, RegressionLossParams
 
@@ -70,7 +70,7 @@ class _FlagError(InputError):
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, **TEXT) as fh:
         cfg = decode_object(fh.read(), None, path)
     unknown = sorted(set(cfg) - set(_CONFIG_TYPES))
     if unknown:
@@ -86,6 +86,10 @@ def _load_config(path: str | None) -> dict:
         if name not in stats.DEFAULT_EDGES or not isinstance(values, list):
             raise InputError(f"field 'histogram_edges' has no list for '{name}'", source=path)
         edges[name] = [want_number({name: v}, name, None, path) for v in values]
+        try:  # before any input is read, whether or not the command draws histograms
+            stats.check_edges(edges[name])
+        except ValueError as exc:
+            raise InputError(f"field 'histogram_edges' for '{name}': {exc}", source=path) from exc
     return cfg
 
 
@@ -121,6 +125,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+@contextlib.contextmanager
+def _blame(path: str):
+    """Report a ValueError raised in the block as bad input in the file ``path``."""
+    try:
+        yield
+    except InputError:
+        raise
+    except ValueError as exc:
+        raise InputError(str(exc), source=path) from exc
 
 
 @contextlib.contextmanager
@@ -192,10 +207,10 @@ def cmd_match(args, rc: RunConfig) -> int:
 
 def cmd_filter(args, rc: RunConfig) -> int:
     manifest = parse_manifest(args.manifest)
-    with open(args.matches, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        records = list(matching.parse_match_records(fh))
     policy = matching.FilterPolicy(args.policy)
-    result = matching.filter_matched(manifest, records, policy)
+    with open(args.matches, **TEXT) as fh, _blame(args.matches):
+        records = list(matching.parse_match_records(fh))
+        result = matching.filter_matched(manifest, records, policy)
     with _outputs(args.out, args.assignment) as (out, assignment):
         write_manifest(result.manifest, out)
         if args.assignment:
@@ -223,7 +238,7 @@ def _read_token_counts(kind: str, path: str, keys: list[tuple]) -> list[int]:
     """The ``tokens`` count of each key, in order; every key must be present."""
     field, want_key = _TOKEN_KEYS[kind]
     table: dict[tuple, int] = {}
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, **TEXT) as fh:
         for lineno, rec in iter_json_objects(fh, path):
             key = (want_str(rec, "video_id", lineno, path), want_key(rec, field, lineno, path))
             table[key] = want_int(rec, "tokens", lineno, path)
@@ -260,13 +275,13 @@ def cmd_score(args, rc: RunConfig) -> int:
         return 2
     doc = {}
     if args.tiers:
-        with open(args.tiers, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        with open(args.tiers, **TEXT) as fh, _blame(args.tiers):
             judgments = scoring.read_tier_judgments(fh)
-        doc["tiers"] = scoring.aggregate_tiers(judgments).to_dict()
+            doc["tiers"] = scoring.aggregate_tiers(judgments).to_dict()
     if args.ratings:
-        with open(args.ratings, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        with open(args.ratings, **TEXT) as fh, _blame(args.ratings):
             ratings = scoring.read_vlm_ratings(fh)
-        doc["ratings"] = scoring.aggregate_ratings(ratings).to_dict()
+            doc["ratings"] = scoring.aggregate_ratings(ratings).to_dict()
     with _outputs(args.out) as (out,):
         out.write(json.dumps(doc, indent=2) + "\n")
     return 0
@@ -277,10 +292,8 @@ def _fit_moments(path: str) -> embedcore.GaussianMoments:
 
     # The set is dropped on return, so frechet holds one set at a time.
     embeddings = embedio.read_embeddings(path)
-    try:
+    with _blame(path):
         return embedcore.fit_moments(embeddings)
-    except ValueError as exc:
-        raise InputError(str(exc), source=path) from exc
 
 
 def cmd_metrics(args, rc: RunConfig) -> int:
@@ -350,13 +363,13 @@ def cmd_perturb(args, rc: RunConfig) -> int:
 
 
 def cmd_windows(args, rc: RunConfig) -> int:
-    with open(args.steps, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        sequences = ctx.read_step_sequences(fh)
     lines: list[str] = []
-    for sequence_id in sorted(sequences):
-        seq = sequences[sequence_id]
-        windows = ctx.build_windows(seq, rc.k)
-        lines.extend(ctx.export_windows(seq, windows))
+    with open(args.steps, **TEXT) as fh, _blame(args.steps):
+        sequences = ctx.read_step_sequences(fh)
+        for sequence_id in sorted(sequences):
+            seq = sequences[sequence_id]
+            windows = ctx.build_windows(seq, rc.k)
+            lines.extend(ctx.export_windows(seq, windows))
     with _outputs(args.out) as (out,):
         out.writelines(line + "\n" for line in lines)
     _log(f"exported {len(lines)} windows from {len(sequences)} sequences (k={rc.k})")
@@ -497,3 +510,7 @@ def main() -> None:
     # everything a command drops.
     gc.disable()
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

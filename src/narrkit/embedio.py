@@ -23,7 +23,7 @@ from typing import IO, Iterable, Union
 import numpy as np
 
 from .embedcore import EmbeddingSet
-from .jsonl import InputError, iter_json_objects, want_text
+from .jsonl import TEXT, InputError, iter_json_objects, want_text
 
 __all__ = ["MAGIC", "read_embeddings", "write_embeddings"]
 
@@ -77,9 +77,10 @@ def _decode_jsonl(lines: Iterable[str], source: str) -> EmbeddingSet:
         try:
             with np.errstate(over="ignore"):  # rejected just below, by line
                 row = np.asarray(values, dtype=np.float32)
-        except OverflowError as exc:  # an integer literal beyond the float range
-            raise InputError(f"field 'values': {exc}", lineno, source) from exc
-        if not np.isfinite(row).all():
+            finite = np.isfinite(row).all()
+        except OverflowError:  # an integer literal beyond the float range
+            finite = False
+        if not finite:
             raise InputError("field 'values' exceeds the float32 range", lineno, source)
         rows.append(row)
         if rec.get("id") is not None:
@@ -109,7 +110,7 @@ def _read(fh: IO[bytes], name: str) -> EmbeddingSet:
         except ValueError as exc:  # the layout checks, the id block and EmbeddingSet's
             raise InputError(str(exc), source=name) from exc
     # Split lines as a text-mode file does, so an id may hold U+2028.
-    text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
+    text = io.TextIOWrapper(fh, **TEXT)
     try:
         return _decode_jsonl(text, name)
     finally:

@@ -3,8 +3,8 @@
 Each non-blank line must hold one JSON object. ``NaN`` and ``Infinity`` are
 rejected, and the ``want_*`` helpers check field types instead of coercing
 them. Every error is an ``InputError`` naming the source and, for
-line-delimited input, the 1-based line. Readers open text with
-``errors="surrogateescape"``, so a byte that is not UTF-8 is such an error too.
+line-delimited input, the 1-based line. Every reader opens text with ``TEXT``,
+which keeps each byte that is not UTF-8, so such a byte is an ``InputError`` too.
 
 Each line takes a fast path first: one ``raw_decode`` call, accepted only when
 it reads the whole text and yields an object (the lines are already stripped,
@@ -22,6 +22,10 @@ from typing import Iterable, Iterator
 
 __all__ = ["InputError", "decode_object", "iter_json_objects", "want_choice", "want_int",
            "want_number", "want_str", "want_text"]
+
+
+# How every reader opens text, so that decode_object sees each byte that is not UTF-8.
+TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
 
 
 class InputError(ValueError):
@@ -58,8 +62,8 @@ def _non_finite_reason(text: str, constant: str) -> str:
     return f"non-finite number {constant} is not allowed"
 
 
-# Text read with errors="surrogateescape" holds each byte that is not UTF-8
-# as one of these lone surrogates; text decoded from valid UTF-8 holds none.
+# Text read with TEXT holds each byte that is not UTF-8 as one of these lone
+# surrogates; text decoded from valid UTF-8 holds none.
 _RAW_BYTE = re.compile("[\udc80-\udcff]")
 
 

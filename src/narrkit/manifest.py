@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Union
 
-from .jsonl import InputError, iter_json_objects, want_choice, want_number, want_str, want_text
+from .jsonl import TEXT, InputError, iter_json_objects, want_choice, want_number, want_str, want_text
 
 __all__ = [
     "ManifestError",
@@ -155,12 +155,11 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
     duplicate ids.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        with open(source, **TEXT) as fh:
             return parse_manifest(fh)
     name = getattr(source, "name", "<input>")
-    durations: dict[str, float | None] = {}
+    videos: dict[str, VideoEntry] = {}
     explicit_videos: set[str] = set()
-    clips: dict[str, list[ClipRecord]] = {}
     clip_ids: dict[str, set[str]] = {}
     actions: dict[str, list[ActionRecord]] = {}
     # Each id maps to its first copy, so all the records of a video share one string.
@@ -170,17 +169,19 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
         kind = want_choice(rec, "kind", RECORD_KINDS, lineno, name)
         video_id = want_str(rec, "video_id", lineno, name)
         video_id = ids.setdefault(video_id, video_id)
+        entry = videos.get(video_id)
+        if entry is None:
+            entry = videos[video_id] = VideoEntry()
 
         if kind == "video":
             if video_id in explicit_videos:
                 raise ManifestError(f"duplicate video record '{video_id}'", lineno, name)
             explicit_videos.add(video_id)
-            duration = None
             if rec.get("duration_s") is not None:
                 duration = want_number(rec, "duration_s", lineno, name)
                 if duration <= 0:
                     raise ManifestError("field 'duration_s' must be > 0", lineno, name)
-            durations[video_id] = duration
+                entry.duration_s = duration
         elif kind == "clip":
             clip_id = want_str(rec, "clip_id", lineno, name)
             start = want_number(rec, "start_s", lineno, name)
@@ -196,9 +197,7 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
                     f"duplicate clip_id '{clip_id}' in video '{video_id}'", lineno, name
                 )
             seen.add(clip_id)
-            clips.setdefault(video_id, []).append(
-                ClipRecord(video_id, clip_id, interval, caption)
-            )
+            entry.clips.append(ClipRecord(video_id, clip_id, interval, caption))
         else:
             start = want_number(rec, "start_s", lineno, name)
             end = want_number(rec, "end_s", lineno, name)
@@ -212,12 +211,9 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
             )
 
     manifest = DatasetManifest()
-    all_ids = set(durations) | set(clips) | set(actions)
-    for video_id in sorted(all_ids):
-        ordered = sorted(
-            clips.get(video_id, []), key=lambda c: c.interval.start_s
-        )
-        manifest.videos[video_id] = VideoEntry(durations.get(video_id), ordered)
+    for video_id in sorted(videos):
+        entry = manifest.videos[video_id] = videos[video_id]
+        entry.clips.sort(key=lambda c: c.interval.start_s)
         if video_id in actions:
             # full-key sort keeps parsing insensitive to input line order even
             # for actions sharing a start time

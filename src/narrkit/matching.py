@@ -108,9 +108,7 @@ def interval_iou(a: TimeInterval, b: TimeInterval) -> float:
     if intersection <= 0:
         return 0.0
     hull = max(a.end_s, b.end_s) - min(a.start_s, b.start_s)
-    if hull <= 0:
-        return 0.0
-    return intersection / hull
+    return intersection / hull  # rounding is monotone, so hull >= intersection > 0
 
 
 def match_clip_action(

@@ -11,7 +11,7 @@ any 0-100 conversion of ratings is left to consumers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -85,12 +85,7 @@ class TierAggregate:
     per_rater_means: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "mean_score": self.mean_score,
-            "item_weighted_mean": self.item_weighted_mean,
-            "per_tier_counts": self.per_tier_counts,
-            "per_rater_means": self.per_rater_means,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -100,11 +95,7 @@ class RatingAggregate:
     distribution: tuple[int, ...]  # counts for ratings 0..6
 
     def to_dict(self) -> dict:
-        return {
-            "mean_rating": self.mean_rating,
-            "hallucination_rate": self.hallucination_rate,
-            "distribution": list(self.distribution),
-        }
+        return {**asdict(self), "distribution": list(self.distribution)}
 
 
 def aggregate_tiers(judgments: Iterable[TierJudgment]) -> TierAggregate:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import statistics
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -20,6 +20,7 @@ __all__ = [
     "Histogram",
     "SummaryStats",
     "TextCounter",
+    "check_edges",
     "histogram",
     "summarize",
     "clip_length_summary",
@@ -43,12 +44,7 @@ class Histogram:
         return sum(self.counts) + self.underflow + self.overflow
 
     def to_dict(self) -> dict:
-        return {
-            "bin_edges": list(self.bin_edges),
-            "counts": list(self.counts),
-            "underflow": self.underflow,
-            "overflow": self.overflow,
-        }
+        return {**asdict(self), "bin_edges": list(self.bin_edges), "counts": list(self.counts)}
 
 
 @dataclass(frozen=True)
@@ -60,22 +56,21 @@ class SummaryStats:
     max: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "median": self.median,
-            "min": self.min,
-            "max": self.max,
-        }
+        return asdict(self)
+
+
+def check_edges(edges: Sequence[float]) -> None:
+    """Raise ValueError unless edges are at least two strictly increasing numbers."""
+    if len(edges) < 2:
+        raise ValueError("need at least two bin edges")
+    if not all(hi > lo for lo, hi in zip(edges, edges[1:])):  # a NaN edge fails too
+        raise ValueError("bin edges must be strictly increasing")
 
 
 def histogram(values: Iterable[float], bin_edges: Sequence[float]) -> Histogram:
     """Count values into half-open bins defined by strictly increasing edges."""
     edges = [float(e) for e in bin_edges]
-    if len(edges) < 2:
-        raise ValueError("need at least two bin edges")
-    if not all(hi > lo for lo, hi in zip(edges, edges[1:])):  # a NaN edge fails too
-        raise ValueError("bin edges must be strictly increasing")
+    check_edges(edges)
     # slot 0 is the underflow and slot len(edges) the overflow; bisect_right
     # maps an edge value into the bin it opens, and a NaN value past the end.
     slots = [0] * (len(edges) + 1)

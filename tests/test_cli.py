@@ -95,6 +95,25 @@ class TestValidate:
             "code": "parse-error", "line": 2, "message": "line 2: invalid UTF-8"
         }
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ('{"kind": "video", "video_id": "w", "duration_s": 0}', "field 'duration_s' must be > 0"),
+            ('{"kind": "action", "video_id": "v", "start_s": 9.0, "end_s": 4.0, "description": "y"}',
+             "action in video 'v': interval end must exceed start, got [9.0, 4.0]"),
+        ],
+        ids=["zero-duration", "inverted-action"],
+    )
+    def test_parse_error_recorded(self, capsys, tmp_path, line, message):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"kind": "video", "video_id": "v"}\n' + line + "\n")
+        out_path = tmp_path / "v.jsonl"
+        code, _, err = invoke(capsys, "validate", "--manifest", str(path), "--out", str(out_path))
+        assert (code, err) == (1, f"error: {path}: line 2: {message}\n")
+        assert json.loads(out_path.read_text()) == {
+            "code": "parse-error", "line": 2, "message": f"line 2: {message}"
+        }
+
 
 class TestMatch:
     def test_deterministic_output(self, capsys, manifest_path, tmp_path):
@@ -534,6 +553,21 @@ class TestUsageAndConfig:
             gc.enable()
         assert exc.value.code is False
 
+    def test_module_runs_as_the_script(self, tmp_path):
+        import subprocess
+        import sys
+
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("[1]\n")
+        argv = [sys.executable, "-m", "narrkit.cli", "score", "--tiers", str(bad)]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"error: {bad}: line 1: record must be a JSON object\n"
+        )
+        proc = subprocess.run([*argv[:3], "--help"], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: narrkit")
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = invoke(capsys, "validate", "--manifest", "/nope/missing.jsonl")
         assert code == 1
@@ -648,6 +682,39 @@ class TestStrictInput:
         code, out, err = invoke(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {bad}: line 2: {reason}\n")
 
+    @pytest.mark.parametrize(
+        "flag,lines,reason",
+        [
+            ("--matches", [{**MATCH, "action_index": 5}],
+             "match references action index 5 out of range for video 'v'"),
+            ("--matches", [{**MATCH, "clip_id": "cw"}], "match references unknown clip 'cw' in video 'v'"),
+            ("--matches", [{**MATCH, "video_id": "w"}], "match references unknown video 'w'"),
+            ("--steps", [STEP, {**STEP, "index": 3}],
+             "sequence 's': step indices must be contiguous from 1, found 3 at position 2"),
+            ("--steps", [STEP], "sequence 's' has 1 steps; need at least 4 for k=2"),
+            ("--tiers", [], "no judgments to aggregate"),
+            ("--ratings", [], "no ratings to aggregate"),
+        ],
+        ids=["action-index", "unknown-clip", "unknown-video", "steps-gap", "steps-short",
+             "no-tiers", "no-ratings"],
+    )
+    def test_bad_file_named(self, capsys, tmp_path, flag, lines, reason):
+        manifest_path = str(tmp_path / "m.jsonl")
+        with open(manifest_path, "w") as fh:
+            fh.write('{"kind": "clip", "video_id": "v", "clip_id": "c", "start_s": 0.0, '
+                     '"end_s": 9.0, "caption": "x"}\n')
+            fh.write('{"kind": "action", "video_id": "v", "start_s": 0.0, "end_s": 9.0, '
+                     '"description": "y"}\n')
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        argv = {
+            "--matches": ["filter", "--manifest", manifest_path, "--matches", str(bad)],
+            "--steps": ["windows", "--steps", str(bad), "--k", "2"],
+            "--tiers": ["score", "--tiers", str(bad)],
+            "--ratings": ["score", "--ratings", str(bad)],
+        }[flag]
+        assert invoke(capsys, *argv) == (1, "", f"error: {bad}: {reason}\n")
+
 
 class TestConfig:
     @pytest.fixture
@@ -752,6 +819,10 @@ class TestConfig:
              "field 'histogram_edges' has no list for 'clip_length'"),
             ('{"histogram_edges": {"clip_length_s": [0, "5"]}}',
              "field 'clip_length_s' must be a finite number"),
+            ('{"histogram_edges": {"clip_length_s": [5, 1]}}',
+             "field 'histogram_edges' for 'clip_length_s': bin edges must be strictly increasing"),
+            ('{"histogram_edges": {"caption_words": [5]}}',
+             "field 'histogram_edges' for 'caption_words': need at least two bin edges"),
             ('{"k": 1,\n "x": "\udcff"}', "invalid UTF-8"),  # the raw byte 0xff
             ('{"iou_low": 0.9}', "need 0 <= iou_low <= iou_high <= 1, got 0.9/0.5"),
             ('{"beta": -1}', "alpha and beta must be non-negative"),
@@ -761,7 +832,8 @@ class TestConfig:
         ids=[
             "shuffle-string", "shuffle-int", "unknown-keys", "array", "string",
             "invalid-json", "k-float", "seed-bool", "float-string", "float-nan",
-            "edges-array", "edges-unknown-name", "edges-string-value", "bad-utf8",
+            "edges-array", "edges-unknown-name", "edges-string-value", "edges-decreasing",
+            "edges-one", "bad-utf8",
             "thresholds-range", "loss-range", "perturbation-range", "k-range",
         ],
     )

@@ -105,8 +105,9 @@ class TestBinary:
             (MAGIC + (1).to_bytes(4, "little") * 2 + bytes(4) + b"\xff", "invalid UTF-8 in id 1"),
             (MAGIC + (2).to_bytes(4, "little") + (1).to_bytes(4, "little") + bytes(8) + b"a\n\xff",
              "invalid UTF-8 in id 2"),
+            (MAGIC + (1).to_bytes(4, "little") + bytes(4), "embedding dimension must be >= 1"),
         ],
-        ids=["header", "payload", "huge-header", "nan", "id-bytes", "second-id-bytes"],
+        ids=["header", "payload", "huge-header", "nan", "id-bytes", "second-id-bytes", "zero-dim"],
     )
     def test_errors_name_the_file(self, tmp_path, blob, reason):
         path = tmp_path / "bad.emb"
@@ -185,7 +186,10 @@ class TestJsonl:
         with pytest.raises(ValueError, match="dimensions"):
             read_embeddings(io.BytesIO(text.encode()))
 
-    @pytest.mark.parametrize("value", ["1e39", "-3.5e38", "340282356779733661637539395458142568448"])
+    @pytest.mark.parametrize("value", [
+        "1e39", "-3.5e38", "340282356779733661637539395458142568448",
+        pytest.param("1" + "0" * 400, id="int-beyond-float64"),
+    ])
     def test_beyond_float32_range_rejected_by_line(self, value):
         # the largest float32 is 3.4028234664e38; each value rounds past it
         text = f'{{"values": [1.0, 2.0]}}\n{{"values": [{value}, 1.0]}}\n'
