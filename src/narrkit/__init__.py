@@ -9,7 +9,8 @@ The package splits into small, independently usable modules:
 - ``embedcore``: losses, perturbations and distribution metrics over embeddings
 - ``embedio``: binary and JSONL embedding file formats
 - ``jsonl``: strict line-delimited JSON decoding and field checks for every reader
-- ``params``: numpy-free settings for the embedding loss and perturbation
+- ``params``: the settings every command range-checks (matching thresholds,
+  context length, embedding loss and perturbation), with no numpy
 - ``context``: narrative sequences, histories and rolling conditioning windows
 - ``cli``: the ``narrkit`` command-line driver
 

@@ -12,6 +12,9 @@ optional JSON config file, which overrides built-in defaults. Primary output
 files are written whole or not at all.
 
 Exit codes: 0 success, 1 validation or data error, 2 usage error.
+
+Only ``jsonl`` and ``params`` load with this module: each handler imports the
+modules its command needs when it runs, so a command pays for no other's.
 """
 
 from __future__ import annotations
@@ -25,11 +28,9 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, get_type_hints
 
-from . import context as ctx
-from . import matching, scoring, stats
-from .jsonl import TEXT, InputError, decode_object, iter_json_objects, want_int, want_number, want_str
-from .manifest import ManifestError, parse_manifest, validate_manifest, write_manifest
-from .params import PerturbationSpec, RegressionLossParams
+from .jsonl import (TEXT, InputError, decode_object, encode_number, encode_str, iter_json_objects,
+                    want_int, want_number, want_str)
+from .params import MatchThresholds, PerturbationSpec, RegressionLossParams, check_context_length
 
 if TYPE_CHECKING:  # it loads numpy, so the embedding handlers import it as they run
     from . import embedcore
@@ -41,7 +42,7 @@ __all__ = ["RunConfig", "build_parser", "run", "main"]
 class RunConfig:
     """Resolved per-run parameters shared by the subcommand handlers."""
 
-    thresholds: matching.MatchThresholds
+    thresholds: MatchThresholds
     loss_params: RegressionLossParams
     perturbation: PerturbationSpec
     k: int
@@ -50,7 +51,7 @@ class RunConfig:
 
 # The settings sections of RunConfig, in its field order. Each field is set by
 # the config key of the same name and by the flag whose dest is that name.
-_SECTIONS = (matching.MatchThresholds, RegressionLossParams, PerturbationSpec)
+_SECTIONS = (MatchThresholds, RegressionLossParams, PerturbationSpec)
 
 # Config file keys and the JSON type of each; ``threads`` is accepted for
 # compatibility and ignored.
@@ -82,6 +83,8 @@ def _load_config(path: str | None) -> dict:
         elif type(value) is not kind:
             raise InputError(f"field '{key}' must be a JSON {kind.__name__}", source=path)
     edges = cfg.get("histogram_edges", {})
+    if edges:  # the one setting whose check lives in a command's module
+        from . import stats
     for name, values in edges.items():
         if name not in stats.DEFAULT_EDGES or not isinstance(values, list):
             raise InputError(f"field 'histogram_edges' has no list for '{name}'", source=path)
@@ -117,7 +120,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise range_error(str(exc), names) from exc
     k = cfg.get("k", 2)
     try:  # before any input is read
-        ctx.check_context_length(k)
+        check_context_length(k)
     except ValueError as exc:
         raise range_error(str(exc), ["k"]) from exc
     return RunConfig(*sections, k=k, histogram_edges=cfg.get("histogram_edges", {}))
@@ -177,9 +180,11 @@ def _outputs(*paths: str | None):
 
 
 def cmd_validate(args, rc: RunConfig) -> int:
+    from .manifest import parse_manifest, validate_manifest
+
     try:
         manifest = parse_manifest(args.manifest)
-    except ManifestError as exc:
+    except InputError as exc:
         with _outputs(args.out) as (out,):
             out.write(
                 json.dumps({"code": "parse-error", "line": exc.line, "message": str(exc)})
@@ -197,6 +202,9 @@ def cmd_validate(args, rc: RunConfig) -> int:
 
 
 def cmd_match(args, rc: RunConfig) -> int:
+    from . import matching
+    from .manifest import parse_manifest
+
     manifest = parse_manifest(args.manifest)
     records = matching.match_dataset(manifest, rc.thresholds)
     with _outputs(args.out) as (out,):
@@ -206,6 +214,9 @@ def cmd_match(args, rc: RunConfig) -> int:
 
 
 def cmd_filter(args, rc: RunConfig) -> int:
+    from . import matching
+    from .manifest import parse_manifest, write_manifest
+
     manifest = parse_manifest(args.manifest)
     policy = matching.FilterPolicy(args.policy)
     with open(args.matches, **TEXT) as fh, _blame(args.matches):
@@ -215,15 +226,10 @@ def cmd_filter(args, rc: RunConfig) -> int:
         write_manifest(result.manifest, out)
         if args.assignment:
             for (video_id, clip_id), indices in result.assignment.items():
+                action_indices = ", ".join(encode_number(i, "action_indices") for i in indices)
                 assignment.write(
-                    json.dumps(
-                        {
-                            "video_id": video_id,
-                            "clip_id": clip_id,
-                            "action_indices": indices,
-                        }
-                    )
-                    + "\n"
+                    f'{{"video_id": {encode_str(video_id)}, "clip_id": {encode_str(clip_id)}, '
+                    f'"action_indices": [{action_indices}]}}\n'
                 )
     kept = result.manifest.n_clips
     _log(f"kept {kept} of {manifest.n_clips} clips ({policy.value} policy)")
@@ -235,13 +241,15 @@ _TOKEN_KEYS = {"caption": ("clip_id", want_str), "action": ("action_index", want
 
 
 def _read_token_counts(kind: str, path: str, keys: list[tuple]) -> list[int]:
-    """The ``tokens`` count of each key, in order; every key must be present."""
+    """The ``tokens`` count of each key, in order; there must be keys, and each must be present."""
     field, want_key = _TOKEN_KEYS[kind]
     table: dict[tuple, int] = {}
     with open(path, **TEXT) as fh:
         for lineno, rec in iter_json_objects(fh, path):
             key = (want_str(rec, "video_id", lineno, path), want_key(rec, field, lineno, path))
             table[key] = want_int(rec, "tokens", lineno, path)
+    if not keys:
+        raise InputError("no records to profile", source=path)
     for key in keys:
         if key not in table:
             raise InputError(f"missing {kind} token count for {key}", source=path)
@@ -249,6 +257,9 @@ def _read_token_counts(kind: str, path: str, keys: list[tuple]) -> list[int]:
 
 
 def cmd_stats(args, rc: RunConfig) -> int:
+    from . import stats
+    from .manifest import parse_manifest
+
     manifest = parse_manifest(args.manifest)
     caption_tokens = action_tokens = None
     if args.caption_tokens:
@@ -270,6 +281,8 @@ def cmd_stats(args, rc: RunConfig) -> int:
 
 
 def cmd_score(args, rc: RunConfig) -> int:
+    from . import scoring
+
     if not args.tiers and not args.ratings:
         _log("score: need --tiers and/or --ratings")
         return 2
@@ -312,10 +325,14 @@ def cmd_metrics(args, rc: RunConfig) -> int:
     elif kind == "clipt":
         text = embedio.read_embeddings(args.text)
         image = embedio.read_embeddings(args.image)
+        with _blame(args.image):  # a pair that does not line up is the second file's fault
+            embedcore.check_pairs(text, image)
         output = repr(embedcore.clip_t_score(text, image, scale=args.scale)) + "\n"
     else:
         pred = embedio.read_embeddings(args.pred)
         target = embedio.read_embeddings(args.target)
+        with _blame(args.target):
+            embedcore.check_pairs(pred, target)
         if kind == "regloss":
             loss = embedcore.regression_loss(pred, target, rc.loss_params)
             output = json.dumps({**loss.to_dict(), "pairs": len(pred)}) + "\n"
@@ -363,6 +380,8 @@ def cmd_perturb(args, rc: RunConfig) -> int:
 
 
 def cmd_windows(args, rc: RunConfig) -> int:
+    from . import context as ctx
+
     lines: list[str] = []
     with open(args.steps, **TEXT) as fh, _blame(args.steps):
         sequences = ctx.read_step_sequences(fh)

@@ -17,11 +17,11 @@ derive two export products:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .jsonl import iter_json_objects, want_int, want_str, want_text
+from .jsonl import encode_number, encode_str, iter_json_objects, want_int, want_str, want_text
+from .params import check_context_length
 
 __all__ = [
     "StepRecord",
@@ -144,12 +144,6 @@ def _make_window(
     )
 
 
-def check_context_length(k: int) -> None:
-    """Raise ValueError unless k is a context length build_windows accepts."""
-    if not 1 <= k <= 3:
-        raise ValueError(f"context length k must be in 1..3, got {k}")
-
-
 def build_windows(seq: NarrativeSequence, k: int) -> list[ConditioningWindow]:
     """Slice a sequence into rolling conditioning windows of context length k.
 
@@ -181,18 +175,18 @@ def export_windows(
     seq: NarrativeSequence, windows: Iterable[ConditioningWindow]
 ) -> Iterator[str]:
     """Serialize windows as line-delimited records for downstream renderers."""
+    sequence = f'{{"sequence_id": {encode_str(seq.sequence_id)}, '
     for w in windows:
-        yield json.dumps(
-            {
-                "sequence_id": seq.sequence_id,
-                "window_index": w.window_index,
-                "k": w.k,
-                "ref_step_indices": list(w.ref_step_indices),
-                "target_step_indices": list(w.target_step_indices),
-                "tiled_caption": w.tiled_caption,
-                "embedding_ids": list(w.reference_embeddings + w.target_embeddings),
-                "partial": w.partial,
-            }
+        refs = ", ".join(encode_number(i, "ref_step_indices") for i in w.ref_step_indices)
+        targets = ", ".join(encode_number(i, "target_step_indices") for i in w.target_step_indices)
+        embedding_ids = ", ".join(map(encode_str, w.reference_embeddings + w.target_embeddings))
+        yield (
+            f'{sequence}"window_index": {encode_number(w.window_index, "window_index")}, '
+            f'"k": {encode_number(w.k, "k")}, "ref_step_indices": [{refs}], '
+            f'"target_step_indices": [{targets}], '
+            f'"tiled_caption": {encode_str(w.tiled_caption)}, '
+            f'"embedding_ids": [{embedding_ids}], '
+            f'"partial": {"true" if w.partial else "false"}}}'
         )
 
 

@@ -6,6 +6,11 @@ them. Every error is an ``InputError`` naming the source and, for
 line-delimited input, the 1-based line. Every reader opens text with ``TEXT``,
 which keeps each byte that is not UTF-8, so such a byte is an ``InputError`` too.
 
+The writers build each line with an f-string from ``encode_str`` and
+``encode_number``, which write exactly what ``json.dumps`` writes for a string
+and for a finite int or float. Their output is ASCII, so its length in
+characters is its length in bytes.
+
 Each line takes a fast path first: one ``raw_decode`` call, accepted only when
 it reads the whole text and yields an object (the lines are already stripped,
 so the whitespace scans of ``JSONDecoder.decode`` would find nothing). Any
@@ -18,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from json.encoder import encode_basestring_ascii as encode_str
 from typing import Iterable, Iterator
 
 __all__ = ["InputError", "decode_object", "iter_json_objects", "want_choice", "want_int",
@@ -26,6 +32,23 @@ __all__ = ["InputError", "decode_object", "iter_json_objects", "want_choice", "w
 
 # How every reader opens text, so that decode_object sees each byte that is not UTF-8.
 TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
+
+
+def encode_number(value: float, key: str) -> str:
+    """``value`` as ``json.dumps`` writes a finite int or float, subclasses included.
+
+    ``{value!r}`` would not do: numpy 2 writes an ``np.float64`` as
+    ``np.float64(1.5)``. Anything else, NaN and the infinities included,
+    raises ValueError naming the field ``key``.
+    """
+    if type(value) is float and value - value == 0.0:  # finite: NaN and inf give NaN
+        return repr(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    raise ValueError(f"field '{key}' must be a finite number, got {value!r}")
 
 
 class InputError(ValueError):

@@ -18,13 +18,13 @@ trip at full precision.
 from __future__ import annotations
 
 import io
-import json
 import math
 import os
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Union
 
-from .jsonl import TEXT, InputError, iter_json_objects, want_choice, want_number, want_str, want_text
+from .jsonl import (TEXT, InputError, encode_number, encode_str, iter_json_objects, want_choice,
+                    want_number, want_str, want_text)
 
 __all__ = [
     "ManifestError",
@@ -327,40 +327,41 @@ def partition(
 
 def _record_lines(m: DatasetManifest) -> Iterator[str]:
     for video_id in sorted(set(m.videos) | set(m.actions)):
-        entry = m.videos.get(video_id)
-        if entry is not None:
-            rec = {"kind": "video", "video_id": video_id}
-            if entry.duration_s is not None:
-                rec["duration_s"] = entry.duration_s
-            yield json.dumps(rec)
-            for clip in entry.clips:
-                yield json.dumps(
-                    {
-                        "kind": "clip",
-                        "video_id": video_id,
-                        "clip_id": clip.clip_id,
-                        "start_s": clip.interval.start_s,
-                        "end_s": clip.interval.end_s,
-                        "caption": clip.caption,
-                    }
+        vid = encode_str(video_id)
+        try:
+            entry = m.videos.get(video_id)
+            if entry is not None:
+                if entry.duration_s is None:
+                    yield f'{{"kind": "video", "video_id": {vid}}}'
+                else:
+                    duration = encode_number(entry.duration_s, "duration_s")
+                    yield f'{{"kind": "video", "video_id": {vid}, "duration_s": {duration}}}'
+                for clip in entry.clips:
+                    yield (
+                        f'{{"kind": "clip", "video_id": {vid}, "clip_id": {encode_str(clip.clip_id)}, '
+                        f'"start_s": {encode_number(clip.interval.start_s, "start_s")}, '
+                        f'"end_s": {encode_number(clip.interval.end_s, "end_s")}, '
+                        f'"caption": {encode_str(clip.caption)}}}'
+                    )
+            for action in m.actions.get(video_id, []):
+                yield (
+                    f'{{"kind": "action", "video_id": {vid}, '
+                    f'"start_s": {encode_number(action.interval.start_s, "start_s")}, '
+                    f'"end_s": {encode_number(action.interval.end_s, "end_s")}, '
+                    f'"description": {encode_str(action.description)}}}'
                 )
-        for action in m.actions.get(video_id, []):
-            yield json.dumps(
-                {
-                    "kind": "action",
-                    "video_id": video_id,
-                    "start_s": action.interval.start_s,
-                    "end_s": action.interval.end_s,
-                    "description": action.description,
-                }
-            )
+        except ValueError as exc:
+            raise ValueError(f"video '{video_id}': {exc}") from None
 
 
 def write_manifest(m: DatasetManifest, sink: Union[str, os.PathLike, IO[str]]) -> int:
     """Serialize a manifest as line-delimited records; returns bytes written.
 
     Videos are emitted in sorted id order so output is canonical; parsing the
-    result reproduces the manifest structurally (see parse_manifest).
+    result reproduces the manifest structurally (see parse_manifest). Each
+    line is the ASCII that ``json.dumps`` writes for its record, so the count
+    is its length. A number that is not finite raises ValueError naming its
+    video.
     """
     if isinstance(sink, (str, os.PathLike)):
         with open(sink, "w", encoding="utf-8", newline="") as fh:
@@ -368,7 +369,7 @@ def write_manifest(m: DatasetManifest, sink: Union[str, os.PathLike, IO[str]]) -
     written = 0
     for line in _record_lines(m):
         sink.write(line + "\n")
-        written += len(line.encode("utf-8")) + 1
+        written += len(line) + 1
     return written
 
 

@@ -28,16 +28,15 @@ finite, which ``TimeInterval`` enforces, so the sweep's sorted order holds.
 
 from __future__ import annotations
 
-import json
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .jsonl import iter_json_objects, want_choice, want_int, want_number, want_str
+from .jsonl import encode_str, iter_json_objects, want_choice, want_int, want_number, want_str
 from .manifest import ActionRecord, ClipRecord, DatasetManifest, TimeInterval, VideoEntry
+from .params import MatchThresholds
 
 __all__ = [
     "MatchRule",
@@ -60,24 +59,6 @@ class MatchRule(Enum):
 
     RULE_A = "RuleA"  # start-aligned: close starts, clip outlasts action, IoU > low
     RULE_B = "RuleB"  # high overlap: IoU > high
-
-
-@dataclass(frozen=True)
-class MatchThresholds:
-    max_start_diff_s: float = 5.0
-    iou_low: float = 0.2
-    iou_high: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.iou_low <= self.iou_high <= 1.0:
-            raise ValueError(
-                f"need 0 <= iou_low <= iou_high <= 1, got "
-                f"{self.iou_low}/{self.iou_high}"
-            )
-        if not math.isfinite(self.max_start_diff_s):
-            raise ValueError(f"max_start_diff_s must be finite, got {self.max_start_diff_s}")
-        if self.max_start_diff_s < 0:
-            raise ValueError(f"max_start_diff_s must be >= 0, got {self.max_start_diff_s}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,8 +255,8 @@ def format_match_record(rec: MatchRecord) -> str:
     """One wire line per match; ratios carry nine decimal digits."""
     return (
         "{"
-        f'"video_id": {json.dumps(rec.video_id)}, '
-        f'"clip_id": {json.dumps(rec.clip_id)}, '
+        f'"video_id": {encode_str(rec.video_id)}, '
+        f'"clip_id": {encode_str(rec.clip_id)}, '
         f'"action_index": {rec.action_index}, '
         f'"iou": {rec.iou:.9f}, '
         f'"start_diff_s": {rec.start_diff_s:.9f}, '

@@ -1,12 +1,39 @@
-"""Settings for the embedding kernels. They use no numpy, so the CLI range-checks
-them for every command; ``embedcore`` re-exports both under the same names."""
+"""Settings that the CLI range-checks for every command before it reads any
+input: the matching thresholds, the context length and the embedding kernels'
+settings. They import nothing but the standard library, so checking them loads
+no command's module; ``matching``, ``context`` and ``embedcore`` re-export
+their own under the same names."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-__all__ = ["RegressionLossParams", "PerturbationSpec"]
+__all__ = ["MatchThresholds", "check_context_length", "RegressionLossParams", "PerturbationSpec"]
+
+
+@dataclass(frozen=True)
+class MatchThresholds:
+    max_start_diff_s: float = 5.0
+    iou_low: float = 0.2
+    iou_high: float = 0.5
+
+    def __post_init__(self):
+        if not 0.0 <= self.iou_low <= self.iou_high <= 1.0:
+            raise ValueError(
+                f"need 0 <= iou_low <= iou_high <= 1, got "
+                f"{self.iou_low}/{self.iou_high}"
+            )
+        if not math.isfinite(self.max_start_diff_s):
+            raise ValueError(f"max_start_diff_s must be finite, got {self.max_start_diff_s}")
+        if self.max_start_diff_s < 0:
+            raise ValueError(f"max_start_diff_s must be >= 0, got {self.max_start_diff_s}")
+
+
+def check_context_length(k: int) -> None:
+    """Raise ValueError unless k is a context length build_windows accepts."""
+    if not 1 <= k <= 3:
+        raise ValueError(f"context length k must be in 1..3, got {k}")
 
 
 @dataclass(frozen=True)

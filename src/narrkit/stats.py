@@ -12,9 +12,10 @@ import statistics
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .manifest import DatasetManifest
+if TYPE_CHECKING:  # a config's histogram_edges are checked without loading the manifest model
+    from .manifest import DatasetManifest
 
 __all__ = [
     "Histogram",

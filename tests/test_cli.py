@@ -266,7 +266,7 @@ class TestStats:
         manifest.write_text('{"kind": "video", "video_id": "v1", "duration_s": 120.0}\n')
         tokens.write_text("")
         code, out, err = invoke(capsys, "stats", "--manifest", str(manifest), flag, str(tokens))
-        assert (code, out, err) == (1, "", "error: no records to profile\n")
+        assert (code, out, err) == (1, "", f"error: {tokens}: no records to profile\n")
 
 
 class TestScore:
@@ -371,7 +371,23 @@ class TestMetrics:
         short = str(tmp_path / "short.emb")
         write_embeddings(EmbeddingSet(np.ones((29, 8), dtype=np.float32)), short)
         code, out, err = invoke(capsys, "metrics", metric, "--pred", emb_paths[0], "--target", short)
-        assert (code, out, err) == (1, "", "error: pair count mismatch: 30 vs 29\n")
+        assert (code, out, err) == (1, "", f"error: {short}: pair count mismatch: 30 vs 29\n")
+
+    @pytest.mark.parametrize(
+        "metric,flags,shape,reason",
+        [
+            ("regloss", ("--pred", "--target"), (30, 4), "dimension mismatch: 8 vs 4"),
+            ("flowloss", ("--pred", "--target"), (30, 4), "dimension mismatch: 8 vs 4"),
+            ("clipt", ("--text", "--image"), (29, 8), "pair count mismatch: 30 vs 29"),
+            ("clipt", ("--text", "--image"), (30, 4), "dimension mismatch: 8 vs 4"),
+        ],
+        ids=["regloss-dimension", "flowloss-dimension", "clipt-count", "clipt-dimension"],
+    )
+    def test_mismatch_names_second_file(self, capsys, tmp_path, emb_paths, metric, flags, shape, reason):
+        other = str(tmp_path / "other.emb")
+        write_embeddings(EmbeddingSet(np.ones(shape, dtype=np.float32)), other)
+        code, out, err = invoke(capsys, "metrics", metric, flags[0], emb_paths[0], flags[1], other)
+        assert (code, out, err) == (1, "", f"error: {other}: {reason}\n")
 
     @pytest.mark.parametrize("metric", ["regloss", "flowloss"])
     def test_empty_sets_rejected(self, capsys, tmp_path, metric):

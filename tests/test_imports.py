@@ -81,6 +81,47 @@ def test_corpus_commands_run_without_numpy(corpus, argv):
     assert proc.returncode == 0, proc.stderr
 
 
+def _narrkit_modules(code: str, *argv: str) -> set[str]:
+    # Run ``code`` in a fresh interpreter; the narrkit modules it left loaded.
+    proc = _python("-c", code + "\nimport sys; print(*sorted(m for m in sys.modules if 'narrkit' in m))", *argv)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+_BASE = {"narrkit", "narrkit.cli", "narrkit.jsonl", "narrkit.params"}
+_RUN_CLI = "import sys; from narrkit.cli import run; assert run(sys.argv[1:]) == 0"
+
+
+def test_cli_import_loads_no_command_module():
+    assert _narrkit_modules("import narrkit.cli") == _BASE
+
+
+# Each corpus command and the narrkit modules it loads beyond those of the CLI.
+_CLOSURES = [
+    (["validate", "--manifest", "{manifest}"], {"manifest"}),
+    (["match", "--manifest", "{manifest}"], {"manifest", "matching"}),
+    (["filter", "--manifest", "{manifest}", "--matches", "{matches}"], {"manifest", "matching"}),
+    (["stats", "--manifest", "{manifest}", "--caption-tokens", "{captions}"], {"manifest", "stats"}),
+    (["windows", "--steps", "{steps}"], {"context"}),
+    (["score", "--tiers", "{tiers}", "--ratings", "{ratings}"], {"scoring"}),
+]
+
+
+@pytest.mark.parametrize("argv,closure", _CLOSURES, ids=[argv[0] for argv, _ in _CLOSURES])
+def test_command_loads_only_its_modules(corpus, argv, closure):
+    paths, root = corpus
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(root / f"{argv[0]}.closure")]
+    assert _narrkit_modules(_RUN_CLI, *argv) == _BASE | {f"narrkit.{name}" for name in closure}
+
+
+def test_histogram_edges_load_only_stats(corpus, tmp_path):
+    paths, _ = corpus
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"histogram_edges": {"clip_length_s": [0, 5, 10]}}))
+    argv = ["windows", "--steps", paths["steps"], "--config", str(cfg), "--out", str(tmp_path / "w")]
+    assert _narrkit_modules(_RUN_CLI, *argv) == _BASE | {"narrkit.context", "narrkit.stats"}
+
+
 @pytest.mark.parametrize(
     "argv,cfg,err",
     [

@@ -245,6 +245,16 @@ class TestRoundTrip:
         n = write_manifest(m, buf)
         assert n == len(buf.getvalue().encode("utf-8"))
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), np.float64("-inf")])
+    def test_non_finite_duration_rejected(self, duration):
+        # a hand-built entry; json.dumps would write NaN or Infinity, which is not JSON
+        m = DatasetManifest({"v0": VideoEntry(1.0), "v1": VideoEntry(duration)})
+        with pytest.raises(ValueError) as err:
+            write_manifest(m, io.StringIO())
+        assert str(err.value) == (
+            f"video 'v1': field 'duration_s' must be a finite number, got {duration!r}"
+        )
+
     def test_file_sink(self, tmp_path, rng):
         m = random_manifest(rng, n_videos=10)
         path = tmp_path / "m.jsonl"
