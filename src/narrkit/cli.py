@@ -28,8 +28,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, get_type_hints
 
-from .jsonl import (TEXT, InputError, decode_object, encode_number, encode_str, iter_json_objects,
-                    want_int, want_number, want_str)
+from .jsonl import TEXT, InputError, decode_object, iter_json_objects, want_int, want_number, want_str
 from .params import MatchThresholds, PerturbationSpec, RegressionLossParams, check_context_length
 
 if TYPE_CHECKING:  # it loads numpy, so the embedding handlers import it as they run
@@ -226,10 +225,15 @@ def cmd_filter(args, rc: RunConfig) -> int:
         write_manifest(result.manifest, out)
         if args.assignment:
             for (video_id, clip_id), indices in result.assignment.items():
-                action_indices = ", ".join(encode_number(i, "action_indices") for i in indices)
                 assignment.write(
-                    f'{{"video_id": {encode_str(video_id)}, "clip_id": {encode_str(clip_id)}, '
-                    f'"action_indices": [{action_indices}]}}\n'
+                    json.dumps(
+                        {
+                            "video_id": video_id,
+                            "clip_id": clip_id,
+                            "action_indices": indices,
+                        }
+                    )
+                    + "\n"
                 )
     kept = result.manifest.n_clips
     _log(f"kept {kept} of {manifest.n_clips} clips ({policy.value} policy)")
@@ -326,13 +330,13 @@ def cmd_metrics(args, rc: RunConfig) -> int:
         text = embedio.read_embeddings(args.text)
         image = embedio.read_embeddings(args.image)
         with _blame(args.image):  # a pair that does not line up is the second file's fault
-            embedcore.check_pairs(text, image)
+            embedcore._check_pairs(text, image)
         output = repr(embedcore.clip_t_score(text, image, scale=args.scale)) + "\n"
     else:
         pred = embedio.read_embeddings(args.pred)
         target = embedio.read_embeddings(args.target)
         with _blame(args.target):
-            embedcore.check_pairs(pred, target)
+            embedcore._check_pairs(pred, target)
         if kind == "regloss":
             loss = embedcore.regression_loss(pred, target, rc.loss_params)
             output = json.dumps({**loss.to_dict(), "pairs": len(pred)}) + "\n"

@@ -17,10 +17,11 @@ derive two export products:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .jsonl import encode_number, encode_str, iter_json_objects, want_int, want_str, want_text
+from .jsonl import iter_json_objects, want_int, want_str, want_text
 from .params import check_context_length
 
 __all__ = [
@@ -175,18 +176,18 @@ def export_windows(
     seq: NarrativeSequence, windows: Iterable[ConditioningWindow]
 ) -> Iterator[str]:
     """Serialize windows as line-delimited records for downstream renderers."""
-    sequence = f'{{"sequence_id": {encode_str(seq.sequence_id)}, '
     for w in windows:
-        refs = ", ".join(encode_number(i, "ref_step_indices") for i in w.ref_step_indices)
-        targets = ", ".join(encode_number(i, "target_step_indices") for i in w.target_step_indices)
-        embedding_ids = ", ".join(map(encode_str, w.reference_embeddings + w.target_embeddings))
-        yield (
-            f'{sequence}"window_index": {encode_number(w.window_index, "window_index")}, '
-            f'"k": {encode_number(w.k, "k")}, "ref_step_indices": [{refs}], '
-            f'"target_step_indices": [{targets}], '
-            f'"tiled_caption": {encode_str(w.tiled_caption)}, '
-            f'"embedding_ids": [{embedding_ids}], '
-            f'"partial": {"true" if w.partial else "false"}}}'
+        yield json.dumps(
+            {
+                "sequence_id": seq.sequence_id,
+                "window_index": w.window_index,
+                "k": w.k,
+                "ref_step_indices": list(w.ref_step_indices),
+                "target_step_indices": list(w.target_step_indices),
+                "tiled_caption": w.tiled_caption,
+                "embedding_ids": list(w.reference_embeddings + w.target_embeddings),
+                "partial": w.partial,
+            }
         )
 
 

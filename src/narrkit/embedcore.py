@@ -48,7 +48,6 @@ __all__ = [
     "add_noise",
     "fit_moments",
     "check_jitter",
-    "check_pairs",
     "frechet_distance",
     "clip_t_score",
     "flow_loss",
@@ -121,7 +120,7 @@ def _as_vector(x: ArrayLike, name: str) -> np.ndarray:
 _BLOCK = 1024
 
 
-def check_pairs(a: Rows, b: Rows, names=("pred", "target")) -> tuple[np.ndarray, np.ndarray]:
+def _check_pairs(a: Rows, b: Rows, names=("pred", "target")) -> tuple[np.ndarray, np.ndarray]:
     """Raise ValueError unless two inputs hold as many rows as each other, of
     one dimension; return them as rows (see _as_rows)."""
     x, y = _as_rows(a, names[0]), _as_rows(b, names[1])
@@ -134,7 +133,7 @@ def check_pairs(a: Rows, b: Rows, names=("pred", "target")) -> tuple[np.ndarray,
 
 def _pairs(a: Rows, b: Rows, names=("pred", "target")) -> tuple[np.ndarray, np.ndarray]:
     """Check two index-paired inputs and return them as rows (see _as_rows)."""
-    x, y = check_pairs(a, b, names)
+    x, y = _check_pairs(a, b, names)
     if not len(x):
         raise ValueError("no pairs to score")
     return x, y

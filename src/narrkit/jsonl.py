@@ -6,10 +6,10 @@ them. Every error is an ``InputError`` naming the source and, for
 line-delimited input, the 1-based line. Every reader opens text with ``TEXT``,
 which keeps each byte that is not UTF-8, so such a byte is an ``InputError`` too.
 
-The writers build each line with an f-string from ``encode_str`` and
-``encode_number``, which write exactly what ``json.dumps`` writes for a string
-and for a finite int or float. Their output is ASCII, so its length in
-characters is its length in bytes.
+``write_manifest`` and ``format_match_record`` build each line with an
+f-string from ``encode_str`` and ``encode_number``, which write exactly what
+``json.dumps`` writes for a string and for a finite int or float. Their output
+is ASCII, so its length in characters is its length in bytes.
 
 Each line takes a fast path first: one ``raw_decode`` call, accepted only when
 it reads the whole text and yields an object (the lines are already stripped,
@@ -41,8 +41,6 @@ def encode_number(value: float, key: str) -> str:
     ``np.float64(1.5)``. Anything else, NaN and the infinities included,
     raises ValueError naming the field ``key``.
     """
-    if type(value) is float and value - value == 0.0:  # finite: NaN and inf give NaN
-        return repr(value)
     if isinstance(value, float):
         if math.isfinite(value):
             return float.__repr__(value)

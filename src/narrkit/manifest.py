@@ -361,13 +361,19 @@ def write_manifest(m: DatasetManifest, sink: Union[str, os.PathLike, IO[str]]) -
     result reproduces the manifest structurally (see parse_manifest). Each
     line is the ASCII that ``json.dumps`` writes for its record, so the count
     is its length. A number that is not finite raises ValueError naming its
-    video.
+    video; given a path, it raises before the file is opened.
     """
+    lines: Iterable[str] = _record_lines(m)
     if isinstance(sink, (str, os.PathLike)):
+        lines = list(lines)
         with open(sink, "w", encoding="utf-8", newline="") as fh:
-            return write_manifest(m, fh)
+            return _write_lines(lines, fh)
+    return _write_lines(lines, sink)
+
+
+def _write_lines(lines: Iterable[str], sink: IO[str]) -> int:
     written = 0
-    for line in _record_lines(m):
+    for line in lines:
         sink.write(line + "\n")
         written += len(line) + 1
     return written

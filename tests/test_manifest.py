@@ -246,7 +246,7 @@ class TestRoundTrip:
         assert n == len(buf.getvalue().encode("utf-8"))
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf"), np.float64("-inf")])
-    def test_non_finite_duration_rejected(self, duration):
+    def test_non_finite_duration_rejected(self, duration, tmp_path):
         # a hand-built entry; json.dumps would write NaN or Infinity, which is not JSON
         m = DatasetManifest({"v0": VideoEntry(1.0), "v1": VideoEntry(duration)})
         with pytest.raises(ValueError) as err:
@@ -254,6 +254,11 @@ class TestRoundTrip:
         assert str(err.value) == (
             f"video 'v1': field 'duration_s' must be a finite number, got {duration!r}"
         )
+        # given a path, the bad number raises before the file is opened: no partial manifest
+        path = tmp_path / "m.jsonl"
+        with pytest.raises(ValueError, match="'duration_s' must be a finite number"):
+            write_manifest(m, path)
+        assert not path.exists()
 
     def test_file_sink(self, tmp_path, rng):
         m = random_manifest(rng, n_videos=10)

@@ -1,8 +1,9 @@
 """Every record writer writes, line for line, what ``json.dumps`` writes for its record.
 
-The writers build their lines from ``jsonl.encode_str`` and
-``jsonl.encode_number``; the references below build each record as a dict and
-dump it, as the writers once did.
+The manifest and match-record writers build their lines from
+``jsonl.encode_str`` and ``jsonl.encode_number``; the window and assignment
+writers dump a dict. The references below build each record as a dict and
+dump it.
 """
 
 import io
