@@ -6,10 +6,12 @@ aggregation, embedding metrics, embedding perturbation, and conditioning
 window export. Primary outputs go to --out or stdout; logs go to stderr.
 
 Every subcommand is deterministic given its inputs, configuration and
---seed: two runs produce byte-identical primary outputs. --threads is
-accepted for compatibility and has no effect. Flag values override the
-optional JSON config file, which overrides built-in defaults. Primary output
-files are written whole or not at all.
+--seed: two runs produce byte-identical primary outputs. --threads N (at
+least 1, default 1) lets perturb split its rows across up to N processes, at
+most one per available CPU, with the same output bytes; the other commands
+ignore it. Flag values override the optional JSON config file, which
+overrides built-in defaults. Primary output files are written whole or not
+at all.
 
 Exit codes: 0 success, 1 validation or data error, 2 usage error.
 
@@ -29,7 +31,8 @@ from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, get_type_hints
 
 from .jsonl import TEXT, InputError, decode_object, iter_json_objects, want_int, want_number, want_str
-from .params import MatchThresholds, PerturbationSpec, RegressionLossParams, check_context_length
+from .params import (MatchThresholds, PerturbationSpec, RegressionLossParams, check_context_length,
+                     check_threads)
 
 if TYPE_CHECKING:  # it loads numpy, so the embedding handlers import it as they run
     from . import embedcore
@@ -46,14 +49,14 @@ class RunConfig:
     perturbation: PerturbationSpec
     k: int
     histogram_edges: dict[str, list[float]]
+    threads: int
 
 
 # The settings sections of RunConfig, in its field order. Each field is set by
 # the config key of the same name and by the flag whose dest is that name.
 _SECTIONS = (MatchThresholds, RegressionLossParams, PerturbationSpec)
 
-# Config file keys and the JSON type of each; ``threads`` is accepted for
-# compatibility and ignored.
+# Config file keys and the JSON type of each.
 _CONFIG_TYPES = {
     "threads": int, "k": int, "histogram_edges": dict,
     **{key: kind for cls in _SECTIONS for key, kind in get_type_hints(cls).items()},
@@ -117,12 +120,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             sections.append(cls(**{name: cfg[name] for name in names}))
         except ValueError as exc:
             raise range_error(str(exc), names) from exc
-    k = cfg.get("k", 2)
-    try:  # before any input is read
-        check_context_length(k)
-    except ValueError as exc:
-        raise range_error(str(exc), ["k"]) from exc
-    return RunConfig(*sections, k=k, histogram_edges=cfg.get("histogram_edges", {}))
+    k, threads = cfg.get("k", 2), cfg.get("threads", 1)
+    for name, check, value in (("k", check_context_length, k), ("threads", check_threads, threads)):
+        try:  # before any input is read
+            check(value)
+        except ValueError as exc:
+            raise range_error(str(exc), [name]) from exc
+    return RunConfig(*sections, k=k, histogram_edges=cfg.get("histogram_edges", {}), threads=threads)
 
 
 def _log(message: str) -> None:
@@ -304,12 +308,15 @@ def cmd_score(args, rc: RunConfig) -> int:
     return 0
 
 
-def _fit_moments(path: str) -> embedcore.GaussianMoments:
+def _fit_moments(path: str, dim: int | None = None) -> embedcore.GaussianMoments:
+    """Fit the set at ``path``, which must have ``dim`` columns when given."""
     from . import embedcore, embedio
 
     # The set is dropped on return, so frechet holds one set at a time.
     embeddings = embedio.read_embeddings(path)
     with _blame(path):
+        if dim is not None and embeddings.dim != dim:
+            raise ValueError(f"dimension mismatch: {dim} vs {embeddings.dim}")
         return embedcore.fit_moments(embeddings)
 
 
@@ -324,7 +331,7 @@ def cmd_metrics(args, rc: RunConfig) -> int:
         except ValueError as exc:
             raise _FlagError(str(exc), source="--jitter") from exc
         a = _fit_moments(args.a)
-        b = _fit_moments(args.b)
+        b = _fit_moments(args.b, a.dim)  # a mismatch is the second file's fault, as below
         output = repr(embedcore.frechet_distance(a, b, jitter=jitter)) + "\n"
     elif kind == "clipt":
         text = embedio.read_embeddings(args.text)
@@ -356,6 +363,9 @@ def _population_std(args, source: embedcore.EmbeddingSet):
     if len(population) < 2:
         advice = "" if args.population else "; supply --population"
         raise InputError(f"std basis needs a population of at least 2 vectors{advice}", source=path)
+    if population.dim != source.dim:
+        raise InputError(f"dimension {population.dim} does not match --in dimension {source.dim}",
+                         source=path)
     return embedcore.population_std(population)
 
 
@@ -366,12 +376,17 @@ def cmd_perturb(args, rc: RunConfig) -> int:
         _log("perturb: --out is required (binary output does not go to stdout)")
         return 2
     source = embedio.read_embeddings(args.input)
-    result = embedcore.perturb_set(
-        source,
-        _population_std(args, source),
-        rc.perturbation,
-        shuffle_mode=args.shuffle_mode,
-    )
+    if args.format == "binary" and source.ids is not None:
+        try:  # before any row is perturbed
+            embedio._check_binary_ids(source.ids)
+        except ValueError as exc:
+            raise InputError(f"{exc}; use --format jsonl", source=args.input) from exc
+    basis = _population_std(args, source)
+    # Every input is checked by now; what can still fail is noise past float32.
+    with _blame("--noise-scale"):
+        result = embedcore.perturb_set(
+            source, basis, rc.perturbation, shuffle_mode=args.shuffle_mode, threads=rc.threads
+        )
     with _outputs(args.out) as (out,):
         # binary output goes to the byte stream under the text sink
         written = embedio.write_embeddings(result, out.buffer, fmt=args.format)
@@ -403,7 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--seed", type=int, help="seed for all randomness (default 0)")
-    common.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
+    common.add_argument(
+        "--threads", type=int,
+        help="processes perturb may split its rows across, at most one per CPU (default 1; "
+        "same output bytes); other commands ignore it",
+    )
     common.add_argument("--out", help="output path (default: stdout)")
 
     parser = argparse.ArgumentParser(

@@ -19,17 +19,19 @@ depend on scheduling or thread count.
 Memory: kernels read a set in its stored dtype. ``fit_moments`` and
 ``population_std`` make at most one float64 working copy of it, the pair
 losses upcast bounded row blocks, and ``perturb_set`` writes each row into
-one output array of the set's dtype.
+one output array of the set's dtype, which its forked workers share.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .params import PerturbationSpec, RegressionLossParams
+from .params import PerturbationSpec, RegressionLossParams, check_threads
 
 __all__ = [
     "EmbeddingSet",
@@ -279,6 +281,54 @@ def perturb(
     return _perturb_row(v, basis, spec, item_index, coord_shuffle=True).astype(out_dtype)
 
 
+def _worker_count(threads: int, rows: int) -> int:
+    """Processes that perturb_set splits ``rows`` across: ``threads``, capped
+    by the rows and by the CPUs this process may run on."""
+    check_threads(threads)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity call outside Linux
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads, rows, cpus))
+
+
+def _run_forked(fill: Callable[[int, int], None], bounds: list[int]) -> None:
+    """Run ``fill(lo, hi)`` over each range of ``bounds``: the first in this
+    process, each other in a forked worker. Every worker is reaped before this
+    returns or raises; one that fails raises ChildProcessError.
+
+    Fork copies only the calling thread. OpenBLAS's idle threads stay behind,
+    which is safe because the row loop calls no BLAS: it draws random numbers
+    and does elementwise arithmetic and indexing only.
+    """
+    pids = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            pid = os.fork()
+            if pid == 0:  # a worker: fill its rows and exit, never returning to the caller
+                status = 1
+                try:
+                    fill(lo, hi)
+                    status = 0
+                except BaseException:
+                    import traceback  # loaded only here: the other commands never need it
+
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(status)
+            pids.append((pid, lo, hi))
+        fill(bounds[0], bounds[1])
+    finally:
+        statuses = [(os.waitpid(pid, 0)[1], lo, hi) for pid, lo, hi in pids]
+    for status, lo, hi in statuses:
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(
+                f"perturb worker for rows {lo}..{hi - 1} exited with status {code}"
+            )
+
+
 def perturb_set(
     embeddings: EmbeddingSet,
     std_basis: ArrayLike,
@@ -291,7 +341,18 @@ def perturb_set(
     ``shuffle_mode`` selects what the shuffle stage permutes: "coords"
     shuffles coordinates within each vector, "sequence" permutes the order
     of the vectors themselves (ids travel with their rows). Each row owns
-    its random stream. ``threads`` is accepted for compatibility and ignored.
+    its random stream, so the output bytes do not depend on ``threads``.
+
+    ``threads`` (at least 1) splits the rows into that many contiguous
+    ranges, capped by the rows and by the CPUs this process may run on. This
+    process perturbs the first range and one forked worker each other range,
+    all writing into one anonymous shared buffer that becomes the result's
+    vectors. Fork copies only the calling thread, so pass ``threads`` above 1
+    only from a process that runs no other Python thread. A worker that fails
+    raises ChildProcessError, once every worker has exited.
+
+    Raises ValueError when the noise takes a value past the range of the
+    set's dtype.
     """
     if shuffle_mode not in ("coords", "sequence"):
         raise ValueError(f"shuffle_mode must be 'coords' or 'sequence', got {shuffle_mode!r}")
@@ -306,9 +367,25 @@ def perturb_set(
         slot = np.argsort(order)
         if ids is not None:
             ids = [ids[i] for i in order]
-    result = np.empty_like(rows)
-    for i in range(len(rows)):
-        result[slot[i]] = _perturb_row(rows[i], basis, spec, i, coord_shuffle)
+    workers = _worker_count(threads, len(rows))
+    if workers == 1:
+        result = np.empty_like(rows)
+    else:  # MAP_SHARED: the pages a worker writes are the pages this process reads
+        import mmap  # loaded only here, so the metrics commands do not pay for it
+
+        shared = mmap.mmap(-1, rows.nbytes, flags=mmap.MAP_SHARED)
+        result = np.ndarray(rows.shape, rows.dtype, shared)
+
+    def fill(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            result[slot[i]] = _perturb_row(rows[i], basis, spec, i, coord_shuffle)
+
+    # An overflow leaves an infinity, reported once below for every worker
+    # count, instead of one warning per process.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _run_forked(fill, [len(rows) * k // workers for k in range(workers + 1)])
+    if not np.isfinite(result).all():
+        raise ValueError(f"the noise takes perturbed values past the {result.dtype} range")
     return EmbeddingSet(result, ids)
 
 

@@ -129,13 +129,18 @@ def read_embeddings(source: Source) -> EmbeddingSet:
     return _read(source, getattr(source, "name", "<input>"))
 
 
+def _check_binary_ids(ids: list[str]) -> None:
+    """Raise ValueError unless the binary id block can hold every id."""
+    for number, item in enumerate(ids, start=1):
+        if "\n" in item:
+            raise ValueError(f"embedding id {number} may not contain a newline: {item!r}")
+
+
 def _encode_binary(es: EmbeddingSet) -> list:
     parts = [MAGIC, _HEADER.pack(len(es), es.dim)]
     parts.append(np.ascontiguousarray(es.vectors, dtype="<f4"))
     if es.ids is not None:
-        for item in es.ids:
-            if "\n" in item:
-                raise ValueError(f"embedding id may not contain a newline: {item!r}")
+        _check_binary_ids(es.ids)
         parts.append("\n".join(es.ids).encode("utf-8"))
     return parts
 

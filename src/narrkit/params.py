@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["MatchThresholds", "check_context_length", "RegressionLossParams", "PerturbationSpec"]
+__all__ = ["MatchThresholds", "check_context_length", "check_threads", "RegressionLossParams",
+           "PerturbationSpec"]
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,12 @@ def check_context_length(k: int) -> None:
     """Raise ValueError unless k is a context length build_windows accepts."""
     if not 1 <= k <= 3:
         raise ValueError(f"context length k must be in 1..3, got {k}")
+
+
+def check_threads(threads: int) -> None:
+    """Raise ValueError unless threads is a worker count perturb_set accepts."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
 
 @dataclass(frozen=True)

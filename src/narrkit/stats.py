@@ -8,10 +8,10 @@ even sample sizes, keeping summaries deterministic without interpolation.
 
 from __future__ import annotations
 
-import statistics
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from enum import Enum
+from math import fsum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # a config's histogram_edges are checked without loading the manifest model
@@ -80,14 +80,23 @@ def histogram(values: Iterable[float], bin_edges: Sequence[float]) -> Histogram:
     return Histogram(tuple(edges), tuple(slots[1:-1]), slots[0], slots[-1])
 
 
+def _mean(data: list) -> float:
+    try:
+        return fsum(data) / len(data)
+    except OverflowError:  # the sum passed the float range, which the mean cannot: sum exactly
+        from fractions import Fraction  # loaded only on this path
+
+        return float(sum(map(Fraction, data)) / len(data))
+
+
 def summarize(values: Iterable[float]) -> SummaryStats:
     data = list(values)
     if not data:
         raise ValueError("cannot summarize an empty collection")
     return SummaryStats(
         n=len(data),
-        mean=statistics.fmean(data),
-        median=float(statistics.median_low(data)),
+        mean=_mean(data),
+        median=float(sorted(data)[(len(data) - 1) // 2]),  # the lower middle value
         min=float(min(data)),
         max=float(max(data)),
     )

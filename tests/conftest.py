@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -72,3 +74,14 @@ def random_sequence(rng: np.random.Generator, n_steps: int, sequence_id="seq") -
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def allow_cpus(monkeypatch, n: int) -> None:
+    """Make this process look as if it may run on ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_child_left() -> None:
+    """Fail if this process has a child that is running or not yet reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -205,8 +205,8 @@ def test_perturbation_contract(tmp_path):
     es = EmbeddingSet(rng.normal(size=(64, 48)))
     spec_set = PerturbationSpec(seed=13)
     one = perturb_set(es, np.ones(48), spec_set, threads=1)
-    four = perturb_set(es, np.ones(48), spec_set, threads=4)
-    assert one.vectors.tobytes() == four.vectors.tobytes()
+    three = perturb_set(es, np.ones(48), spec_set, threads=3)
+    assert one.vectors.tobytes() == three.vectors.tobytes()
 
     dim = 10_000
     filled = np.full(dim, 3.5)

@@ -6,7 +6,7 @@ import stat
 import numpy as np
 import pytest
 
-from conftest import random_manifest, random_sequence
+from conftest import allow_cpus, assert_no_child_left, random_manifest, random_sequence
 from narrkit import cli, embedcore
 from narrkit.cli import run
 from narrkit.embedcore import EmbeddingSet
@@ -260,6 +260,14 @@ class TestStats:
         assert code == 1
         assert "missing caption token count" in err
 
+    def test_huge_durations_summarized(self, capsys, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"kind": "video", "video_id": "v1", "duration_s": 1e308}\n'
+                            '{"kind": "video", "video_id": "v2", "duration_s": 1e308}\n')
+        code, out, err = invoke(capsys, "stats", "--manifest", str(manifest))
+        assert code == 0, err
+        assert json.loads(out)["video_length_s"]["summary"]["mean"] == 1e308
+
     @pytest.mark.parametrize("flag", ["--caption-tokens", "--action-tokens"])
     def test_no_records_to_profile(self, capsys, tmp_path, flag):
         manifest, tokens = tmp_path / "m.jsonl", tmp_path / "tokens.jsonl"
@@ -380,14 +388,24 @@ class TestMetrics:
             ("flowloss", ("--pred", "--target"), (30, 4), "dimension mismatch: 8 vs 4"),
             ("clipt", ("--text", "--image"), (29, 8), "pair count mismatch: 30 vs 29"),
             ("clipt", ("--text", "--image"), (30, 4), "dimension mismatch: 8 vs 4"),
+            ("frechet", ("--a", "--b"), (30, 4), "dimension mismatch: 8 vs 4"),
         ],
-        ids=["regloss-dimension", "flowloss-dimension", "clipt-count", "clipt-dimension"],
+        ids=["regloss-dimension", "flowloss-dimension", "clipt-count", "clipt-dimension",
+             "frechet-dimension"],
     )
     def test_mismatch_names_second_file(self, capsys, tmp_path, emb_paths, metric, flags, shape, reason):
         other = str(tmp_path / "other.emb")
         write_embeddings(EmbeddingSet(np.ones(shape, dtype=np.float32)), other)
         code, out, err = invoke(capsys, "metrics", metric, flags[0], emb_paths[0], flags[1], other)
         assert (code, out, err) == (1, "", f"error: {other}: {reason}\n")
+
+    def test_frechet_checks_b_before_fitting_it(self, capsys, monkeypatch, tmp_path, emb_paths):
+        narrow = str(tmp_path / "b4.emb")
+        write_embeddings(EmbeddingSet(np.ones((30, 4), dtype=np.float32)), narrow)
+        fitted, fit = [], embedcore.fit_moments
+        monkeypatch.setattr(embedcore, "fit_moments", lambda es: fitted.append(es.dim) or fit(es))
+        code, _, err = invoke(capsys, "metrics", "frechet", "--a", emb_paths[0], "--b", narrow)
+        assert (code, err, fitted) == (1, f"error: {narrow}: dimension mismatch: 8 vs 4\n", [8])
 
     @pytest.mark.parametrize("metric", ["regloss", "flowloss"])
     def test_empty_sets_rejected(self, capsys, tmp_path, metric):
@@ -441,7 +459,7 @@ class TestPerturb:
         o1, o2 = tmp_path / "o1.emb", tmp_path / "o2.emb"
         invoke(capsys, "perturb", "--in", a, "--out", str(o1), "--seed", "7")
         invoke(capsys, "perturb", "--in", a, "--out", str(o2), "--seed", "7",
-               "--threads", "4")
+               "--threads", "3")
         assert o1.read_bytes() == o2.read_bytes()
 
     def test_seed_changes_output(self, capsys, emb_paths, tmp_path):
@@ -476,6 +494,126 @@ class TestPerturb:
             capsys, "perturb", "--in", a, "--population", b, "--out", str(out_path)
         )
         assert code == 0
+
+    def test_population_dimension_names_the_population(self, capsys, emb_paths, tmp_path):
+        narrow, out_path = tmp_path / "b4.emb", tmp_path / "o.emb"
+        write_embeddings(EmbeddingSet(np.ones((30, 4), dtype=np.float32)), narrow)
+        argv = ["perturb", "--in", emb_paths[0], "--population", str(narrow), "--out", str(out_path)]
+        assert invoke(capsys, *argv) == (1, "", f"error: {narrow}: dimension 4 does not match --in dimension 8\n")
+        assert not out_path.exists()
+
+    def test_newline_in_id_blamed_before_perturbing(self, capsys, monkeypatch, tmp_path):
+        src, out_path = tmp_path / "ids.jsonl", tmp_path / "o.emb"
+        src.write_text('{"id": "a", "values": [1, 2]}\n{"id": "b\\nc", "values": [3, 4]}\n')
+        monkeypatch.setattr(embedcore, "perturb_set", lambda *a, **k: pytest.fail("perturbed"))
+        assert invoke(capsys, "perturb", "--in", str(src), "--out", str(out_path)) == (
+            1, "", f"error: {src}: embedding id 2 may not contain a newline: 'b\\nc'; use --format jsonl\n"
+        )
+        assert not out_path.exists()
+        monkeypatch.undo()
+        code, _, _ = invoke(capsys, "perturb", "--in", str(src), "--out", str(out_path), "--format", "jsonl")
+        assert code == 0
+        assert read_embeddings(str(out_path)).ids == ["a", "b\nc"]
+
+
+class TestPerturbThreads:
+    """--threads splits perturb's rows across forked workers and changes nothing else."""
+
+    @pytest.fixture
+    def id_path(self, tmp_path, rng):
+        path = tmp_path / "ids.emb"
+        write_embeddings(EmbeddingSet(rng.normal(size=(25, 6)).astype(np.float32),
+                                      [f"item-{i}" for i in range(25)]), path)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--shuffle-mode", "sequence"],
+            ["--format", "jsonl", "--seed", "3"],
+            ["--population", "{b}", "--mask-rate", "0.9"],
+            ["--noise-scale", "1e308"],
+            ["--in", "{ids}", "--shuffle-mode", "sequence"],
+            ["--in", "{ids}", "--format", "jsonl"],
+        ],
+        ids=["default", "sequence", "jsonl", "population", "noise-overflow", "ids-sequence", "ids-jsonl"],
+    )
+    def test_threads_1_and_2_agree(self, capsys, monkeypatch, emb_paths, id_path, tmp_path, argv):
+        allow_cpus(monkeypatch, 2)
+        a, b = emb_paths
+        argv = ["--in", a, *[arg.format(b=b, ids=id_path) for arg in argv]]
+        runs = []
+        for threads in ("1", "2"):
+            out_path = tmp_path / f"t{threads}.out"
+            result = invoke(capsys, "perturb", *argv, "--out", str(out_path), "--threads", threads)
+            runs.append((result, out_path.read_bytes() if out_path.exists() else None))
+        assert runs[0] == runs[1]
+        if "1e308" in argv:
+            assert runs[0] == ((1, "", "error: --noise-scale: the noise takes perturbed values past "
+                                       "the float32 range\n"), None)
+        else:
+            assert runs[0][0][0] == 0
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+        assert_no_child_left()
+
+    def test_no_warning_from_any_process(self, emb_paths, tmp_path):
+        # A subprocess keeps Python's default warning filters, which print a RuntimeWarning.
+        import subprocess
+        import sys
+
+        out_path = tmp_path / "o.emb"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from narrkit.cli import run; sys.exit(run(sys.argv[1:]))",
+             "perturb", "--in", emb_paths[0], "--out", str(out_path), "--noise-scale", "1e308",
+             "--threads", "2"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: --noise-scale: the noise takes perturbed values past the float32 range\n"
+        )
+        assert not out_path.exists()
+
+    def test_failing_worker_leaves_nothing(self, capsys, monkeypatch, emb_paths, tmp_path):
+        allow_cpus(monkeypatch, 2)
+        row = embedcore._perturb_row
+
+        def failing(x, basis, spec, i, coord_shuffle):
+            if i == 29:  # the last row, in the worker's range
+                raise RuntimeError("worker failed")
+            return row(x, basis, spec, i, coord_shuffle)
+
+        monkeypatch.setattr(embedcore, "_perturb_row", failing)
+        out_path = tmp_path / "o.emb"
+        code, out, err = invoke(capsys, "perturb", "--in", emb_paths[0], "--out", str(out_path),
+                                "--threads", "2")
+        assert (code, out, err) == (1, "", "error: perturb worker for rows 15..29 exited with status 1\n")
+        assert not out_path.exists()
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+        assert_no_child_left()
+
+    def test_thousand_threads_on_one_cpu_fork_nothing(self, capsys, monkeypatch, emb_paths, tmp_path):
+        allow_cpus(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
+        outs = [tmp_path / "t1.emb", tmp_path / "t1000.emb"]
+        for threads, out_path in zip(("1", "1000"), outs):
+            code, _, err = invoke(capsys, "perturb", "--in", emb_paths[0], "--out", str(out_path),
+                                  "--threads", threads)
+            assert code == 0, err
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_fork_failure_is_an_error(self, capsys, monkeypatch, emb_paths, tmp_path):
+        allow_cpus(monkeypatch, 2)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        out_path = tmp_path / "o.emb"
+        code, out, err = invoke(capsys, "perturb", "--in", emb_paths[0], "--out", str(out_path),
+                                "--threads", "2")
+        assert (code, out, err) == (1, "", "error: [Errno 11] Resource temporarily unavailable\n")
+        assert not out_path.exists()
 
 
 class TestWindows:
@@ -799,10 +937,15 @@ class TestConfig:
              "--jitter: jitter must be finite and >= 0, got -1.0"),
             (["metrics", "frechet", "--a", "{out}", "--b", "{out}", "--jitter", "inf"],
              "--jitter: jitter must be finite and >= 0, got inf"),
+            (["perturb", "--in", "{out}", "--out", "{out}", "--threads", "-3"],
+             "--threads: threads must be >= 1, got -3"),
+            (["match", "--manifest", "{out}", "--config", "{cfg}", "--threads", "0"],
+             "--threads: threads must be >= 1, got 0"),
         ],
         ids=["iou-low-nan", "max-start-diff", "flag-against-config", "mask-rate", "alpha",
              "alpha-nan", "beta-inf", "noise-scale-nan", "max-start-diff-nan", "k-0",
-             "k-4-with-config", "jitter-nan", "jitter-negative", "jitter-inf"],
+             "k-4-with-config", "jitter-nan", "jitter-negative", "jitter-inf", "threads-negative",
+             "threads-0-with-config"],
     )
     def test_out_of_range_flag_named(self, capsys, manifest_path, emb_paths, tmp_path, argv, err):
         cfg, out = tmp_path / "cfg.json", tmp_path / "o.emb"
@@ -844,13 +987,16 @@ class TestConfig:
             ('{"beta": -1}', "alpha and beta must be non-negative"),
             ('{"noise_scale": -1}', "noise_scale must be >= 0, got -1.0"),
             ('{"k": 0}', "context length k must be in 1..3, got 0"),
+            ('{"threads": 0}', "threads must be >= 1, got 0"),
+            ('{"threads": 2.0}', "field 'threads' must be a JSON int"),
         ],
         ids=[
             "shuffle-string", "shuffle-int", "unknown-keys", "array", "string",
             "invalid-json", "k-float", "seed-bool", "float-string", "float-nan",
             "edges-array", "edges-unknown-name", "edges-string-value", "edges-decreasing",
             "edges-one", "bad-utf8",
-            "thresholds-range", "loss-range", "perturbation-range", "k-range",
+            "thresholds-range", "loss-range", "perturbation-range", "k-range", "threads-range",
+            "threads-float",
         ],
     )
     def test_bad_config_rejected(self, capsys, steps_path, tmp_path, text, reason):

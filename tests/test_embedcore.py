@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import allow_cpus, assert_no_child_left
 from narrkit import embedcore
 from narrkit.embedcore import (
     EmbeddingSet,
@@ -273,9 +276,9 @@ class TestPerturbSet:
         basis = np.ones(es.dim)
         spec = PerturbationSpec(seed=21)
         one = perturb_set(es, basis, spec, threads=1)
-        four = perturb_set(es, basis, spec, threads=4)
-        assert one.vectors.tobytes() == four.vectors.tobytes()
-        assert one.ids == four.ids
+        three = perturb_set(es, basis, spec, threads=3)
+        assert one.vectors.tobytes() == three.vectors.tobytes()
+        assert one.ids == three.ids
 
     def test_sequence_mode_permutes_rows_with_ids(self, rng):
         es = self.make_set(rng, n=16)
@@ -323,6 +326,86 @@ class TestPerturbSet:
         es = self.make_set(rng, n=4)
         with pytest.raises(ValueError, match="shuffle_mode"):
             perturb_set(es, np.ones(es.dim), PerturbationSpec(), shuffle_mode="rows")
+
+
+def count_forks(monkeypatch) -> list:
+    """Record each os.fork call in the list returned; the forks still happen."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+class TestForkedWorkers:
+    """perturb_set with threads above 1 splits the rows across forked workers."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 41])
+    @pytest.mark.parametrize("with_ids", [False, True])
+    @pytest.mark.parametrize("mode", ["coords", "sequence"])
+    def test_bytes_do_not_depend_on_threads(self, rng, monkeypatch, mode, with_ids, n):
+        allow_cpus(monkeypatch, 3)
+        forks = count_forks(monkeypatch)
+        es = EmbeddingSet(rng.normal(size=(n, 24)).astype(np.float32),
+                          [f"e{i}" for i in range(n)] if with_ids else None)
+        basis = rng.uniform(0.5, 2.0, size=es.dim)
+        spec = PerturbationSpec(seed=17)
+        outs = [perturb_set(es, basis, spec, shuffle_mode=mode, threads=t) for t in (1, 2, 3)]
+        # min(threads, rows) processes each: threads 2 and 3 fork one and two workers
+        assert len(forks) == min(2, n) - 1 + min(3, n) - 1
+        for out in outs[1:]:
+            assert (out.vectors.dtype, out.vectors.shape) == (es.vectors.dtype, es.vectors.shape)
+            assert out.vectors.tobytes() == outs[0].vectors.tobytes()
+            assert out.ids == outs[0].ids
+        assert_no_child_left()
+
+    def test_float64_set(self, rng, monkeypatch):
+        allow_cpus(monkeypatch, 2)
+        es = EmbeddingSet(rng.normal(size=(9, 5)))
+        one, two = (perturb_set(es, np.ones(5), PerturbationSpec(seed=2), threads=t) for t in (1, 2))
+        assert two.vectors.dtype == np.float64
+        assert two.vectors.tobytes() == one.vectors.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflow_is_one_error_and_no_warning(self, rng, monkeypatch, threads):
+        # RuntimeWarnings fail the test run, in a worker too, where one makes the worker fail.
+        allow_cpus(monkeypatch, 2)
+        es = EmbeddingSet(rng.normal(size=(6, 8)).astype(np.float32))
+        with pytest.raises(ValueError, match="^the noise takes perturbed values past the float32 range$"):
+            perturb_set(es, np.ones(8), PerturbationSpec(noise_scale=1e308), threads=threads)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("bad_row", [0, 5], ids=["parent-range", "worker-range"])
+    def test_a_failing_range_reaps_every_worker(self, rng, monkeypatch, capfd, bad_row):
+        allow_cpus(monkeypatch, 2)
+        row = embedcore._perturb_row
+
+        def failing(x, basis, spec, i, coord_shuffle):
+            if i == bad_row:
+                raise RuntimeError(f"row {i} failed")
+            return row(x, basis, spec, i, coord_shuffle)
+
+        monkeypatch.setattr(embedcore, "_perturb_row", failing)
+        es = EmbeddingSet(rng.normal(size=(6, 8)).astype(np.float32))
+        if bad_row == 0:  # the caller's own range raises as it would at threads=1
+            with pytest.raises(RuntimeError, match="row 0 failed"):
+                perturb_set(es, np.ones(8), PerturbationSpec(), threads=2)
+        else:
+            with pytest.raises(ChildProcessError, match=r"^perturb worker for rows 3\.\.5 exited with status 1$"):
+                perturb_set(es, np.ones(8), PerturbationSpec(), threads=2)
+            assert "RuntimeError: row 5 failed" in capfd.readouterr().err  # the worker's traceback
+        assert_no_child_left()
+
+    def test_worker_count(self, monkeypatch):
+        allow_cpus(monkeypatch, 3)
+        assert [embedcore._worker_count(t, rows) for t, rows in
+                ((1, 100), (2, 100), (1000, 100), (1000, 2), (1000, 1), (4, 0))] == [1, 2, 3, 2, 1, 1]
+        allow_cpus(monkeypatch, 1)
+        assert embedcore._worker_count(1000, 100) == 1
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, rng, threads):
+        es = EmbeddingSet(rng.normal(size=(4, 3)))
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            perturb_set(es, np.ones(3), PerturbationSpec(), threads=threads)
 
 
 class TestLatentEdits:

@@ -122,6 +122,15 @@ def test_histogram_edges_load_only_stats(corpus, tmp_path):
     assert _narrkit_modules(_RUN_CLI, *argv) == _BASE | {"narrkit.context", "narrkit.stats"}
 
 
+def test_stats_loads_no_statistics_module(corpus, tmp_path):
+    # statistics pulls in random, fractions and decimal for two one-line sums
+    paths, _ = corpus
+    code = ("import sys; from narrkit.cli import run; "
+            "assert run(sys.argv[1:]) == 0; print('statistics' in sys.modules)")
+    proc = _python("-c", code, "stats", "--manifest", paths["manifest"], "--out", str(tmp_path / "r"))
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv,cfg,err",
     [

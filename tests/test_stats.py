@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,28 @@ class TestSummaries:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-1e300, 1e300), st.integers(-10**6, 10**6)), min_size=1))
+    def test_same_bits_as_statistics(self, values):
+        # the reference the module used before: fmean and median_low
+        import statistics
+
+        s = summarize(values)
+        assert s.mean == statistics.fmean(values)
+        assert s.median == float(statistics.median_low(values))
+
+    @pytest.mark.parametrize(
+        "values,mean",
+        [
+            ([1e308, 1e308], 1e308),
+            ([sys.float_info.max] * 4, sys.float_info.max),
+            ([sys.float_info.max, -sys.float_info.max, 1e308, 1e308, 2.0], 4e307),
+        ],
+        ids=["two-1e308", "four-max", "mixed-signs"],
+    )
+    def test_mean_of_finite_values_never_overflows(self, values, mean):
+        assert summarize(values).mean == mean
 
     def test_permutation_invariant(self, rng):
         values = rng.uniform(0, 10, size=31).tolist()
