@@ -1,0 +1,112 @@
+"""Byte digests of the corpus commands on the committed inputs in data/golden.
+
+Each case runs ``narrkit.cli.run`` in process, in a scratch directory that
+holds a copy of the inputs, and records the exit code and the sha256 of
+stdout, of stderr and of each output file. ``data/golden/digests.json``
+keeps the digests that the current code must reproduce. Only the standard
+library is needed: the corpus commands load no numpy, so any supported
+Python can check them.
+
+    PYTHONPATH=src python tests/golden.py            # check; exit 1 on a mismatch
+    PYTHONPATH=src python tests/golden.py --rewrite  # record the current digests
+
+A change that moves a digest names the case in CHANGES.md and says why.
+``perturb`` and the metrics are left out: their bits depend on numpy and on
+the BLAS build.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import shutil
+import sys
+import tempfile
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
+DIGESTS = os.path.join(DATA, "digests.json")
+INPUTS = ("manifest.jsonl", "caption_tokens.jsonl", "action_tokens.jsonl", "steps.jsonl",
+          "tiers.jsonl", "ratings.jsonl", "config.json")
+
+_M = ("--manifest", "manifest.jsonl")
+# (case name, argv, output files), run in this order: filter reads match's output.
+CASES = [
+    ("validate", ["validate", *_M, "--out", "violations.jsonl"], ["violations.jsonl"]),
+    ("match", ["match", *_M, "--out", "matches.jsonl"], ["matches.jsonl"]),
+    ("match-iou-low-0.25", ["match", *_M, "--iou-low", "0.25", "--out", "matches-025.jsonl"],
+     ["matches-025.jsonl"]),
+    *[(f"filter-{policy}", ["filter", *_M, "--matches", "matches.jsonl", "--policy", policy,
+                            "--out", f"filtered-{policy}.jsonl",
+                            "--assignment", f"assignment-{policy}.jsonl"],
+       [f"filtered-{policy}.jsonl", f"assignment-{policy}.jsonl"]) for policy in ("best", "all")],
+    ("stats", ["stats", *_M, "--out", "report.json"], ["report.json"]),
+    ("stats-tokens-config", ["stats", *_M, "--caption-tokens", "caption_tokens.jsonl",
+                             "--action-tokens", "action_tokens.jsonl", "--config", "config.json"],
+     []),
+    *[(f"windows-k{k}", ["windows", "--steps", "steps.jsonl", "--k", str(k),
+                         "--out", f"windows-k{k}.jsonl"], [f"windows-k{k}.jsonl"]) for k in (1, 2, 3)],
+    ("score", ["score", "--tiers", "tiers.jsonl", "--ratings", "ratings.jsonl"], []),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_cases(workdir: str) -> dict:
+    """Run every case in ``workdir`` and return its digests, keyed by case name."""
+    from narrkit import cli
+
+    for name in INPUTS:
+        shutil.copy(os.path.join(DATA, name), workdir)
+    results = {}
+    cwd = os.getcwd()
+    os.chdir(workdir)  # every path the commands see, and so every message, is relative
+    try:
+        for name, argv, outputs in CASES:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(argv)
+            results[name] = {
+                "exit": code,
+                "stdout": _sha256(out.getvalue().encode("utf-8", "surrogateescape")),
+                "stderr": _sha256(err.getvalue().encode("utf-8", "surrogateescape")),
+                "outputs": {path: _sha256(pathlib.Path(path).read_bytes()) for path in outputs},
+            }
+    finally:
+        os.chdir(cwd)
+    return results
+
+
+def load_digests() -> dict:
+    with open(DIGESTS, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def main(argv: list[str]) -> int:
+    with tempfile.TemporaryDirectory() as workdir:
+        results = run_cases(workdir)
+    if argv == ["--rewrite"]:
+        with open(DIGESTS, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(results, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {len(results)} cases to {DIGESTS}")
+        return 0
+    if argv:
+        print(__doc__, file=sys.stderr)
+        return 2
+    expected = load_digests()
+    bad = sorted(name for name in expected.keys() | results.keys()
+                 if expected.get(name) != results.get(name))
+    for name in bad:
+        print(f"MISMATCH {name}: expected {expected.get(name)}, got {results.get(name)}")
+    print(f"{len(results) - len(bad)} of {len(results)} cases match on Python "
+          f"{sys.version.split()[0]}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
