@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import gc
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -98,6 +99,11 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _flag(key: str) -> str:
+    """The option that sets the config key ``key``."""
+    return _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     path = getattr(args, "config", None)
     cfg = _load_config(path)
@@ -105,28 +111,36 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     for key in flagged:  # a flag overrides the config key of the same name
         cfg[key] = getattr(args, key)
 
-    def range_error(message: str, names: list[str]) -> InputError:
-        # Blame the first of the keys that a flag set, or else the config file.
-        flags = [name for name in names if name in flagged]
-        if not flags:
-            return InputError(message, source=path)
-        flag = _FLAG_NAMES.get(flags[0], "--" + flags[0].replace("_", "-"))
-        return _FlagError(message, source=flag)
-
-    sections = []
-    for cls in _SECTIONS:  # the fields hold the defaults
-        names = [f.name for f in fields(cls) if f.name in cfg]
+    def build(make, names: list[str]):
+        # make(**values) over the keys in names that are set. If that fails, blame
+        # the config file if its own values fail alone, else the first flag that
+        # fails alone over them, else (the flags fail only together) the first flag.
         try:
-            sections.append(cls(**{name: cfg[name] for name in names}))
+            return make(**{name: cfg[name] for name in names if name in cfg})
         except ValueError as exc:
-            raise range_error(str(exc), names) from exc
-    k, threads = cfg.get("k", 2), cfg.get("threads", 1)
-    for name, check, value in (("k", check_context_length, k), ("threads", check_threads, threads)):
-        try:  # before any input is read
-            check(value)
-        except ValueError as exc:
-            raise range_error(str(exc), [name]) from exc
-    return RunConfig(*sections, k=k, histogram_edges=cfg.get("histogram_edges", {}), threads=threads)
+            error = exc
+        flags = [name for name in names if name in flagged]
+        own = {name: cfg[name] for name in names if name in cfg and name not in flags}
+        trials = [(own, None)] if own else []
+        trials += [({**own, name: cfg[name]}, name) for name in flags]
+        for values, culprit in trials:
+            try:
+                make(**values)
+            except ValueError as exc:
+                error, blame = exc, culprit
+                break
+        else:
+            blame = flags[0]
+        if blame is None:
+            raise InputError(str(error), source=path) from error
+        raise _FlagError(str(error), source=_flag(blame)) from error
+
+    sections = [build(cls, [f.name for f in fields(cls)]) for cls in _SECTIONS]  # with defaults
+    for name, check in (("k", check_context_length), ("threads", check_threads)):
+        if name in cfg:  # before any input is read; the defaults pass
+            build(check, [name])
+    return RunConfig(*sections, k=cfg.get("k", 2), histogram_edges=cfg.get("histogram_edges", {}),
+                     threads=cfg.get("threads", 1))
 
 
 def _log(message: str) -> None:
@@ -255,7 +269,9 @@ def _read_token_counts(kind: str, path: str, keys: list[tuple]) -> list[int]:
     with open(path, **TEXT) as fh:
         for lineno, rec in iter_json_objects(fh, path):
             key = (want_str(rec, "video_id", lineno, path), want_key(rec, field, lineno, path))
-            table[key] = want_int(rec, "tokens", lineno, path)
+            count = table[key] = want_int(rec, "tokens", lineno, path)
+            if not 0 <= count <= 2**53:  # a histogram bins each count as an exact float
+                raise InputError("field 'tokens' must be an integer in [0, 2**53]", lineno, path)
     if not keys:
         raise InputError("no records to profile", source=path)
     for key in keys:
@@ -332,23 +348,29 @@ def cmd_metrics(args, rc: RunConfig) -> int:
             raise _FlagError(str(exc), source="--jitter") from exc
         a = _fit_moments(args.a)
         b = _fit_moments(args.b, a.dim)  # a mismatch is the second file's fault, as below
-        output = repr(embedcore.frechet_distance(a, b, jitter=jitter)) + "\n"
-    elif kind == "clipt":
-        text = embedio.read_embeddings(args.text)
-        image = embedio.read_embeddings(args.image)
-        with _blame(args.image):  # a pair that does not line up is the second file's fault
-            embedcore._check_pairs(text, image)
-        output = repr(embedcore.clip_t_score(text, image, scale=args.scale)) + "\n"
+        # Moments fitted to float32 sets are finite: only a large jitter takes a stage past the
+        # float range.
+        with _blame("--jitter"):
+            output = repr(embedcore.frechet_distance(a, b, jitter=jitter)) + "\n"
     else:
-        pred = embedio.read_embeddings(args.pred)
-        target = embedio.read_embeddings(args.target)
-        with _blame(args.target):
-            embedcore._check_pairs(pred, target)
-        if kind == "regloss":
-            loss = embedcore.regression_loss(pred, target, rc.loss_params)
-            output = json.dumps({**loss.to_dict(), "pairs": len(pred)}) + "\n"
-        else:  # flowloss
-            output = repr(embedcore.flow_loss(pred, target)) + "\n"
+        first, second = (args.text, args.image) if kind == "clipt" else (args.pred, args.target)
+        x, y = embedio.read_embeddings(first), embedio.read_embeddings(second)
+        with _blame(second):  # a pair that does not line up is the second file's fault
+            embedcore._check_pairs(x, y)
+        if kind == "clipt":
+            output = repr(embedcore.clip_t_score(x, y, scale=args.scale)) + "\n"
+        elif kind == "flowloss":
+            output = repr(embedcore.flow_loss(x, y)) + "\n"
+        else:
+            loss = embedcore.regression_loss(x, y, rc.loss_params)
+            if not math.isfinite(loss.total):  # blame the weight of the larger term
+                alpha = loss.cosine_term >= loss.mse_term
+                weight, term = ("alpha", "cosine") if alpha else ("beta", "MSE")
+                # Only a weight set by a flag or the config can scale a term that far.
+                source = _flag(weight) if getattr(args, weight) is not None else args.config
+                raise InputError(f"{weight} {getattr(rc.loss_params, weight)!r} scales the {term} "
+                                 "term past the float range", source=source)
+            output = json.dumps({**loss.to_dict(), "pairs": len(x)}) + "\n"
     with _outputs(args.out) as (out,):
         out.write(output)
     return 0

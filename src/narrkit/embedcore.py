@@ -123,19 +123,13 @@ _BLOCK = 1024
 
 
 def _check_pairs(a: Rows, b: Rows, names=("pred", "target")) -> tuple[np.ndarray, np.ndarray]:
-    """Raise ValueError unless two inputs hold as many rows as each other, of
-    one dimension; return them as rows (see _as_rows)."""
+    """Raise ValueError unless two inputs hold as many rows as each other, at
+    least one, of one dimension; return them as rows (see _as_rows)."""
     x, y = _as_rows(a, names[0]), _as_rows(b, names[1])
     if len(x) != len(y):
         raise ValueError(f"pair count mismatch: {len(x)} vs {len(y)}")
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    return x, y
-
-
-def _pairs(a: Rows, b: Rows, names=("pred", "target")) -> tuple[np.ndarray, np.ndarray]:
-    """Check two index-paired inputs and return them as rows (see _as_rows)."""
-    x, y = _check_pairs(a, b, names)
     if not len(x):
         raise ValueError("no pairs to score")
     return x, y
@@ -174,7 +168,7 @@ def _mean(values: np.ndarray) -> float:
 
 def cosine_similarity(a: ArrayLike, b: ArrayLike) -> float:
     """Cosine of the angle between two vectors, clipped to [-1, 1]."""
-    x, y = _pairs(_as_vector(a, "a"), _as_vector(b, "b"))
+    x, y = _check_pairs(_as_vector(a, "a"), _as_vector(b, "b"))
     return float(_row_cosines(x, y)[0][0])
 
 
@@ -188,13 +182,16 @@ class RegressionLoss:
         return asdict(self)
 
 
+@np.errstate(over="ignore")
 def regression_loss(
     pred: Rows, target: Rows, p: RegressionLossParams | None = None
 ) -> RegressionLoss:
     """alpha * (1 - cosine(pred, target)) + beta * mean((pred - target)^2), each
-    term averaged over the index-paired rows of two sets, or over one vector pair."""
+    term averaged over the index-paired rows of two sets, or over one vector pair.
+    A weight that scales a term past the float range makes it infinite, with no
+    numpy warning."""
     p = p or RegressionLossParams()
-    x, y = _pairs(pred, target)
+    x, y = _check_pairs(pred, target)
     cos_term, mse_term = np.empty(len(x)), np.empty(len(x))
     for lo, a, b in _blocks(x, y):
         cos_term[lo : lo + len(a)] = p.alpha * (1.0 - _row_cosines(a, b, lo)[0])
@@ -211,7 +208,7 @@ def regression_loss_grad(
     d/dp [beta/N sum (p - t)^2]       = 2 beta / N * (p - t)
     """
     p = p or RegressionLossParams()
-    x, y = _pairs(_as_vector(pred, "pred"), _as_vector(target, "target"))
+    x, y = _check_pairs(_as_vector(pred, "pred"), _as_vector(target, "target"))
     (cos,), (np_norm,), (nt_norm,) = _row_cosines(x, y)
     vp, vt = x[0], y[0]
     grad_cos = p.alpha * (cos * vp / np_norm**2 - vt / (np_norm * nt_norm))
@@ -469,6 +466,7 @@ def check_jitter(jitter: float) -> None:
         raise ValueError(f"jitter must be finite and >= 0, got {jitter}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # every stage is checked for finite values
 def frechet_distance(
     a: GaussianMoments, b: GaussianMoments, jitter: float = 1e-6
 ) -> float:
@@ -498,6 +496,8 @@ def frechet_distance(
 
     inner = sqrt_ca @ cb @ sqrt_ca
     inner = (inner + inner.T) / 2.0
+    if not np.all(np.isfinite(inner)):
+        raise ValueError("non-finite value in the trace term")
     try:
         eigvals = np.linalg.eigvalsh(inner)
     except np.linalg.LinAlgError as exc:
@@ -520,7 +520,7 @@ def clip_t_score(text_embs: Rows, image_embs: Rows, scale: str = "raw") -> float
     """
     if scale not in ("raw", "percent"):
         raise ValueError(f"scale must be 'raw' or 'percent', got {scale!r}")
-    t, v = _pairs(text_embs, image_embs, ("text embeddings", "image embeddings"))
+    t, v = _check_pairs(text_embs, image_embs, ("text embeddings", "image embeddings"))
     t, v = t.astype(np.float64, copy=False), v.astype(np.float64, copy=False)
     tn = np.linalg.norm(t, axis=1)
     vn = np.linalg.norm(v, axis=1)
@@ -538,7 +538,7 @@ class FlowSample:
     target_drift: np.ndarray
 
     def __post_init__(self):
-        pred, target = _pairs(
+        pred, target = _check_pairs(
             _as_vector(self.predicted_drift, "predicted_drift"),
             _as_vector(self.target_drift, "target_drift"),
         )
@@ -549,7 +549,7 @@ class FlowSample:
 def flow_loss(pred: Rows, target: Rows) -> float:
     """Mean squared L2 distance between predicted and target drifts, over the
     index-paired rows of two sets, or over one vector pair."""
-    x, y = _pairs(pred, target)
+    x, y = _check_pairs(pred, target)
     sq = np.empty(len(x))
     for lo, a, b in _blocks(x, y):
         d = a - b

@@ -1,21 +1,14 @@
 """Strict line-delimited JSON, shared by every narrkit reader.
 
-Each non-blank line must hold one JSON object. ``NaN`` and ``Infinity`` are
-rejected, and the ``want_*`` helpers check field types instead of coercing
-them. Every error is an ``InputError`` naming the source and, for
-line-delimited input, the 1-based line. Every reader opens text with ``TEXT``,
-which keeps each byte that is not UTF-8, so such a byte is an ``InputError`` too.
+Each non-blank line must hold one JSON object, decoded in one ``raw_decode``
+call. ``NaN`` and ``Infinity`` are rejected, and the ``want_*`` helpers check
+field types instead of coercing them. Every error is an ``InputError`` naming
+the source and, for line-delimited input, the 1-based line. Readers open text
+with ``TEXT``, so a byte that is not UTF-8 is an ``InputError`` too.
 
 ``write_manifest`` and ``format_match_record`` build each line with an
 f-string from ``encode_str`` and ``encode_number``, which write exactly what
-``json.dumps`` writes for a string and for a finite int or float. Their output
-is ASCII, so its length in characters is its length in bytes.
-
-Each line takes a fast path first: one ``raw_decode`` call, accepted only when
-it reads the whole text and yields an object (the lines are already stripped,
-so the whitespace scans of ``JSONDecoder.decode`` would find nothing). Any
-other outcome runs ``decode`` on the same text, which gives every error its
-message.
+``json.dumps`` writes for a string and for a finite int or float, in ASCII.
 """
 
 from __future__ import annotations
@@ -92,21 +85,18 @@ def decode_object(text: str, line: int | None, source: str) -> dict:
     """Decode one JSON object; anything else raises InputError."""
     if not text.isascii() and _RAW_BYTE.search(text):
         raise InputError("invalid UTF-8", line, source)
+    text = text.lstrip(" \t\n\r")  # JSON's whitespace, which raw_decode does not skip
     try:
         rec, end = _DECODER.raw_decode(text)
-        if end == len(text) and type(rec) is dict:
-            return rec
-    except (RecursionError, ValueError):  # raised again below, with its message
-        pass
-    try:
-        rec = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc.msg}", line, source) from exc
     except _NonFinite as exc:
         raise InputError(_non_finite_reason(text, str(exc)), line, source) from exc
     except (RecursionError, ValueError) as exc:  # nested too deep, or an overlong integer
         raise InputError(f"invalid JSON: {exc}", line, source) from exc
-    if not isinstance(rec, dict):
+    if end != len(text) and text[end:].strip(" \t\n\r"):
+        raise InputError("invalid JSON: Extra data", line, source)
+    if type(rec) is not dict:
         raise InputError("record must be a JSON object", line, source)
     return rec
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from enum import Enum
 from math import fsum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -20,14 +19,12 @@ if TYPE_CHECKING:  # a config's histogram_edges are checked without loading the 
 __all__ = [
     "Histogram",
     "SummaryStats",
-    "TextCounter",
     "check_edges",
     "histogram",
     "summarize",
     "clip_length_summary",
     "clips_per_video_summary",
     "word_count",
-    "text_length_stats",
     "dataset_report",
     "DEFAULT_EDGES",
 ]
@@ -116,39 +113,9 @@ def clips_per_video_summary(m: DatasetManifest) -> SummaryStats:
     return summarize([len(entry.clips) for entry in m.videos.values()])
 
 
-class TextCounter(Enum):
-    WORDS = "words"
-    PRECOMPUTED_TOKENS = "tokens"
-
-
 def word_count(text: str) -> int:
     """Number of maximal whitespace-separated runs."""
     return len(text.split())
-
-
-def text_length_stats(
-    records: Sequence[str] | None,
-    counter: TextCounter,
-    bin_edges: Sequence[float],
-    token_counts: Sequence[int] | None = None,
-) -> tuple[Histogram, SummaryStats]:
-    """Length distribution of a text collection.
-
-    WORDS counts whitespace-separated runs of each record. Token counting is
-    external to this package (tokenizers live elsewhere), so
-    PRECOMPUTED_TOKENS takes the integer counts as supplied.
-    """
-    if counter is TextCounter.WORDS:
-        if records is None:
-            raise ValueError("WORDS counter needs the text records")
-        lengths = [word_count(t) for t in records]
-    else:
-        if token_counts is None:
-            raise ValueError("PRECOMPUTED_TOKENS selected but no counts supplied")
-        lengths = [int(c) for c in token_counts]
-    if not lengths:
-        raise ValueError("no records to profile")
-    return histogram(lengths, bin_edges), summarize(lengths)
 
 
 DEFAULT_EDGES: dict[str, list[float]] = {

@@ -407,12 +407,18 @@ class TestMetrics:
         code, _, err = invoke(capsys, "metrics", "frechet", "--a", emb_paths[0], "--b", narrow)
         assert (code, err, fitted) == (1, f"error: {narrow}: dimension mismatch: 8 vs 4\n", [8])
 
-    @pytest.mark.parametrize("metric", ["regloss", "flowloss"])
-    def test_empty_sets_rejected(self, capsys, tmp_path, metric):
-        empty = str(tmp_path / "empty.emb")
-        write_embeddings(EmbeddingSet(np.ones((0, 8), dtype=np.float32)), empty)
-        code, out, err = invoke(capsys, "metrics", metric, "--pred", empty, "--target", empty)
-        assert (code, out, err) == (1, "", "error: no pairs to score\n")
+    @pytest.mark.parametrize(
+        "metric,flags",
+        [("regloss", ("--pred", "--target")), ("flowloss", ("--pred", "--target")),
+         ("clipt", ("--text", "--image"))],
+        ids=["regloss", "flowloss", "clipt"],
+    )
+    def test_empty_sets_rejected(self, capsys, tmp_path, metric, flags):
+        first, second = str(tmp_path / "first.emb"), str(tmp_path / "second.emb")
+        for path in (first, second):
+            write_embeddings(EmbeddingSet(np.ones((0, 8), dtype=np.float32)), path)
+        code, out, err = invoke(capsys, "metrics", metric, flags[0], first, flags[1], second)
+        assert (code, out, err) == (1, "", f"error: {second}: no pairs to score\n")
 
     def test_bad_binary_input_is_named(self, capsys, tmp_path, emb_paths):
         bad = tmp_path / "trunc.emb"
@@ -431,6 +437,38 @@ class TestMetrics:
         write_embeddings(EmbeddingSet(np.ones((1, 8), dtype=np.float32)), one)
         code, out, err = invoke(capsys, "metrics", "frechet", "--a", str(one), "--b", str(missing))
         assert (code, out, err) == (1, "", f"error: {one}: fit_moments needs at least 2 vectors\n")
+
+    @pytest.mark.parametrize(
+        "case,weights,err",
+        [
+            ("opposite", ["--alpha", "1e308"],
+             "--alpha: alpha 1e+308 scales the cosine term past the float range"),
+            ("extreme", ["--beta", "1e300"],
+             "--beta: beta 1e+300 scales the MSE term past the float range"),
+            ("opposite", ["--config", "{cfg}"],
+             "{cfg}: alpha 1e+308 scales the cosine term past the float range"),
+        ],
+        ids=["alpha-flag", "beta-flag", "alpha-config"],
+    )
+    def test_non_finite_loss_names_its_weight(self, capsys, tmp_path, case, weights, err):
+        pred, target, cfg = tmp_path / "pred.emb", tmp_path / "target.emb", tmp_path / "cfg.json"
+        cfg.write_text('{"alpha": 1e308}')
+        rows = {"opposite": np.arange(1, 17, dtype=np.float32).reshape(2, 8),
+                "extreme": np.full((2, 8), 3e38, dtype=np.float32)}[case]
+        write_embeddings(EmbeddingSet(rows), pred)
+        write_embeddings(EmbeddingSet(-rows), target)
+        out = tmp_path / "loss.json"
+        argv = ["metrics", "regloss", "--pred", str(pred), "--target", str(target), "--out", str(out),
+                *(arg.format(cfg=cfg) for arg in weights)]
+        assert invoke(capsys, *argv) == (1, "", f"error: {err.format(cfg=cfg)}\n")
+        assert not out.exists()
+
+    def test_frechet_overflow_names_jitter(self, capsys, tmp_path, emb_paths):
+        out = tmp_path / "fd.txt"
+        argv = ["metrics", "frechet", "--a", emb_paths[0], "--b", emb_paths[1], "--jitter", "1e200",
+                "--out", str(out)]
+        assert invoke(capsys, *argv) == (1, "", "error: --jitter: non-finite value in the trace term\n")
+        assert not out.exists()
 
     def test_jsonl_value_beyond_float32_is_named(self, capsys, tmp_path):
         good, bad = tmp_path / "good.jsonl", tmp_path / "big.jsonl"
@@ -789,6 +827,10 @@ class TestStrictInput:
             ("--caption-tokens", "[1]", "record must be a JSON object"),
             ("--caption-tokens", '{"video_id": "v", "clip_id": "c", "tokens": "4"}',
              "field 'tokens' must be an integer"),
+            ("--caption-tokens", '{"video_id": "v", "clip_id": "c", "tokens": -5}',
+             "field 'tokens' must be an integer in [0, 2**53]"),
+            ("--action-tokens", '{"video_id": "v", "action_index": 0, "tokens": 1%s}' % ("0" * 399),
+             "field 'tokens' must be an integer in [0, 2**53]"),
             ("--matches", json.dumps({**MATCH, "iou": float("nan")}),
              "field 'iou' must be a finite number"),
             ("--matches", json.dumps({**MATCH, "start_diff_s": float("-inf")}),
@@ -805,7 +847,7 @@ class TestStrictInput:
         ],
         ids=[
             "steps-array", "steps-string-index", "steps-number-caption", "tokens-array",
-            "tokens-string-count", "matches-nan", "matches-minus-infinity",
+            "tokens-string-count", "tokens-negative", "tokens-400-digits", "matches-nan", "matches-minus-infinity",
             "matches-number-video", "tiers-null-rater", "ratings-bool", "manifest-bad-utf8",
             "matches-bad-utf8", "caption-tokens-bad-utf8", "action-tokens-bad-utf8",
             "tiers-bad-utf8", "ratings-bad-utf8", "steps-bad-utf8", "embeddings-bad-utf8",
@@ -941,11 +983,20 @@ class TestConfig:
              "--threads: threads must be >= 1, got -3"),
             (["match", "--manifest", "{out}", "--config", "{cfg}", "--threads", "0"],
              "--threads: threads must be >= 1, got 0"),
+            # of two flags, the one that fails alone is named, not the first
+            (["perturb", "--in", "{a}", "--out", "{out}", "--noise-scale", "0.1", "--mask-rate", "3"],
+             "--mask-rate: mask_rate must be in [0, 1], got 3.0"),
+            (["metrics", "regloss", "--pred", "{a}", "--target", "{a}", "--alpha", "1", "--beta", "-1"],
+             "--beta: alpha and beta must be non-negative"),
+            # flags that fail only together: the first is named
+            (["metrics", "regloss", "--pred", "{a}", "--target", "{a}", "--alpha", "0", "--beta", "0"],
+             "--alpha: alpha + beta must be positive"),
         ],
         ids=["iou-low-nan", "max-start-diff", "flag-against-config", "mask-rate", "alpha",
              "alpha-nan", "beta-inf", "noise-scale-nan", "max-start-diff-nan", "k-0",
              "k-4-with-config", "jitter-nan", "jitter-negative", "jitter-inf", "threads-negative",
-             "threads-0-with-config"],
+             "threads-0-with-config", "second-flag-fails-alone", "beta-fails-alone",
+             "flags-fail-together"],
     )
     def test_out_of_range_flag_named(self, capsys, manifest_path, emb_paths, tmp_path, argv, err):
         cfg, out = tmp_path / "cfg.json", tmp_path / "o.emb"
@@ -959,6 +1010,14 @@ class TestConfig:
         cfg.write_text('{"mask_rate": 2}')
         argv = ["match", "--manifest", manifest_path, "--config", str(cfg), "--iou-low", "0.3"]
         assert invoke(capsys, *argv) == (1, "", f"error: {cfg}: mask_rate must be in [0, 1], got 2.0\n")
+
+    def test_flag_of_the_same_section_leaves_the_config_named(self, capsys, emb_paths, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.emb"
+        cfg.write_text('{"mask_rate": 2}')
+        argv = ["perturb", "--in", emb_paths[0], "--out", str(out), "--config", str(cfg),
+                "--noise-scale", "0.1"]
+        assert invoke(capsys, *argv) == (1, "", f"error: {cfg}: mask_rate must be in [0, 1], got 2.0\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text,reason",

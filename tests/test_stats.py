@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from conftest import random_manifest
 from narrkit.manifest import ClipRecord, DatasetManifest, TimeInterval, VideoEntry
 from narrkit.stats import (
-    TextCounter,
     clip_length_summary,
     clips_per_video_summary,
     dataset_report,
     histogram,
     summarize,
-    text_length_stats,
     word_count,
 )
 
@@ -188,24 +186,6 @@ class TestTextStats:
         assert word_count("stir the sauce well") == 4
         assert word_count("") == 0
         assert word_count("  padded   out  ") == 2
-
-    def test_words_mode(self):
-        hist, summary = text_length_stats(
-            ["stir the sauce well", "chop"], TextCounter.WORDS, [0, 2, 8]
-        )
-        assert summary.n == 2
-        assert hist.counts == (1, 1)
-
-    def test_token_mode(self):
-        hist, summary = text_length_stats(
-            None, TextCounter.PRECOMPUTED_TOKENS, [0, 50, 100], token_counts=[20, 60]
-        )
-        assert summary.mean == 40
-        assert hist.counts == (1, 1)
-
-    def test_token_mode_requires_counts(self):
-        with pytest.raises(ValueError, match="no counts"):
-            text_length_stats(["a"], TextCounter.PRECOMPUTED_TOKENS, [0, 1])
 
 
 class TestReport:
