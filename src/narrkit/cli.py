@@ -51,6 +51,8 @@ class RunConfig:
     k: int
     histogram_edges: dict[str, list[float]]
     threads: int
+    # Each setting given by a flag or the config file, mapped to that flag or the file's path.
+    sources: dict[str, str]
 
 
 # The settings sections of RunConfig, in its field order. Each field is set by
@@ -107,9 +109,10 @@ def _flag(key: str) -> str:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     path = getattr(args, "config", None)
     cfg = _load_config(path)
-    flagged = [key for key in _CONFIG_TYPES if getattr(args, key, None) is not None]
-    for key in flagged:  # a flag overrides the config key of the same name
-        cfg[key] = getattr(args, key)
+    sources = dict.fromkeys(cfg, path)
+    for key in _CONFIG_TYPES:  # a flag overrides the config key of the same name
+        if getattr(args, key, None) is not None:
+            cfg[key], sources[key] = getattr(args, key), _flag(key)
 
     def build(make, names: list[str]):
         # make(**values) over the keys in names that are set. If that fails, blame
@@ -119,10 +122,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             return make(**{name: cfg[name] for name in names if name in cfg})
         except ValueError as exc:
             error = exc
-        flags = [name for name in names if name in flagged]
+        flags = [name for name in names if name in cfg and sources[name] != path]
         own = {name: cfg[name] for name in names if name in cfg and name not in flags}
-        trials = [(own, None)] if own else []
-        trials += [({**own, name: cfg[name]}, name) for name in flags]
+        trials = [(own, path)] if own else []
+        trials += [({**own, name: cfg[name]}, sources[name]) for name in flags]
         for values, culprit in trials:
             try:
                 make(**values)
@@ -130,17 +133,15 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 error, blame = exc, culprit
                 break
         else:
-            blame = flags[0]
-        if blame is None:
-            raise InputError(str(error), source=path) from error
-        raise _FlagError(str(error), source=_flag(blame)) from error
+            blame = sources[flags[0]]
+        raise (InputError if blame == path else _FlagError)(str(error), source=blame) from error
 
     sections = [build(cls, [f.name for f in fields(cls)]) for cls in _SECTIONS]  # with defaults
     for name, check in (("k", check_context_length), ("threads", check_threads)):
         if name in cfg:  # before any input is read; the defaults pass
             build(check, [name])
     return RunConfig(*sections, k=cfg.get("k", 2), histogram_edges=cfg.get("histogram_edges", {}),
-                     threads=cfg.get("threads", 1))
+                     threads=cfg.get("threads", 1), sources=sources)
 
 
 def _log(message: str) -> None:
@@ -148,14 +149,15 @@ def _log(message: str) -> None:
 
 
 @contextlib.contextmanager
-def _blame(path: str):
-    """Report a ValueError raised in the block as bad input in the file ``path``."""
+def _blame(*paths: str):
+    """Report a ValueError raised in the block as bad input in the last of ``paths``, or
+    in the one that its ``side`` indexes (the set that holds a zero-norm row)."""
     try:
         yield
     except InputError:
         raise
     except ValueError as exc:
-        raise InputError(str(exc), source=path) from exc
+        raise InputError(str(exc), source=paths[getattr(exc, "side", -1)]) from exc
 
 
 @contextlib.contextmanager
@@ -355,22 +357,21 @@ def cmd_metrics(args, rc: RunConfig) -> int:
     else:
         first, second = (args.text, args.image) if kind == "clipt" else (args.pred, args.target)
         x, y = embedio.read_embeddings(first), embedio.read_embeddings(second)
-        with _blame(second):  # a pair that does not line up is the second file's fault
-            embedcore._check_pairs(x, y)
-        if kind == "clipt":
-            output = repr(embedcore.clip_t_score(x, y, scale=args.scale)) + "\n"
-        elif kind == "flowloss":
-            output = repr(embedcore.flow_loss(x, y)) + "\n"
-        else:
-            loss = embedcore.regression_loss(x, y, rc.loss_params)
-            if not math.isfinite(loss.total):  # blame the weight of the larger term
-                alpha = loss.cosine_term >= loss.mse_term
-                weight, term = ("alpha", "cosine") if alpha else ("beta", "MSE")
-                # Only a weight set by a flag or the config can scale a term that far.
-                source = _flag(weight) if getattr(args, weight) is not None else args.config
-                raise InputError(f"{weight} {getattr(rc.loss_params, weight)!r} scales the {term} "
-                                 "term past the float range", source=source)
-            output = json.dumps({**loss.to_dict(), "pairs": len(x)}) + "\n"
+        # A pair that does not line up is the second file's fault; a zero-norm row, its own file's.
+        with _blame(first, second):
+            if kind == "clipt":
+                output = repr(embedcore.clip_t_score(x, y, scale=args.scale)) + "\n"
+            elif kind == "flowloss":
+                output = repr(embedcore.flow_loss(x, y)) + "\n"
+            else:
+                loss = embedcore.regression_loss(x, y, rc.loss_params)
+                if not math.isfinite(loss.total):  # blame the weight of the larger term
+                    alpha = loss.cosine_term >= loss.mse_term
+                    weight, term = ("alpha", "cosine") if alpha else ("beta", "MSE")
+                    # Only a weight set by a flag or the config can scale a term that far.
+                    raise InputError(f"{weight} {getattr(rc.loss_params, weight)!r} scales the "
+                                     f"{term} term past the float range", source=rc.sources[weight])
+                output = json.dumps({**loss.to_dict(), "pairs": len(x)}) + "\n"
     with _outputs(args.out) as (out,):
         out.write(output)
     return 0
@@ -404,8 +405,9 @@ def cmd_perturb(args, rc: RunConfig) -> int:
         except ValueError as exc:
             raise InputError(f"{exc}; use --format jsonl", source=args.input) from exc
     basis = _population_std(args, source)
-    # Every input is checked by now; what can still fail is noise past float32.
-    with _blame("--noise-scale"):
+    # Every input is checked by now; what can still fail is noise past float32, set by a flag
+    # or the config, or else at its default and so too large for the basis file.
+    with _blame(rc.sources.get("noise_scale", args.population or args.input)):
         result = embedcore.perturb_set(
             source, basis, rc.perturbation, shuffle_mode=args.shuffle_mode, threads=rc.threads
         )

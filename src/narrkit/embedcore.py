@@ -6,10 +6,10 @@ perturbations (noise, masking, shuffling) for robustness studies, Gaussian
 moment fitting with the Frechet distribution distance, paired cosine
 scoring, and a drift-field matching loss.
 
-The pair losses are batch kernels: ``regression_loss`` and ``flow_loss``
-take two whole sets of index-paired rows (a vector is one row) and return
-the mean over the pairs. ``cosine_similarity`` and ``flow_matching_loss``
-are one-row and record-list calls of the same code.
+The pair metrics are batch kernels: ``regression_loss``, ``flow_loss`` and
+``clip_t_score`` take two whole sets of index-paired rows (a vector is one
+row) and return the mean over the pairs. ``cosine_similarity`` and
+``flow_matching_loss`` are one-row and record-list calls of the same code.
 
 Everything computes in double precision regardless of storage dtype, and
 every random operation is a pure function of an explicit seed. Per-item
@@ -18,7 +18,7 @@ depend on scheduling or thread count.
 
 Memory: kernels read a set in its stored dtype. ``fit_moments`` and
 ``population_std`` make at most one float64 working copy of it, the pair
-losses upcast bounded row blocks, and ``perturb_set`` writes each row into
+metrics upcast bounded row blocks, and ``perturb_set`` writes each row into
 one output array of the set's dtype, which its forked workers share.
 """
 
@@ -135,11 +135,15 @@ def _check_pairs(a: Rows, b: Rows, names=("pred", "target")) -> tuple[np.ndarray
     return x, y
 
 
-def _blocks(x: np.ndarray, y: np.ndarray):
-    """Yield (first row index, x rows, y rows) in float64, _BLOCK rows at a time."""
-    for lo in range(0, len(x), _BLOCK):
-        hi = lo + _BLOCK
-        yield lo, x[lo:hi].astype(np.float64, copy=False), y[lo:hi].astype(np.float64, copy=False)
+def _pair_rows(x: np.ndarray, y: np.ndarray, row_fn: Callable) -> np.ndarray:
+    """Concatenate the per-row results of ``row_fn(a, b, first)`` over the float64
+    blocks of _BLOCK paired rows of x and y, whose row 0 is pair ``first``. Each
+    block pair is released before the next is made."""
+    return np.concatenate([
+        row_fn(x[lo : lo + _BLOCK].astype(np.float64, copy=False),
+               y[lo : lo + _BLOCK].astype(np.float64, copy=False), lo)
+        for lo in range(0, len(x), _BLOCK)
+    ], axis=-1)
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -147,16 +151,15 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def _check_nonzero(nx: np.ndarray, ny: np.ndarray, first: int = 0) -> None:
+def _row_cosines(x: np.ndarray, y: np.ndarray, first: int = 0):
+    """Clipped cosines of paired float64 rows and both row norms; row 0 is pair ``first``.
+    A zero-norm pair raises ValueError whose ``side`` is 0 if x's row is zero, else 1."""
+    nx, ny = np.sqrt(_rowdot(x, x)), np.sqrt(_rowdot(y, y))
     bad = np.flatnonzero((nx == 0) | (ny == 0))
     if bad.size:
-        raise ValueError(f"zero-norm embedding at pair index {first + int(bad[0])}")
-
-
-def _row_cosines(x: np.ndarray, y: np.ndarray, first: int = 0):
-    """Clipped cosines of paired float64 rows and both row norms; row 0 is pair ``first``."""
-    nx, ny = np.sqrt(_rowdot(x, x)), np.sqrt(_rowdot(y, y))
-    _check_nonzero(nx, ny, first)
+        error = ValueError(f"zero-norm embedding at pair index {first + int(bad[0])}")
+        error.side = int(nx[bad[0]] != 0)
+        raise error
     return np.clip(_rowdot(x, y) / (nx * ny), -1.0, 1.0), nx, ny
 
 
@@ -191,11 +194,8 @@ def regression_loss(
     A weight that scales a term past the float range makes it infinite, with no
     numpy warning."""
     p = p or RegressionLossParams()
-    x, y = _check_pairs(pred, target)
-    cos_term, mse_term = np.empty(len(x)), np.empty(len(x))
-    for lo, a, b in _blocks(x, y):
-        cos_term[lo : lo + len(a)] = p.alpha * (1.0 - _row_cosines(a, b, lo)[0])
-        mse_term[lo : lo + len(a)] = p.beta * np.mean((a - b) ** 2, axis=1)
+    cos_term, mse_term = _pair_rows(*_check_pairs(pred, target), lambda a, b, first: (
+        p.alpha * (1.0 - _row_cosines(a, b, first)[0]), p.beta * np.mean((a - b) ** 2, axis=1)))
     return RegressionLoss(_mean(cos_term + mse_term), _mean(cos_term), _mean(mse_term))
 
 
@@ -521,12 +521,7 @@ def clip_t_score(text_embs: Rows, image_embs: Rows, scale: str = "raw") -> float
     if scale not in ("raw", "percent"):
         raise ValueError(f"scale must be 'raw' or 'percent', got {scale!r}")
     t, v = _check_pairs(text_embs, image_embs, ("text embeddings", "image embeddings"))
-    t, v = t.astype(np.float64, copy=False), v.astype(np.float64, copy=False)
-    tn = np.linalg.norm(t, axis=1)
-    vn = np.linalg.norm(v, axis=1)
-    _check_nonzero(tn, vn)
-    cosines = np.clip(np.einsum("ij,ij->i", t, v) / (tn * vn), -1.0, 1.0)
-    mean = float(cosines.mean())
+    mean = _mean(_pair_rows(t, v, _row_cosines)[0])
     return mean * 100.0 if scale == "percent" else mean
 
 
@@ -550,11 +545,7 @@ def flow_loss(pred: Rows, target: Rows) -> float:
     """Mean squared L2 distance between predicted and target drifts, over the
     index-paired rows of two sets, or over one vector pair."""
     x, y = _check_pairs(pred, target)
-    sq = np.empty(len(x))
-    for lo, a, b in _blocks(x, y):
-        d = a - b
-        sq[lo : lo + len(d)] = _rowdot(d, d)
-    return _mean(sq)
+    return _mean(_pair_rows(x, y, lambda a, b, first: _rowdot(d := a - b, d)))
 
 
 def flow_matching_loss(samples: Iterable[FlowSample]) -> float:

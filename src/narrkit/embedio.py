@@ -23,7 +23,7 @@ from typing import IO, Iterable, Union
 import numpy as np
 
 from .embedcore import EmbeddingSet
-from .jsonl import TEXT, InputError, iter_json_objects, want_text
+from .jsonl import TEXT, InputError, iter_json_objects, want_str
 
 __all__ = ["MAGIC", "read_embeddings", "write_embeddings"]
 
@@ -84,7 +84,7 @@ def _decode_jsonl(lines: Iterable[str], source: str) -> EmbeddingSet:
             raise InputError("field 'values' exceeds the float32 range", lineno, source)
         rows.append(row)
         if rec.get("id") is not None:
-            ids.append(want_text(rec, "id", lineno, source))
+            ids.append(want_str(rec, "id", lineno, source))
             have_ids += 1
         else:
             ids.append("")

@@ -371,8 +371,21 @@ class TestMetrics:
         write_embeddings(EmbeddingSet(np.ones_like(pred)), b)
         code, out, err = invoke(capsys, "metrics", "regloss", "--pred", a, "--target", b)
         assert (code, out, err) == (
-            1, "", f"error: zero-norm embedding at pair index {embedcore._BLOCK + 1}\n"
+            1, "", f"error: {a}: zero-norm embedding at pair index {embedcore._BLOCK + 1}\n"
         )
+
+    @pytest.mark.parametrize("metric,flags", [("regloss", ("--pred", "--target")),
+                                              ("clipt", ("--text", "--image"))], ids=["regloss", "clipt"])
+    @pytest.mark.parametrize("zero,named", [((0,), 0), ((1,), 1), ((0, 1), 0)],
+                             ids=["first", "second", "both"])
+    def test_zero_norm_names_its_file(self, capsys, tmp_path, rng, metric, flags, zero, named):
+        paths = [str(tmp_path / "first.emb"), str(tmp_path / "second.emb")]
+        for k, path in enumerate(paths):
+            rows = rng.normal(size=(5, 4)).astype(np.float32)
+            rows[2 if k in zero else 4] = 0.0  # a later zero row in a set not named
+            write_embeddings(EmbeddingSet(rows), path)
+        code, out, err = invoke(capsys, "metrics", metric, flags[0], paths[0], flags[1], paths[1])
+        assert (code, out, err) == (1, "", f"error: {paths[named]}: zero-norm embedding at pair index 2\n")
 
     @pytest.mark.parametrize("metric", ["regloss", "flowloss"])
     def test_pair_count_mismatch(self, capsys, tmp_path, emb_paths, metric):
@@ -468,6 +481,16 @@ class TestMetrics:
         argv = ["metrics", "frechet", "--a", emb_paths[0], "--b", emb_paths[1], "--jitter", "1e200",
                 "--out", str(out)]
         assert invoke(capsys, *argv) == (1, "", "error: --jitter: non-finite value in the trace term\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["metrics", "flowloss", "--pred", "{e}", "--target", "{e}"],
+                                      ["perturb", "--in", "{e}", "--out", "{out}"]],
+                             ids=["flowloss", "perturb"])
+    def test_empty_jsonl_id_names_its_line(self, capsys, tmp_path, argv):
+        e, out = tmp_path / "e.jsonl", tmp_path / "o.emb"
+        e.write_text('{"id": "a", "values": [1, 2]}\n{"id": "", "values": [1, 2]}\n')
+        argv = [arg.format(e=e, out=out) for arg in argv]
+        assert invoke(capsys, *argv) == (1, "", f"error: {e}: line 2: field 'id' must be a non-empty string\n")
         assert not out.exists()
 
     def test_jsonl_value_beyond_float32_is_named(self, capsys, tmp_path):
@@ -594,6 +617,32 @@ class TestPerturbThreads:
             assert runs[0][0][0] == 0
         assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
         assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "argv,blamed",
+        [
+            (["--in", "{a}", "--config", "{cfg}"], "{cfg}"),
+            (["--in", "{a}", "--config", "{cfg}", "--noise-scale", "1e300"], "--noise-scale"),
+            (["--in", "{big}"], "{big}"),
+            (["--in", "{a}", "--population", "{big}"], "{big}"),
+        ],
+        ids=["config", "flag-over-config", "default-in", "default-population"],
+    )
+    def test_noise_overflow_names_its_source(self, capsys, monkeypatch, emb_paths, tmp_path, argv, blamed):
+        # the noise at its default takes a value past float32 only when the basis file is that wide
+        allow_cpus(monkeypatch, 2)
+        cfg, big, out = tmp_path / "cfg.json", tmp_path / "big.emb", tmp_path / "o.emb"
+        cfg.write_text('{"noise_scale": 1e308, "mask_rate": 0, "shuffle": false}')
+        rows = np.full((30, 8), 3.4e38, dtype=np.float32)
+        rows[::2] *= -1
+        write_embeddings(EmbeddingSet(rows), big)
+        names = dict(a=emb_paths[0], cfg=cfg, big=big)
+        argv = [arg.format(**names) for arg in argv] + ["--seed", "1"]
+        for threads in ("1", "2"):
+            assert invoke(capsys, "perturb", *argv, "--out", str(out), "--threads", threads) == (
+                1, "", f"error: {blamed.format(**names)}: the noise takes perturbed values past the "
+                "float32 range\n")
+            assert not out.exists()
 
     def test_no_warning_from_any_process(self, emb_paths, tmp_path):
         # A subprocess keeps Python's default warning filters, which print a RuntimeWarning.

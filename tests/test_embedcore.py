@@ -100,6 +100,19 @@ class TestRegressionLoss:
         with pytest.raises(ValueError, match=f"^zero-norm embedding at pair index {embedcore._BLOCK + 2}$"):
             regression_loss(pred, rng.normal(size=pred.shape))
 
+    @pytest.mark.parametrize("kernel", [regression_loss, clip_t_score])
+    @pytest.mark.parametrize("zero,side", [((0,), 0), ((1,), 1), ((0, 1), 0)],
+                             ids=["first", "second", "both"])
+    def test_zero_norm_names_its_side(self, rng, kernel, zero, side):
+        # the first zero-norm pair, past a block edge, whose row is zero in one set or both
+        sets = [rng.normal(size=(embedcore._BLOCK + 5, 3)) for _ in range(2)]
+        for k in zero:
+            sets[k][embedcore._BLOCK + 2] = 0.0
+        sets[1 - side][embedcore._BLOCK + 4] = 0.0  # a later zero row of the other set
+        with pytest.raises(ValueError, match=f"^zero-norm embedding at pair index {embedcore._BLOCK + 2}$") as info:
+            kernel(*sets)
+        assert info.value.side == side
+
     @pytest.mark.parametrize("loss", [regression_loss, flow_loss])
     @pytest.mark.parametrize(
         "pred,target,reason",
@@ -577,6 +590,15 @@ class TestClipT:
         t = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="index 1"):
             clip_t_score(t, np.ones((2, 2)))
+
+    def test_set_is_left_to_right_mean_of_one_row_calls(self, rng):
+        # one row past a block boundary, stored as float32 like a file-backed set
+        n = embedcore._BLOCK + 1
+        text = rng.normal(size=(n, 24)).astype(np.float32)
+        image = (text + rng.normal(size=(n, 24))).astype(np.float32)
+        cosines = [cosine_similarity(t, v) for t, v in zip(text.astype(np.float64), image)]
+        assert clip_t_score(text, image) == sum(cosines) / n
+        assert clip_t_score(text, image, scale="percent") == sum(cosines) / n * 100.0
 
     def test_bad_scale(self):
         with pytest.raises(ValueError, match="scale"):

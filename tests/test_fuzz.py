@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -33,11 +34,23 @@ values = st.recursive(
     max_leaves=6,
 )
 records = st.dictionaries(st.sampled_from(FIELDS), values, max_size=8).map(json.dumps)
-lines = st.one_of(records, st.sampled_from(["[1]", "null", "{", "", '"x"']), st.text(max_size=20))
+# Embedding records of the test set's dimension or less, whose values come near 0, the float32
+# limit and the float64 limit, and whose id may be empty.
+extremes = st.builds(lambda limit, sign, factor: sign * limit * factor,
+                     st.sampled_from([0.0, 1e-45, 3.4e38, 1.7e308]), st.sampled_from([1, -1]),
+                     st.floats(0.99, 1.01))
+embedding_records = st.fixed_dictionaries(
+    {"values": st.lists(st.one_of(extremes, st.floats(-2, 2)), min_size=3, max_size=3)
+     | st.lists(extremes, min_size=1, max_size=2)},
+    optional={"id": st.sampled_from(["", "x"])},
+).map(json.dumps)
+lines = st.one_of(records, embedding_records, st.sampled_from(["[1]", "null", "{", "", '"x"']),
+                  st.text(max_size=20))
 documents = st.one_of(
     st.binary(max_size=200),
     st.binary(max_size=64).map(lambda b: embedio.MAGIC + b),
     st.lists(lines, max_size=6).map(lambda ls: "\n".join(ls).encode("utf-8")),
+    st.lists(embedding_records, min_size=1, max_size=5).map(lambda ls: "\n".join(ls).encode("utf-8")),
 )
 
 READERS = [
@@ -92,13 +105,14 @@ def commands(d):
         ["metrics", "frechet", "--a", bad, "--b", e],
         ["metrics", "clipt", "--text", bad, "--image", e],
         ["metrics", "regloss", "--pred", bad, "--target", e],
+        ["metrics", "regloss", "--pred", bad, "--target", bad],
         ["metrics", "flowloss", "--pred", bad, "--target", bad],
         ["perturb", "--in", bad, "--out", out],
         ["perturb", "--in", e, "--out", out, "--config", bad],
     ]
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=documents)
 def test_cli_exits_cleanly(inputs, data):
     (inputs / "bad").write_bytes(data)
@@ -106,5 +120,11 @@ def test_cli_exits_cleanly(inputs, data):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.run(argv)
+        err = err.getvalue()
         assert code in (0, 1, 2), argv
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err and "Warning" not in err, (argv, err)
+        # An error names a file or flag that was passed; validate's violation report
+        # exits 1 too, as a result.
+        if code == 1 and not (argv[0] == "validate" and err.startswith("checked ")):
+            sources = [arg for arg in argv if arg.startswith("--") or os.sep in arg]
+            assert any(err.startswith(f"error: {source}: ") for source in sources), (argv, err)

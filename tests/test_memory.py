@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from conftest import random_manifest
-from narrkit.embedcore import EmbeddingSet, PerturbationSpec, fit_moments, perturb_set, population_std
+from narrkit.embedcore import (EmbeddingSet, PerturbationSpec, clip_t_score, fit_moments, flow_loss, perturb_set,
+                               population_std, regression_loss)
 from narrkit.embedio import read_embeddings, write_embeddings
 from narrkit.manifest import ActionRecord, ClipRecord, TimeInterval, dumps_manifest, parse_manifest
 from narrkit.matching import MatchRecord, format_match_record, match_dataset, parse_match_records
@@ -79,6 +80,12 @@ def test_fit_moments_upcasts_once(es):
 @pytest.mark.parametrize("mode", ["coords", "sequence"])
 def test_perturb_set_writes_rows_in_place(es, mode):
     assert traced_peak(perturb_set, es, np.ones(DIM), PerturbationSpec(seed=3), mode) <= 1.5 * S
+
+
+@pytest.mark.parametrize("kernel", [regression_loss, flow_loss, clip_t_score])
+def test_pair_kernels_upcast_bounded_blocks(es, kernel):
+    other = EmbeddingSet(np.random.default_rng(8).normal(size=(N, DIM)).astype(np.float32))
+    assert traced_peak(kernel, es, other) <= 2 * S
 
 
 # The record types the readers build, without slots, so each instance carries a dict.
