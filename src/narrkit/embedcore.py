@@ -16,10 +16,11 @@ every random operation is a pure function of an explicit seed. Per-item
 random streams are derived from (seed, item index), so batch results never
 depend on scheduling or thread count.
 
-Memory: kernels read a set in its stored dtype. ``fit_moments`` and
-``population_std`` make at most one float64 working copy of it, the pair
-metrics upcast bounded row blocks, and ``perturb_set`` writes each row into
-one output array of the set's dtype, which its forked workers share.
+Memory: kernels read a set in its stored dtype and never make a float64
+copy of a whole set. ``population_std`` reduces strips of at most 64
+columns, ``fit_moments``' covariance and the pair metrics upcast blocks of
+_BLOCK rows, one at a time, and ``perturb_set`` writes each row into one
+output array of the set's dtype, which its forked workers share.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def _as_vector(x: ArrayLike, name: str) -> np.ndarray:
     return v
 
 
-# Rows per block in the pair kernels; bounds their float64 temporaries.
+# Rows per block in the row-blocked kernels; bounds their float64 temporaries.
 _BLOCK = 1024
 
 
@@ -217,12 +218,19 @@ def regression_loss_grad(
 
 
 def population_std(embeddings: Rows) -> np.ndarray:
-    """Per-dimension sample standard deviation (n-1 denominator), in float64."""
+    """Per-dimension sample standard deviation (n-1 denominator), in float64.
+
+    Bit for bit ``np.std(m, axis=0, ddof=1, dtype=np.float64)``, whose centred
+    float64 temporary would be twice the size of a float32 set; it is taken
+    over ceil(dim / 64) column strips of near-equal width instead. No strip is
+    one column wide unless the set is: numpy sums a single column pairwise but
+    a wider one row by row, so such a strip would change the bits.
+    """
     m = _as_rows(embeddings)
     if m.shape[0] < 2:
         raise ValueError("population_std needs at least 2 vectors")
-    # dtype= upcasts as numpy reduces, with no float64 copy of the whole set.
-    return np.std(m, axis=0, ddof=1, dtype=np.float64)
+    strips = np.array_split(m, -(-m.shape[1] // 64), axis=1)
+    return np.concatenate([np.std(s, axis=0, ddof=1, dtype=np.float64) for s in strips])
 
 
 def _item_rng(seed: int, item_index: int) -> np.random.Generator:
@@ -436,19 +444,28 @@ class GaussianMoments:
         return self.mean.shape[0]
 
 
+def _gram(b: np.ndarray) -> np.ndarray:
+    return np.dot(b.T, b)
+
+
 def fit_moments(embeddings: Rows) -> GaussianMoments:
     """Sample mean and unbiased covariance of an embedding population.
 
-    Works on one float64 copy of the rows, centred in place. These are the
-    steps ``np.cov(rowvar=False, ddof=1)`` takes, so the bits are the same,
-    without the second copy ``np.cov`` would make.
+    The mean has the bits of a float64 copy's mean: numpy upcasts the rows
+    through small buffers as it sums them. The covariance sums ``b.T @ b``
+    over centred float64 blocks ``b`` of _BLOCK rows, each released before
+    the next is made, and scales the sum by 1 / (n - 1). A set of at most
+    _BLOCK rows is one block, so its covariance has the bits of
+    ``np.cov(rowvar=False, ddof=1)``; more blocks round differently, by
+    about 1e-16 relative.
     """
-    x = np.array(_as_rows(embeddings), dtype=np.float64)
+    x = _as_rows(embeddings)
     if x.shape[0] < 2:
         raise ValueError("fit_moments needs at least 2 vectors")
-    mean = x.mean(axis=0)
-    x -= mean
-    return GaussianMoments(mean, np.dot(x.T, x) * np.true_divide(1, x.shape[0] - 1))
+    mean = np.mean(x, axis=0, dtype=np.float64)
+    scatter = sum(_gram(np.subtract(x[lo : lo + _BLOCK], mean, dtype=np.float64))
+                  for lo in range(0, len(x), _BLOCK))
+    return GaussianMoments(mean, scatter * np.true_divide(1, x.shape[0] - 1))
 
 
 def _psd_sqrt(c: np.ndarray, stage: str) -> np.ndarray:
@@ -461,7 +478,11 @@ def _psd_sqrt(c: np.ndarray, stage: str) -> np.ndarray:
 
 
 def check_jitter(jitter: float) -> None:
-    """Raise ValueError unless jitter is a diagonal term frechet_distance accepts."""
+    """Raise ValueError unless jitter is a diagonal term frechet_distance accepts.
+
+    This checks the value alone; whether it swamps a covariance is checked by
+    frechet_distance, once the covariances are known.
+    """
     if not 0 <= jitter < np.inf:
         raise ValueError(f"jitter must be finite and >= 0, got {jitter}")
 
@@ -477,6 +498,12 @@ def frechet_distance(
     and negative eigenvalues clamped to zero. ``jitter`` is added to both
     covariance diagonals to stabilise near-singular inputs; pass 0.0 when
     the moments are exact. The result is clamped to be non-negative.
+
+    Raises ValueError naming the stage whose values are not finite, or, when
+    every stage is finite, when the jitter swamps the sets: when adding it
+    leaves the mean term, and every diagonal entry of a covariance that has a
+    non-zero variance, equal to the jitter alone. The distance would then
+    read the jitter, not the sets (two different samples could score 0.0).
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -509,6 +536,10 @@ def frechet_distance(
     value = mean_term + float(np.trace(ca) + np.trace(cb)) - trace_cross
     if not np.isfinite(value):
         raise ValueError("non-finite value in the final distance")
+    for which, moments, c in (("first", a, ca), ("second", b, cb)):
+        if (mean_term + jitter == jitter and moments.covariance.diagonal().any()
+                and (c.diagonal() == jitter).all()):
+            raise ValueError(f"jitter {jitter!r} swamps the mean term and every variance of the {which} set")
     return max(0.0, value)
 
 

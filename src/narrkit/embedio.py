@@ -59,6 +59,8 @@ def _decode_binary(fh: IO[bytes]) -> EmbeddingSet:
             raise ValueError(f"invalid UTF-8 in id {number}") from None
         if len(ids) != count:
             raise ValueError(f"expected {count} ids, found {len(ids)}")
+        if "" in ids:
+            raise ValueError(f"embedding id {ids.index('') + 1} is empty")
     return EmbeddingSet(vectors, ids)
 
 

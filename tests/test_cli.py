@@ -10,7 +10,7 @@ from conftest import allow_cpus, assert_no_child_left, random_manifest, random_s
 from narrkit import cli, embedcore
 from narrkit.cli import run
 from narrkit.embedcore import EmbeddingSet
-from narrkit.embedio import read_embeddings, write_embeddings
+from narrkit.embedio import MAGIC, read_embeddings, write_embeddings
 from narrkit.manifest import parse_manifest, write_manifest
 
 
@@ -481,6 +481,26 @@ class TestMetrics:
         argv = ["metrics", "frechet", "--a", emb_paths[0], "--b", emb_paths[1], "--jitter", "1e200",
                 "--out", str(out)]
         assert invoke(capsys, *argv) == (1, "", "error: --jitter: non-finite value in the trace term\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jitter", ["1e20", "1e150"])
+    def test_swamping_jitter_rejected(self, capsys, tmp_path, rng, jitter):
+        a, b, out = tmp_path / "a.emb", tmp_path / "b.emb", tmp_path / "fd.txt"
+        write_embeddings(EmbeddingSet(rng.normal(size=(50, 8)).astype(np.float32)), a)
+        write_embeddings(EmbeddingSet(rng.normal(size=(50, 8)).astype(np.float32)), b)
+        argv = ["metrics", "frechet", "--a", str(a), "--b", str(b), "--jitter", jitter, "--out", str(out)]
+        err = f"error: --jitter: jitter {float(jitter)!r} swamps the mean term and every variance of the first set\n"
+        assert invoke(capsys, *argv) == (1, "", err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["metrics", "flowloss", "--pred", "{e}", "--target", "{e}"],
+                                      ["perturb", "--in", "{e}", "--out", "{out}"]],
+                             ids=["flowloss", "perturb"])
+    def test_empty_binary_id_names_its_number(self, capsys, tmp_path, argv):
+        e, out = tmp_path / "e.emb", tmp_path / "o.emb"
+        e.write_bytes(MAGIC + (3).to_bytes(4, "little") + (1).to_bytes(4, "little") + bytes(12) + b"a\n\nb")
+        argv = [arg.format(e=e, out=out) for arg in argv]
+        assert invoke(capsys, *argv) == (1, "", f"error: {e}: embedding id 2 is empty\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["metrics", "flowloss", "--pred", "{e}", "--target", "{e}"],

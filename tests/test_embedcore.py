@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -198,6 +199,14 @@ class TestPopulationStd:
         m = rng.normal(loc=3.0, size=(301, 17)).astype(np.float32)
         std = population_std(EmbeddingSet(m))
         assert np.array_equal(std, np.std(m.astype(np.float64), axis=0, ddof=1))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 65, 129, 767])
+    def test_column_strips_keep_np_std_bits(self, rng, dim, dtype):
+        # 65 columns in strips of 64 and 1 would sum the last column pairwise; a long
+        # single column runs past numpy's 8192-element cast buffer
+        m = rng.normal(loc=3.0, size=(max(2 * embedcore._BLOCK + 1, 60_000 // dim), dim)).astype(dtype)
+        assert np.array_equal(population_std(m), np.std(m, axis=0, ddof=1, dtype=np.float64))
 
 
 class TestPerturb:
@@ -482,6 +491,24 @@ class TestMoments:
         )
         assert np.array_equal(m, before)  # centred in a copy, never in the caller's rows
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 65, 129, 767])
+    def test_mean_bit_identical_to_float64_copy(self, rng, dim, dtype):
+        m = rng.normal(loc=2.0, size=(max(2 * embedcore._BLOCK + 1, 60_000 // dim), dim)).astype(dtype)
+        assert np.array_equal(fit_moments(m).mean, np.array(m, np.float64).mean(axis=0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dim", [1, 65])
+    def test_multi_block_covariance_near_np_cov(self, rng, dim, dtype):
+        m = rng.normal(loc=2.0, size=(3 * embedcore._BLOCK + 7, dim)).astype(dtype)
+        cov = fit_moments(m).covariance
+        expected = np.atleast_2d(np.cov(m.astype(np.float64), rowvar=False, ddof=1))
+        # rtol 1e-12 of sqrt(C_ii C_jj), which bounds |C_ij|: near-zero entries carry
+        # the rounding of their large terms
+        scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
+        assert np.all(np.abs(cov - expected) <= 1e-12 * scale)
+        assert np.array_equal(cov, cov.T)
+
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             GaussianMoments(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -549,6 +576,23 @@ class TestFrechet:
         m = random_moments(rng, 3)
         with pytest.raises(ValueError, match="^jitter must be finite and >= 0"):
             frechet_distance(m, m, jitter=jitter)
+
+    @pytest.mark.parametrize("jitter", [1e17, 1e20, 1e150])
+    def test_swamping_jitter_rejected(self, rng, jitter):
+        a = fit_moments(rng.normal(size=(50, 8)).astype(np.float32))
+        b = fit_moments(rng.normal(size=(50, 8)).astype(np.float32))
+        constant = fit_moments(np.zeros((50, 8)))
+        error = f"jitter {jitter!r} swamps the mean term and every variance of the first set"
+        with pytest.raises(ValueError, match=re.escape(error)):
+            frechet_distance(a, b, jitter=jitter)
+        with pytest.raises(ValueError, match="of the second set$"):
+            frechet_distance(constant, b, jitter=jitter)
+
+    def test_default_jitter_scores_sets_it_does_not_swamp(self):
+        # no variance to swamp, or a variance of 1e-90 swamped while the mean term is not
+        constant, tiny = fit_moments(np.ones((5, 3))), fit_moments(np.array([[0, 0, 0], [0, 0, 1e-45]]))
+        assert frechet_distance(constant, fit_moments(np.zeros((5, 3)))) == pytest.approx(3.0)
+        assert frechet_distance(tiny, constant) == pytest.approx(3.0)
 
     def test_non_finite_names_stage(self):
         a = GaussianMoments([np.inf], [[1.0]])
