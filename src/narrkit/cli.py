@@ -330,9 +330,8 @@ def _fit_moments(path: str, dim: int | None = None) -> embedcore.GaussianMoments
     """Fit the set at ``path``, which must have ``dim`` columns when given."""
     from . import embedcore, embedio
 
-    # The set is dropped on return, so frechet holds one set at a time.
-    embeddings = embedio.read_embeddings(path)
-    with _blame(path):
+    # Read block by block in two passes, and closed on return.
+    with embedio.open_embeddings(path) as embeddings, _blame(path):
         if dim is not None and embeddings.dim != dim:
             raise ValueError(f"dimension mismatch: {dim} vs {embeddings.dim}")
         return embedcore.fit_moments(embeddings)
@@ -356,9 +355,8 @@ def cmd_metrics(args, rc: RunConfig) -> int:
             output = repr(embedcore.frechet_distance(a, b, jitter=jitter)) + "\n"
     else:
         first, second = (args.text, args.image) if kind == "clipt" else (args.pred, args.target)
-        x, y = embedio.read_embeddings(first), embedio.read_embeddings(second)
         # A pair that does not line up is the second file's fault; a zero-norm row, its own file's.
-        with _blame(first, second):
+        with embedio.open_embeddings(first) as x, embedio.open_embeddings(second) as y, _blame(first, second):
             if kind == "clipt":
                 output = repr(embedcore.clip_t_score(x, y, scale=args.scale)) + "\n"
             elif kind == "flowloss":
@@ -377,19 +375,20 @@ def cmd_metrics(args, rc: RunConfig) -> int:
     return 0
 
 
-def _population_std(args, source: embedcore.EmbeddingSet):
+def _population_std(args, source):
     from . import embedcore, embedio
 
-    # A --population set is dropped on return, before the input is perturbed.
+    # A --population set is closed on return, before the input is perturbed.
     path = args.population or args.input
-    population = embedio.read_embeddings(path) if args.population else source
-    if len(population) < 2:
-        advice = "" if args.population else "; supply --population"
-        raise InputError(f"std basis needs a population of at least 2 vectors{advice}", source=path)
-    if population.dim != source.dim:
-        raise InputError(f"dimension {population.dim} does not match --in dimension {source.dim}",
-                         source=path)
-    return embedcore.population_std(population)
+    opened = embedio.open_embeddings(path) if args.population else contextlib.nullcontext(source)
+    with opened as population:
+        if len(population) < 2:
+            advice = "" if args.population else "; supply --population"
+            raise InputError(f"std basis needs a population of at least 2 vectors{advice}", source=path)
+        if population.dim != source.dim:
+            raise InputError(f"dimension {population.dim} does not match --in dimension {source.dim}",
+                             source=path)
+        return embedcore.population_std(population)
 
 
 def cmd_perturb(args, rc: RunConfig) -> int:
@@ -398,19 +397,20 @@ def cmd_perturb(args, rc: RunConfig) -> int:
     if not args.out:
         _log("perturb: --out is required (binary output does not go to stdout)")
         return 2
-    source = embedio.read_embeddings(args.input)
-    if args.format == "binary" and source.ids is not None:
-        try:  # before any row is perturbed
-            embedio._check_binary_ids(source.ids)
-        except ValueError as exc:
-            raise InputError(f"{exc}; use --format jsonl", source=args.input) from exc
-    basis = _population_std(args, source)
-    # Every input is checked by now; what can still fail is noise past float32, set by a flag
-    # or the config, or else at its default and so too large for the basis file.
-    with _blame(rc.sources.get("noise_scale", args.population or args.input)):
-        result = embedcore.perturb_set(
-            source, basis, rc.perturbation, shuffle_mode=args.shuffle_mode, threads=rc.threads
-        )
+    with embedio.open_embeddings(args.input) as source:
+        if args.format == "binary" and source.ids is not None:
+            try:  # before any row is perturbed
+                embedio._check_binary_ids(source.ids)
+            except ValueError as exc:
+                raise InputError(f"{exc}; use --format jsonl", source=args.input) from exc
+        basis = _population_std(args, source)
+        # Every input but the rows of --in is checked by now: a bad row names --in. What
+        # else can fail is noise past float32, set by a flag or the config, or else at its
+        # default and so too large for the basis file.
+        with _blame(rc.sources.get("noise_scale", args.population or args.input)):
+            result = embedcore.perturb_set(
+                source, basis, rc.perturbation, shuffle_mode=args.shuffle_mode, threads=rc.threads
+            )
     with _outputs(args.out) as (out,):
         # binary output goes to the byte stream under the text sink
         written = embedio.write_embeddings(result, out.buffer, fmt=args.format)

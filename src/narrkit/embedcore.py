@@ -16,16 +16,21 @@ every random operation is a pure function of an explicit seed. Per-item
 random streams are derived from (seed, item index), so batch results never
 depend on scheduling or thread count.
 
-Memory: kernels read a set in its stored dtype and never make a float64
-copy of a whole set. ``population_std`` reduces strips of at most 64
-columns, ``fit_moments``' covariance and the pair metrics upcast blocks of
-_BLOCK rows, one at a time, and ``perturb_set`` writes each row into one
-output array of the set's dtype, which its forked workers share.
+Memory: every kernel walks its input in blocks of _BLOCK rows, one block
+(and its float64 working copy) alive at a time, so it never needs a whole
+set in memory; a one-column set is the exception (see _row_sum). An input is an array, an ``EmbeddingSet`` or a reader that
+``embedio.open_embeddings`` returns, whose ``blocks(lo, hi)`` reads each
+block from the file as it is needed. ``population_std`` and ``fit_moments``
+make two passes (the mean, then the deviations from it); the pair metrics
+zip the blocks of their two sets; ``perturb_set`` reads each process's own
+rows and writes them into one output array of the set's dtype, which its
+forked workers share.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import sys
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence, Union
@@ -80,7 +85,7 @@ class EmbeddingSet:
             raise ValueError("embedding dimension must be >= 1")
         if not np.issubdtype(self.vectors.dtype, np.floating):
             self.vectors = self.vectors.astype(np.float64)
-        if not np.all(np.isfinite(self.vectors)):
+        if not _finite(self.vectors):
             raise ValueError("embeddings must be finite")
         if self.ids is not None:
             if len(self.ids) != len(self.vectors):
@@ -98,12 +103,25 @@ class EmbeddingSet:
         return self.vectors.shape[1]
 
 
+def _trusted_set(vectors: np.ndarray, ids: list[str] | None) -> EmbeddingSet:
+    """A set of float rows and ids that already pass EmbeddingSet's checks, built
+    without running them again."""
+    es = object.__new__(EmbeddingSet)
+    es.vectors, es.ids = vectors, ids
+    return es
+
+
 ArrayLike = Union[np.ndarray, Sequence[float]]
+# Kernels also take a reader: anything with ``shape``, ``dtype``, ``ids`` and
+# ``blocks(lo, hi)``, as embedio.EmbeddingFile has.
 Rows = Union[EmbeddingSet, ArrayLike]
 
 
-def _as_rows(x: Rows, name: str = "embeddings") -> np.ndarray:
-    """Rows of a set, 2-D array or vector (one row), in their stored dtype."""
+def _as_rows(x: Rows, name: str = "embeddings"):
+    """Rows of a set, 2-D array or vector (one row), in their stored dtype; a
+    reader as it is."""
+    if hasattr(x, "blocks"):
+        return x
     m = x.vectors if isinstance(x, EmbeddingSet) else np.asarray(x)
     if m.ndim == 1 and m.size:
         return m[None, :]
@@ -119,8 +137,22 @@ def _as_vector(x: ArrayLike, name: str) -> np.ndarray:
     return v
 
 
-# Rows per block in the row-blocked kernels; bounds their float64 temporaries.
+# Rows per block in the row-blocked kernels and readers; bounds their temporaries.
 _BLOCK = 1024
+
+
+def _blocks(rows, lo: int = 0, hi: int | None = None) -> Iterable[np.ndarray]:
+    """Rows lo..hi (default: all) of an array or a reader, in blocks of _BLOCK
+    rows cut at lo, lo + _BLOCK, ...: views of an array, a reader's own blocks."""
+    if not isinstance(rows, np.ndarray):
+        return rows.blocks(lo, hi)
+    hi = len(rows) if hi is None else hi
+    return (rows[i : min(i + _BLOCK, hi)] for i in range(lo, hi, _BLOCK))
+
+
+def _finite(rows: np.ndarray) -> bool:
+    # Block by block, so that the bool temporary is one block's.
+    return all(np.isfinite(block).all() for block in _blocks(rows))
 
 
 def _check_pairs(a: Rows, b: Rows, names=("pred", "target")) -> tuple[np.ndarray, np.ndarray]:
@@ -136,15 +168,18 @@ def _check_pairs(a: Rows, b: Rows, names=("pred", "target")) -> tuple[np.ndarray
     return x, y
 
 
-def _pair_rows(x: np.ndarray, y: np.ndarray, row_fn: Callable) -> np.ndarray:
+def _pair_rows(x, y, row_fn: Callable) -> np.ndarray:
     """Concatenate the per-row results of ``row_fn(a, b, first)`` over the float64
-    blocks of _BLOCK paired rows of x and y, whose row 0 is pair ``first``. Each
-    block pair is released before the next is made."""
-    return np.concatenate([
-        row_fn(x[lo : lo + _BLOCK].astype(np.float64, copy=False),
-               y[lo : lo + _BLOCK].astype(np.float64, copy=False), lo)
-        for lo in range(0, len(x), _BLOCK)
-    ], axis=-1)
+    copies of the blocks of _BLOCK paired rows of x and y (see _blocks), whose row
+    0 is pair ``first``. Every block pair is copied into the same two buffers:
+    a fresh pair of float64 blocks each time would cost its page faults anew."""
+    a64, b64 = np.empty((2, min(_BLOCK, len(x)), x.shape[1]))
+    results = []
+    for first, a, b in zip(range(0, len(x), _BLOCK), _blocks(x), _blocks(y)):
+        np.copyto(a64[: len(a)], a)
+        np.copyto(b64[: len(b)], b)
+        results.append(row_fn(a64[: len(a)], b64[: len(b)], first))
+    return np.concatenate(results, axis=-1)
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -217,20 +252,43 @@ def regression_loss_grad(
     return grad_cos + grad_mse
 
 
+def _row_sum(rows, mean: np.ndarray | None = None) -> np.ndarray:
+    """The float64 sum of the rows, or, given ``mean``, of their squared deviations
+    from it, with the bits of numpy's ``np.mean`` and ``np.std`` sums.
+
+    numpy adds the rows of a set of 2 or more columns one at a time, in order.
+    So does this, block by block: row 0 of a float64 buffer carries the sum
+    from one block into the next. numpy sums a single column pairwise instead,
+    so a one-column set is gathered into one array and summed whole.
+    """
+    if rows.shape[1] == 1:
+        x = np.concatenate(list(_blocks(rows)))
+        if mean is not None:
+            x = np.square(np.subtract(x, mean, dtype=np.float64))
+        return np.sum(x, axis=0, dtype=np.float64)
+    buf = np.zeros((min(_BLOCK, len(rows)) + 1, rows.shape[1]))
+    for block in _blocks(rows):
+        part = buf[1 : len(block) + 1]
+        if mean is None:
+            part[...] = block
+        else:
+            np.square(np.subtract(block, mean, out=part), out=part)
+        buf[0] = buf[: len(block) + 1].sum(axis=0)
+    return buf[0].copy()
+
+
 def population_std(embeddings: Rows) -> np.ndarray:
     """Per-dimension sample standard deviation (n-1 denominator), in float64.
 
-    Bit for bit ``np.std(m, axis=0, ddof=1, dtype=np.float64)``, whose centred
-    float64 temporary would be twice the size of a float32 set; it is taken
-    over ceil(dim / 64) column strips of near-equal width instead. No strip is
-    one column wide unless the set is: numpy sums a single column pairwise but
-    a wider one row by row, so such a strip would change the bits.
+    Bit for bit ``np.std(m, axis=0, ddof=1, dtype=np.float64)``, in two passes
+    over blocks of rows (see _row_sum) instead of a centred float64 copy of
+    the whole set.
     """
     m = _as_rows(embeddings)
     if m.shape[0] < 2:
         raise ValueError("population_std needs at least 2 vectors")
-    strips = np.array_split(m, -(-m.shape[1] // 64), axis=1)
-    return np.concatenate([np.std(s, axis=0, ddof=1, dtype=np.float64) for s in strips])
+    mean = _row_sum(m) / m.shape[0]
+    return np.sqrt(_row_sum(m, mean) / (m.shape[0] - 1))
 
 
 def _item_rng(seed: int, item_index: int) -> np.random.Generator:
@@ -300,21 +358,34 @@ def _worker_count(threads: int, rows: int) -> int:
 def _run_forked(fill: Callable[[int, int], None], bounds: list[int]) -> None:
     """Run ``fill(lo, hi)`` over each range of ``bounds``: the first in this
     process, each other in a forked worker. Every worker is reaped before this
-    returns or raises; one that fails raises ChildProcessError.
+    returns or raises. A worker whose fill raises ValueError (bad input rows)
+    sends it back through a pipe, and the first such range's error is raised
+    here, as this process would have raised it; a worker that fails otherwise
+    raises ChildProcessError.
 
     Fork copies only the calling thread. OpenBLAS's idle threads stay behind,
-    which is safe because the row loop calls no BLAS: it draws random numbers
-    and does elementwise arithmetic and indexing only.
+    which is safe because the row loop calls no BLAS: it reads rows, draws
+    random numbers and does elementwise arithmetic and indexing only.
     """
-    pids = []
+    workers = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            pid = os.fork()
+            reply, send = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(reply)
+                os.close(send)
+                raise
             if pid == 0:  # a worker: fill its rows and exit, never returning to the caller
                 status = 1
                 try:
+                    os.close(reply)
                     fill(lo, hi)
                     status = 0
+                except ValueError as exc:
+                    with open(send, "wb") as pipe:
+                        pickle.dump(exc, pipe)
                 except BaseException:
                     import traceback  # loaded only here: the other commands never need it
 
@@ -322,11 +393,18 @@ def _run_forked(fill: Callable[[int, int], None], bounds: list[int]) -> None:
                     sys.stderr.flush()
                 finally:
                     os._exit(status)
-            pids.append((pid, lo, hi))
+            os.close(send)
+            workers.append((pid, reply, lo, hi))
         fill(bounds[0], bounds[1])
     finally:
-        statuses = [(os.waitpid(pid, 0)[1], lo, hi) for pid, lo, hi in pids]
-    for status, lo, hi in statuses:
+        ends = []
+        for pid, reply, lo, hi in workers:
+            with open(reply, "rb") as pipe:
+                sent = pipe.read()  # until the worker exits
+            ends.append((os.waitpid(pid, 0)[1], sent, lo, hi))
+    for status, sent, lo, hi in ends:
+        if sent:
+            raise pickle.loads(sent)
         if status:
             code = os.waitstatus_to_exitcode(status)
             raise ChildProcessError(
@@ -341,7 +419,7 @@ def perturb_set(
     shuffle_mode: str = "coords",
     threads: int = 1,
 ) -> EmbeddingSet:
-    """Apply perturb to every vector of a set.
+    """Apply perturb to every vector of a set, or of a reader's set.
 
     ``shuffle_mode`` selects what the shuffle stage permutes: "coords"
     shuffles coordinates within each vector, "sequence" permutes the order
@@ -350,48 +428,52 @@ def perturb_set(
 
     ``threads`` (at least 1) splits the rows into that many contiguous
     ranges, capped by the rows and by the CPUs this process may run on. This
-    process perturbs the first range and one forked worker each other range,
-    all writing into one anonymous shared buffer that becomes the result's
-    vectors. Fork copies only the calling thread, so pass ``threads`` above 1
-    only from a process that runs no other Python thread. A worker that fails
-    raises ChildProcessError, once every worker has exited.
+    process perturbs the first range and one forked worker each other range;
+    each reads only its own rows, _BLOCK at a time, and all write into one
+    anonymous shared buffer that becomes the result's vectors. Fork copies
+    only the calling thread, so pass ``threads`` above 1 only from a process
+    that runs no other Python thread. A reader's error in a worker's rows is
+    raised here; a worker that fails otherwise raises ChildProcessError, once
+    every worker has exited.
 
     Raises ValueError when the noise takes a value past the range of the
     set's dtype.
     """
     if shuffle_mode not in ("coords", "sequence"):
         raise ValueError(f"shuffle_mode must be 'coords' or 'sequence', got {shuffle_mode!r}")
-    basis = _std_basis(std_basis, embeddings.dim)
+    rows = _as_rows(embeddings)
+    n = len(rows)
+    basis = _std_basis(std_basis, rows.shape[1])
     coord_shuffle = shuffle_mode == "coords"
-    rows = embeddings.vectors
     ids = list(embeddings.ids) if embeddings.ids is not None else None
     # Row i lands at slot[i] of the output; a sequence shuffle puts row order[k] at k.
-    slot = range(len(rows))
+    slot = range(n)
     if spec.shuffle and shuffle_mode == "sequence":
-        order = _order_rng(spec.seed).permutation(len(rows))
+        order = _order_rng(spec.seed).permutation(n)
         slot = np.argsort(order)
         if ids is not None:
             ids = [ids[i] for i in order]
-    workers = _worker_count(threads, len(rows))
+    workers = _worker_count(threads, n)
     if workers == 1:
-        result = np.empty_like(rows)
+        result = np.empty(rows.shape, rows.dtype)
     else:  # MAP_SHARED: the pages a worker writes are the pages this process reads
         import mmap  # loaded only here, so the metrics commands do not pay for it
 
-        shared = mmap.mmap(-1, rows.nbytes, flags=mmap.MAP_SHARED)
+        shared = mmap.mmap(-1, n * rows.shape[1] * rows.dtype.itemsize, flags=mmap.MAP_SHARED)
         result = np.ndarray(rows.shape, rows.dtype, shared)
 
     def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            result[slot[i]] = _perturb_row(rows[i], basis, spec, i, coord_shuffle)
+        for first, block in zip(range(lo, hi, _BLOCK), _blocks(rows, lo, hi)):
+            for i, row in enumerate(block, first):
+                result[slot[i]] = _perturb_row(row, basis, spec, i, coord_shuffle)
 
     # An overflow leaves an infinity, reported once below for every worker
     # count, instead of one warning per process.
     with np.errstate(over="ignore", invalid="ignore"):
-        _run_forked(fill, [len(rows) * k // workers for k in range(workers + 1)])
-    if not np.isfinite(result).all():
+        _run_forked(fill, [n * k // workers for k in range(workers + 1)])
+    if not _finite(result):
         raise ValueError(f"the noise takes perturbed values past the {result.dtype} range")
-    return EmbeddingSet(result, ids)
+    return _trusted_set(result, ids)  # checked just above; the ids are the input's
 
 
 def rescale_latent(z: ArrayLike, factor: float) -> np.ndarray:
@@ -451,20 +533,19 @@ def _gram(b: np.ndarray) -> np.ndarray:
 def fit_moments(embeddings: Rows) -> GaussianMoments:
     """Sample mean and unbiased covariance of an embedding population.
 
-    The mean has the bits of a float64 copy's mean: numpy upcasts the rows
-    through small buffers as it sums them. The covariance sums ``b.T @ b``
-    over centred float64 blocks ``b`` of _BLOCK rows, each released before
-    the next is made, and scales the sum by 1 / (n - 1). A set of at most
-    _BLOCK rows is one block, so its covariance has the bits of
-    ``np.cov(rowvar=False, ddof=1)``; more blocks round differently, by
-    about 1e-16 relative.
+    Two passes over blocks of _BLOCK rows. The first sums the rows (see
+    _row_sum), so the mean has the bits of ``np.mean(x, axis=0,
+    dtype=np.float64)``. The second sums ``b.T @ b`` over the centred float64
+    blocks ``b``, each released before the next is made, and scales the sum
+    by 1 / (n - 1). A set of at most _BLOCK rows is one block, so its
+    covariance has the bits of ``np.cov(rowvar=False, ddof=1)``; more blocks
+    round differently, by about 1e-16 relative.
     """
     x = _as_rows(embeddings)
     if x.shape[0] < 2:
         raise ValueError("fit_moments needs at least 2 vectors")
-    mean = np.mean(x, axis=0, dtype=np.float64)
-    scatter = sum(_gram(np.subtract(x[lo : lo + _BLOCK], mean, dtype=np.float64))
-                  for lo in range(0, len(x), _BLOCK))
+    mean = _row_sum(x) / x.shape[0]
+    scatter = sum(_gram(np.subtract(b, mean, dtype=np.float64)) for b in _blocks(x))
     return GaussianMoments(mean, scatter * np.true_divide(1, x.shape[0] - 1))
 
 
@@ -500,10 +581,12 @@ def frechet_distance(
     the moments are exact. The result is clamped to be non-negative.
 
     Raises ValueError naming the stage whose values are not finite, or, when
-    every stage is finite, when the jitter swamps the sets: when adding it
-    leaves the mean term, and every diagonal entry of a covariance that has a
-    non-zero variance, equal to the jitter alone. The distance would then
-    read the jitter, not the sets (two different samples could score 0.0).
+    every stage is finite, when the jitter swamps the sets, so that the
+    distance would read the jitter, not the sets (two different samples could
+    score 0.0): when adding it leaves the mean term, and every diagonal entry
+    of a covariance that has a non-zero variance, equal to the jitter alone;
+    or when the mean term survives being added to the bare covariances'
+    traces but is lost in the jittered ones. Neither fires at jitter 0.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -533,13 +616,17 @@ def frechet_distance(
         raise ValueError("non-finite value in the trace term")
     trace_cross = 2.0 * float(np.sum(np.sqrt(np.clip(eigvals, 0.0, None))))
 
-    value = mean_term + float(np.trace(ca) + np.trace(cb)) - trace_cross
+    traces = float(np.trace(ca) + np.trace(cb))
+    value = mean_term + traces - trace_cross
     if not np.isfinite(value):
         raise ValueError("non-finite value in the final distance")
     for which, moments, c in (("first", a, ca), ("second", b, cb)):
         if (mean_term + jitter == jitter and moments.covariance.diagonal().any()
                 and (c.diagonal() == jitter).all()):
             raise ValueError(f"jitter {jitter!r} swamps the mean term and every variance of the {which} set")
+    bare = float(np.trace(a.covariance) + np.trace(b.covariance))
+    if mean_term + bare != bare and mean_term + traces == traces:
+        raise ValueError(f"jitter {jitter!r} swamps the mean term")
     return max(0.0, value)
 
 

@@ -6,26 +6,31 @@ optional block of newline-separated UTF-8 ids (one per vector). A JSONL
 alternative with one ``{"id": ..., "values": [...]}`` object per line is
 accepted interchangeably; readers sniff the magic bytes.
 
-Memory: a set is held once. The reader reads a binary payload straight
-into the array that becomes the set's vectors and decodes JSONL line by
-line; the writer sends the header, the vector buffer and the id block (or
-one JSONL line at a time) to the sink without joining them first.
+Memory: no binary set is read whole unless asked. ``open_embeddings``
+checks an ``EMB1`` file's header, payload size and id block without reading
+the payload; its reader's ``blocks(lo, hi)`` reads rows lo..hi into a fresh
+float32 array of _BLOCK rows at a time, by positional reads, so forked
+workers never share a file offset. A JSONL set, decoded line by line, and a
+pipe's bytes are held in memory. ``read_embeddings`` reads every row into
+one array. The writer sends the header, the vector buffer and the id block
+(or one JSONL line at a time) to the sink without joining them first.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
 import struct
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
-from .embedcore import EmbeddingSet
+from .embedcore import _BLOCK, EmbeddingSet, _trusted_set
 from .jsonl import TEXT, InputError, iter_json_objects, want_str
 
-__all__ = ["MAGIC", "read_embeddings", "write_embeddings"]
+__all__ = ["MAGIC", "EmbeddingFile", "open_embeddings", "read_embeddings", "write_embeddings"]
 
 MAGIC = b"EMB1"
 _HEADER = struct.Struct("<II")
@@ -33,25 +38,48 @@ _HEADER = struct.Struct("<II")
 Source = Union[str, os.PathLike, IO[bytes]]
 
 
-def _decode_binary(fh: IO[bytes]) -> EmbeddingSet:
-    header = fh.read(len(MAGIC) + _HEADER.size)
-    if len(header) < len(MAGIC) + _HEADER.size:
-        raise ValueError("embedding file truncated before header")
-    count, dim = _HEADER.unpack_from(header, len(MAGIC))
-    if dim < 1:
-        raise ValueError("embedding dimension must be >= 1")
-    payload = count * dim * 4
-    here = fh.tell()
-    got = fh.seek(0, io.SEEK_END) - here  # sized before allocating: the header may claim any size
-    fh.seek(here)
-    if got >= payload:
-        vectors = np.empty((count, dim), dtype="<f4")
-        got = fh.readinto(vectors)  # the payload lands in the set's own buffer
-    if got < payload:
-        raise ValueError(f"embedding file truncated: expected {payload} data bytes, got {got}")
-    ids = None
-    tail = fh.read()
-    if tail:
+class EmbeddingFile:
+    """An open ``EMB1`` set, whose rows are read block by block.
+
+    Opening checks the header, the payload size and the id block, which
+    follows the payload, and reads no row. ``blocks(lo, hi)`` reads rows
+    lo..hi, _BLOCK at a time, and checks that each block is finite; a file
+    that has become shorter since it was opened reads as truncated. Errors
+    are InputErrors naming the file.
+    """
+
+    dtype = np.dtype("<f4")
+
+    def __init__(self, fh: IO[bytes], name: str):
+        self.name, self._fh = name, fh
+        try:  # a file is read by position; an in-memory stream by seek and readinto
+            self._fd = fh.fileno()
+        except (AttributeError, io.UnsupportedOperation):
+            self._fd = None
+        try:
+            self._read_layout()
+        except ValueError as exc:  # the layout checks and the id block's
+            raise InputError(str(exc), source=name) from exc
+
+    def _read_layout(self) -> None:
+        """Set shape and ids from the header and the id block, checking both and
+        the payload's size."""
+        fh = self._fh
+        header = fh.read(len(MAGIC) + _HEADER.size)
+        if len(header) < len(MAGIC) + _HEADER.size:
+            raise ValueError("embedding file truncated before header")
+        count, dim = _HEADER.unpack_from(header, len(MAGIC))
+        if dim < 1:
+            raise ValueError("embedding dimension must be >= 1")
+        self.shape, self.ids = (count, dim), None
+        self._offset, self._payload = fh.tell(), count * dim * 4
+        got = fh.seek(0, io.SEEK_END) - self._offset
+        if got < self._payload:
+            raise ValueError(f"embedding file truncated: expected {self._payload} data bytes, got {got}")
+        fh.seek(self._offset + self._payload)
+        tail = fh.read()
+        if not tail:
+            return
         try:
             ids = tail.decode("utf-8").split("\n")
         except UnicodeDecodeError as exc:  # name the id that holds the first bad byte
@@ -61,7 +89,48 @@ def _decode_binary(fh: IO[bytes]) -> EmbeddingSet:
             raise ValueError(f"expected {count} ids, found {len(ids)}")
         if "" in ids:
             raise ValueError(f"embedding id {ids.index('') + 1} is empty")
-    return EmbeddingSet(vectors, ids)
+        self.ids = ids
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.shape[1]
+
+    def _read_rows(self, lo: int, out: np.ndarray) -> None:
+        """Fill ``out``, C-contiguous float32, with the rows from row lo on."""
+        view = memoryview(out).cast("B")
+        start = self._offset + lo * self.dim * 4
+        got = 0
+        while got < len(view):
+            if self._fd is not None:
+                n = os.preadv(self._fd, [view[got:]], start + got)
+            else:
+                self._fh.seek(start + got)
+                n = self._fh.readinto(view[got:])
+            if not n:
+                raise InputError(f"embedding file truncated: expected {self._payload} data bytes, "
+                                 f"got {lo * self.dim * 4 + got}", source=self.name)
+            got += n
+        if not np.isfinite(out).all():
+            raise InputError("embeddings must be finite", source=self.name)
+
+    def blocks(self, lo: int = 0, hi: int | None = None) -> Iterator[np.ndarray]:
+        """Rows lo..hi (default: all), in fresh arrays of _BLOCK rows cut at lo,
+        lo + _BLOCK, ..., each read as it is asked for."""
+        hi = len(self) if hi is None else hi
+        for first in range(lo, hi, _BLOCK):
+            block = np.empty((min(_BLOCK, hi - first), self.dim), self.dtype)
+            self._read_rows(first, block)
+            yield block
+
+    def read(self) -> EmbeddingSet:
+        """Every row, in one writable float32 array that no other copy shares."""
+        vectors = np.empty(self.shape, self.dtype)
+        for first in range(0, len(self), _BLOCK):
+            self._read_rows(first, vectors[first : first + _BLOCK])
+        return _trusted_set(vectors, self.ids)  # each block checked as it was read
 
 
 _NUMBER_TYPES = frozenset({int, float})
@@ -100,17 +169,14 @@ def _decode_jsonl(lines: Iterable[str], source: str) -> EmbeddingSet:
     return EmbeddingSet(np.stack(rows), ids if have_ids else None)
 
 
-def _read(fh: IO[bytes], name: str) -> EmbeddingSet:
+def _open(fh: IO[bytes], name: str) -> EmbeddingSet | EmbeddingFile:
     if not fh.seekable():  # a pipe: held whole, so that it can be sniffed and sized
         fh = io.BytesIO(fh.read())
     start = fh.tell()
     binary = fh.read(len(MAGIC)) == MAGIC
     fh.seek(start)
     if binary:
-        try:
-            return _decode_binary(fh)
-        except ValueError as exc:  # the layout checks, the id block and EmbeddingSet's
-            raise InputError(str(exc), source=name) from exc
+        return EmbeddingFile(fh, name)
     # Split lines as a text-mode file does, so an id may hold U+2028.
     text = io.TextIOWrapper(fh, **TEXT)
     try:
@@ -119,16 +185,30 @@ def _read(fh: IO[bytes], name: str) -> EmbeddingSet:
         text.detach()  # leaves a caller's stream open
 
 
+@contextlib.contextmanager
+def open_embeddings(source: Source) -> Iterator[EmbeddingSet | EmbeddingFile]:
+    """Open a binary or JSONL embedding set (auto-detected) for the kernels.
+
+    Yields an EmbeddingFile for a binary file that can seek, whose rows are
+    read as the kernels walk its blocks, and an EmbeddingSet, held in memory,
+    for JSONL and for a pipe. A path is closed on exit; a caller's stream is
+    left open. Both have ``len``, ``dim`` and ``ids``.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as fh:
+            yield _open(fh, os.fspath(source))
+    else:
+        yield _open(source, getattr(source, "name", "<input>"))
+
+
 def read_embeddings(source: Source) -> EmbeddingSet:
     """Load an embedding set from a binary or JSONL file (auto-detected).
 
     A binary set's vectors are a writable float32 array that owns the
     file's payload; no other copy of it is made.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            return _read(fh, os.fspath(source))
-    return _read(source, getattr(source, "name", "<input>"))
+    with open_embeddings(source) as es:
+        return es.read() if isinstance(es, EmbeddingFile) else es
 
 
 def _check_binary_ids(ids: list[str]) -> None:

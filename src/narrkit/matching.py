@@ -265,9 +265,13 @@ def format_match_record(rec: MatchRecord) -> str:
     )
 
 
+# Each rule by its value: a dict lookup costs a fraction of MatchRule(value).
+_RULES = {rule.value: rule for rule in MatchRule}
+
+
 def parse_match_records(lines: Iterable[str]) -> Iterator[MatchRecord]:
     source = getattr(lines, "name", "<input>")
-    rules = tuple(rule.value for rule in MatchRule)
+    rules = tuple(_RULES)
     # Match files are grouped by video: a run of records shares one id string.
     video_id = None
     for lineno, rec in iter_json_objects(lines, source):
@@ -280,5 +284,5 @@ def parse_match_records(lines: Iterable[str]) -> Iterator[MatchRecord]:
             want_int(rec, "action_index", lineno, source),
             want_number(rec, "iou", lineno, source),
             want_number(rec, "start_diff_s", lineno, source),
-            MatchRule(want_choice(rec, "rule", rules, lineno, source)),
+            _RULES[want_choice(rec, "rule", rules, lineno, source)],
         )

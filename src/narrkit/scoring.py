@@ -140,14 +140,18 @@ def aggregate_ratings(ratings: Iterable[VLMRating]) -> RatingAggregate:
     )
 
 
+# Each tier by its value: a dict lookup costs a fraction of MatchTier(value).
+_TIERS = {tier.value: tier for tier in MatchTier}
+
+
 def read_tier_judgments(lines: Iterable[str]) -> list[TierJudgment]:
     """Read line-delimited {item_id, rater_id, tier} records."""
     source = getattr(lines, "name", "<input>")
-    tiers = tuple(tier.value for tier in MatchTier)
+    tiers = tuple(_TIERS)
     return [
         TierJudgment(
             want_str(rec, "item_id", lineno, source),
-            MatchTier(want_choice(rec, "tier", tiers, lineno, source)),
+            _TIERS[want_choice(rec, "tier", tiers, lineno, source)],
             want_str(rec, "rater_id", lineno, source),
         )
         for lineno, rec in iter_json_objects(lines, source)

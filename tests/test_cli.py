@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import allow_cpus, assert_no_child_left, random_manifest, random_sequence
-from narrkit import cli, embedcore
+from narrkit import cli, embedcore, embedio
 from narrkit.cli import run
 from narrkit.embedcore import EmbeddingSet
 from narrkit.embedio import MAGIC, read_embeddings, write_embeddings
@@ -493,6 +493,27 @@ class TestMetrics:
         assert invoke(capsys, *argv) == (1, "", err)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "sets,jitter,expected",
+        [("samples", "1e16", (1, "", "error: --jitter: jitter 1e+16 swamps the mean term\n")),
+         ("constant", "1e150", (1, "", "error: --jitter: jitter 1e+150 swamps the mean term\n")),
+         ("samples", "1e10", (0, "0.0867919921875\n", "")),
+         ("constant", "1e10", (0, "3.0\n", ""))],
+        ids=["samples-1e16", "constant-1e150", "samples-1e10", "constant-1e10"],
+    )
+    def test_jitter_that_swamps_the_mean_term_rejected(self, capsys, tmp_path, sets, jitter, expected):
+        # The mean term survives the bare covariances' traces but is lost in the jittered ones.
+        rng = np.random.default_rng(0)
+        if sets == "samples":
+            rows = [rng.normal(size=(50, 8)).astype(np.float32) for _ in range(2)]
+        else:
+            rows = [np.ones((5, 3), dtype=np.float32), np.zeros((5, 3), dtype=np.float32)]
+        a, b = tmp_path / "a.emb", tmp_path / "b.emb"
+        write_embeddings(EmbeddingSet(rows[0]), a)
+        write_embeddings(EmbeddingSet(rows[1]), b)
+        argv = ["metrics", "frechet", "--a", str(a), "--b", str(b), "--jitter", jitter]
+        assert invoke(capsys, *argv) == expected
+
     @pytest.mark.parametrize("argv", [["metrics", "flowloss", "--pred", "{e}", "--target", "{e}"],
                                       ["perturb", "--in", "{e}", "--out", "{out}"]],
                              ids=["flowloss", "perturb"])
@@ -721,6 +742,87 @@ class TestPerturbThreads:
                                 "--threads", "2")
         assert (code, out, err) == (1, "", "error: [Errno 11] Resource temporarily unavailable\n")
         assert not out_path.exists()
+
+
+class TestStreamedInputs:
+    """Binary sets are read block by block: a fault found late still ends cleanly."""
+
+    N = 2 * embedcore._BLOCK + 3
+
+    @pytest.fixture
+    def sets(self, tmp_path, rng):
+        good, bad = tmp_path / "good.emb", tmp_path / "bad.emb"
+        write_embeddings(EmbeddingSet(rng.normal(size=(self.N, 4)).astype(np.float32)), good)
+        write_embeddings(EmbeddingSet(rng.normal(size=(self.N, 4)).astype(np.float32)), bad)
+        return str(good), str(bad)
+
+    COMMANDS = [
+        ["metrics", "frechet", "--a", "{bad}", "--b", "{good}"],
+        ["metrics", "frechet", "--a", "{good}", "--b", "{bad}"],
+        ["metrics", "regloss", "--pred", "{good}", "--target", "{bad}"],
+        ["metrics", "flowloss", "--pred", "{bad}", "--target", "{good}"],
+        ["metrics", "clipt", "--text", "{good}", "--image", "{bad}"],
+        ["perturb", "--in", "{bad}"],
+        ["perturb", "--in", "{good}", "--population", "{bad}"],
+        ["perturb", "--in", "{bad}", "--population", "{good}", "--threads", "2"],
+    ]
+    IDS = ["frechet-a", "frechet-b", "regloss", "flowloss", "clipt", "perturb-in", "perturb-population",
+           "perturb-threads-2"]
+
+    def check_named(self, capsys, tmp_path, argv, sets, reason):
+        good, bad = sets
+        out = tmp_path / "out"
+        argv = [arg.format(good=good, bad=bad) for arg in argv] + ["--out", str(out)]
+        assert invoke(capsys, *argv) == (1, "", f"error: {bad}: {reason}\n")
+        assert sorted(os.listdir(tmp_path)) == ["bad.emb", "good.emb"]  # no output, no temp file
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
+    def test_nan_in_the_last_block(self, capsys, monkeypatch, tmp_path, sets, argv):
+        allow_cpus(monkeypatch, 2)
+        rows = read_embeddings(sets[1]).vectors
+        rows[-1, -1] = np.nan  # in the last block, and in the forked worker's range
+        with open(sets[1], "r+b") as fh:
+            fh.seek(12)
+            fh.write(rows.tobytes())
+        self.check_named(capsys, tmp_path, argv, sets, "embeddings must be finite")
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
+    def test_truncated_after_open(self, capsys, monkeypatch, tmp_path, sets, argv):
+        allow_cpus(monkeypatch, 2)
+        layout = embedio.EmbeddingFile._read_layout
+
+        def shrink_once_open(self):
+            layout(self)
+            if self.name == sets[1]:  # keep 1500 rows: the forked worker's range runs short
+                os.truncate(self.name, 12 + 1500 * 16)
+
+        monkeypatch.setattr(embedio.EmbeddingFile, "_read_layout", shrink_once_open)
+        reason = f"embedding file truncated: expected {self.N * 16} data bytes, got {1500 * 16}"
+        self.check_named(capsys, tmp_path, argv, sets, reason)
+
+    @pytest.mark.parametrize("fmt", ["binary", "jsonl"])
+    @pytest.mark.parametrize("argv", [["metrics", "frechet", "--a", "/dev/stdin", "--b", "{good}"],
+                                      ["perturb", "--in", "/dev/stdin", "--threads", "2", "--out", "{out}"]],
+                             ids=["frechet", "perturb"])
+    def test_reads_a_pipe(self, tmp_path, sets, argv, fmt):
+        import subprocess
+        import sys
+
+        source = tmp_path / "source"
+        write_embeddings(read_embeddings(sets[1]), source, fmt=fmt)
+        outputs = []
+        for stdin in ("/dev/stdin", str(source)):
+            out = tmp_path / f"out{len(outputs)}"
+            cmd = [arg.format(good=sets[0], out=out) for arg in argv]
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from narrkit.cli import run; sys.exit(run(sys.argv[1:]))",
+                 *[stdin if arg == "/dev/stdin" else arg for arg in cmd]],
+                input=source.read_bytes(), capture_output=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((proc.stdout, out.read_bytes() if out.exists() else None))
+        assert outputs[0] == outputs[1]
 
 
 class TestWindows:

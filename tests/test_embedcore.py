@@ -27,6 +27,7 @@ from narrkit.embedcore import (
     regression_loss_grad,
     rescale_latent,
 )
+from narrkit.embedio import open_embeddings, write_embeddings
 
 
 class TestCosine:
@@ -588,6 +589,20 @@ class TestFrechet:
         with pytest.raises(ValueError, match="of the second set$"):
             frechet_distance(constant, b, jitter=jitter)
 
+    def test_jitter_that_swamps_only_the_mean_term_rejected(self):
+        rng = np.random.default_rng(0)
+        a, b = (fit_moments(rng.normal(size=(50, 8)).astype(np.float32)) for _ in range(2))
+        ones, zeros = fit_moments(np.ones((5, 3))), fit_moments(np.zeros((5, 3)))
+        # Four of each set's eight jittered variances round to 1e16 + 2, not to the jitter.
+        with pytest.raises(ValueError, match=r"^jitter 1e\+16 swamps the mean term$"):
+            frechet_distance(a, b, jitter=1e16)
+        with pytest.raises(ValueError, match=r"^jitter 1e\+150 swamps the mean term$"):
+            frechet_distance(ones, zeros, jitter=1e150)  # no variance at all to swamp
+        # A jitter that leaves the mean term its digits is a jittered distance, not an error.
+        assert frechet_distance(a, b, jitter=1e10) == 0.0867919921875
+        assert frechet_distance(ones, zeros, jitter=1e10) == 3.0
+        assert frechet_distance(ones, zeros, jitter=0.0) == 3.0
+
     def test_default_jitter_scores_sets_it_does_not_swamp(self):
         # no variance to swamp, or a variance of 1e-90 swamped while the mean term is not
         constant, tiny = fit_moments(np.ones((5, 3))), fit_moments(np.array([[0, 0, 0], [0, 0, 1e-45]]))
@@ -686,3 +701,59 @@ class TestFlowLoss:
         samples = [FlowSample([1.0], [0.0]), FlowSample([1.0, 2.0], [0.0, 0.0])]
         with pytest.raises(ValueError, match="dimension"):
             flow_matching_loss(samples)
+
+
+def sliced_pair_rows(x, y, row_fn):
+    """Reference for _pair_rows: float64 copies of slices of whole in-memory sets."""
+    b = embedcore._BLOCK
+    return np.concatenate([row_fn(x[lo : lo + b].astype(np.float64), y[lo : lo + b].astype(np.float64), lo)
+                           for lo in range(0, len(x), b)], axis=-1)
+
+
+def sliced_covariance(x):
+    """Reference for fit_moments' covariance: np.mean, then centred slices of the whole set."""
+    mean = np.mean(x, axis=0, dtype=np.float64)
+    b = embedcore._BLOCK
+    return sum(np.dot(c.T, c) for c in (np.subtract(x[lo : lo + b], mean, dtype=np.float64)
+                                        for lo in range(0, len(x), b))) * np.true_divide(1, len(x) - 1)
+
+
+class TestStreamed:
+    """Kernels over a file's blocks give the bits of the whole-set references."""
+
+    @pytest.fixture
+    def files(self, rng, tmp_path, request):
+        n, dim = request.param
+        sets = [rng.normal(loc=0.5, size=(n, dim)).astype(np.float32) for _ in range(2)]
+        paths = [tmp_path / "a.emb", tmp_path / "b.emb"]
+        for rows, path in zip(sets, paths):
+            write_embeddings(EmbeddingSet(rows), path)
+        return sets, paths
+
+    SHAPES = [(n, 24) for n in (2, 1023, 1024, 1025, 2049)] + [(1025, 1)]
+
+    @pytest.mark.parametrize("files", SHAPES, indirect=True, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("order", [0, 1], ids=["ab", "ba"])
+    def test_bits_equal_whole_set_references(self, files, order):
+        sets, paths = files
+        x, y = sets[order], sets[1 - order]
+        with open_embeddings(paths[order]) as fx, open_embeddings(paths[1 - order]) as fy:
+            assert np.array_equal(population_std(fx), np.std(x, axis=0, ddof=1, dtype=np.float64))
+            moments = fit_moments(fx)
+            assert np.array_equal(moments.mean, np.mean(x, axis=0, dtype=np.float64))
+            assert np.array_equal(moments.covariance, sliced_covariance(x))
+            params = RegressionLossParams(alpha=2.0, beta=0.5)
+            loss = regression_loss(fx, fy, params)
+            cos, mse = sliced_pair_rows(x, y, lambda a, b, first: (
+                params.alpha * (1.0 - embedcore._row_cosines(a, b, first)[0]),
+                params.beta * np.mean((a - b) ** 2, axis=1)))
+            assert (loss.total, loss.cosine_term, loss.mse_term) == (
+                embedcore._mean(cos + mse), embedcore._mean(cos), embedcore._mean(mse))
+            assert flow_loss(fx, fy) == embedcore._mean(
+                sliced_pair_rows(x, y, lambda a, b, first: embedcore._rowdot(a - b, a - b)))
+            assert clip_t_score(fx, fy) == embedcore._mean(sliced_pair_rows(x, y, embedcore._row_cosines)[0])
+            for threads in (1, 2):
+                out = perturb_set(fx, np.ones(x.shape[1]), PerturbationSpec(seed=5), threads=threads)
+                assert out.vectors.tobytes() == perturb_set(EmbeddingSet(x), np.ones(x.shape[1]),
+                                                            PerturbationSpec(seed=5)).vectors.tobytes()
+        assert_no_child_left()

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from narrkit import embedcore
 from narrkit.embedcore import EmbeddingSet
-from narrkit.embedio import MAGIC, read_embeddings, write_embeddings
+from narrkit.embedio import MAGIC, EmbeddingFile, open_embeddings, read_embeddings, write_embeddings
 from narrkit.jsonl import InputError
 
 
@@ -222,3 +223,73 @@ class TestEmbeddingSetValidation:
     def test_id_length_checked(self):
         with pytest.raises(ValueError, match="ids"):
             EmbeddingSet(np.ones((2, 2)), ids=["only-one"])
+
+
+def write_raw(path, rows, tail=b""):
+    """An EMB1 file of float32 rows, NaN allowed (EmbeddingSet refuses one)."""
+    path.write_bytes(MAGIC + np.array(rows.shape, "<u4").tobytes() + rows.astype("<f4").tobytes() + tail)
+
+
+class TestOpen:
+    BLOCK = embedcore._BLOCK
+
+    def test_opening_reads_no_row(self, tmp_path):
+        rows = np.ones((3, 2), dtype=np.float32)
+        rows[1, 1] = np.nan
+        path = tmp_path / "nan.emb"
+        write_raw(path, rows, b"a\nb\nc")
+        with open_embeddings(path) as fx:
+            assert isinstance(fx, EmbeddingFile)
+            assert (len(fx), fx.dim, fx.shape, fx.ids) == (3, 2, (3, 2), ["a", "b", "c"])
+            with pytest.raises(InputError) as info:
+                list(fx.blocks())
+        assert (info.value.source, str(info.value)) == (str(path), "embeddings must be finite")
+
+    def test_blocks_cut_at_lo_plus_whole_blocks(self, rng, tmp_path):
+        rows = rng.normal(size=(2 * self.BLOCK + 3, 4)).astype(np.float32)
+        path = tmp_path / "x.emb"
+        write_raw(path, rows)
+        with open_embeddings(path) as fx:
+            assert np.array_equal(np.concatenate(list(fx.blocks())), rows)
+            blocks = list(fx.blocks(5, 2 * self.BLOCK + 1))
+            assert [len(b) for b in blocks] == [self.BLOCK, self.BLOCK - 4]
+            assert np.array_equal(np.concatenate(blocks), rows[5 : 2 * self.BLOCK + 1])
+            assert all(b.dtype == np.float32 and b.flags.c_contiguous for b in blocks)
+            # positional reads: interleaved walks do not disturb each other
+            first, second = fx.blocks(), fx.blocks(self.BLOCK)
+            assert np.array_equal(next(second), rows[self.BLOCK : 2 * self.BLOCK])
+            assert np.array_equal(next(first), rows[: self.BLOCK])
+
+    def test_nan_in_the_last_block_found_when_read(self, rng, tmp_path):
+        rows = rng.normal(size=(2 * self.BLOCK + 3, 4)).astype(np.float32)
+        rows[-1, -1] = np.nan
+        path = tmp_path / "late.emb"
+        write_raw(path, rows)
+        with open_embeddings(path) as fx:
+            blocks = fx.blocks()
+            assert np.array_equal(next(blocks), rows[: self.BLOCK])
+            next(blocks)
+            with pytest.raises(InputError, match="^embeddings must be finite$"):
+                next(blocks)
+        with pytest.raises(InputError, match="^embeddings must be finite$"):
+            read_embeddings(path)
+
+    def test_truncated_after_open(self, rng, tmp_path):
+        rows = rng.normal(size=(self.BLOCK + 3, 4)).astype(np.float32)
+        path = tmp_path / "shrinks.emb"
+        write_raw(path, rows)
+        with open_embeddings(path) as fx:
+            os.truncate(path, 12 + 4 * 4 * (self.BLOCK + 1))  # the header and BLOCK + 1 rows
+            payload = 4 * 4 * (self.BLOCK + 3)
+            with pytest.raises(InputError) as info:
+                list(fx.blocks())
+            assert str(info.value) == f"embedding file truncated: expected {payload} data bytes, got {payload - 32}"
+            assert info.value.source == str(path)
+
+    def test_path_closed_on_exit(self, rng, tmp_path):
+        path = tmp_path / "x.emb"
+        write_embeddings(make_set(rng), path)
+        with open_embeddings(path) as fx:
+            fd = fx._fd
+        with pytest.raises(OSError):
+            os.fstat(fd)

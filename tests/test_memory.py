@@ -20,8 +20,8 @@ import pytest
 
 from conftest import random_manifest
 from narrkit.cli import run
-from narrkit.embedcore import (EmbeddingSet, PerturbationSpec, clip_t_score, fit_moments, flow_loss, perturb_set,
-                               population_std, regression_loss)
+from narrkit.embedcore import (_BLOCK, EmbeddingSet, PerturbationSpec, clip_t_score, fit_moments, flow_loss,
+                               perturb_set, population_std, regression_loss)
 from narrkit.embedio import read_embeddings, write_embeddings
 from narrkit.manifest import ActionRecord, ClipRecord, TimeInterval, dumps_manifest, parse_manifest
 from narrkit.matching import MatchRecord, format_match_record, match_dataset, parse_match_records
@@ -99,6 +99,39 @@ def test_perturb_set_writes_rows_in_place(es, mode):
 def test_pair_kernels_upcast_bounded_blocks(es, kernel):
     other = EmbeddingSet(np.random.default_rng(8).normal(size=(N, DIM)).astype(np.float32))
     assert traced_peak(kernel, es, other) <= 2 * S
+
+
+GROWTH_N = 2 * _BLOCK
+GROWTH_S = GROWTH_N * DIM * 4
+
+
+@pytest.fixture(scope="module")
+def sized_sets(tmp_path_factory):
+    """Pairs of binary sets of 2 and 8 blocks' rows, by row count."""
+    d, rng = tmp_path_factory.mktemp("sized"), np.random.default_rng(9)
+    paths = {}
+    for n in (GROWTH_N, 4 * GROWTH_N):
+        paths[n] = [str(d / f"{name}{n}.emb") for name in "ab"]
+        for path in paths[n]:
+            write_embeddings(EmbeddingSet(rng.normal(size=(n, DIM)).astype(np.float32)), path)
+    return paths
+
+
+@pytest.mark.parametrize("argv,output", [
+    (["metrics", "regloss", "--pred", "{a}", "--target", "{b}"], 0),
+    (["metrics", "frechet", "--a", "{a}", "--b", "{b}"], 0),
+    (["perturb", "--in", "{a}", "--threads", "1"], 3),
+], ids=["regloss", "frechet", "perturb"])
+def test_command_peak_does_not_grow_with_its_inputs(sized_sets, tmp_path, argv, output):
+    # Each binary set is read block by block: from N to 4N rows, the traced peak grows
+    # by less than 0.1 S beyond what the output holds (perturb's output buffer: 4 S - S).
+    # Holding an input set whole would add 3 S, and a float64 copy of one 6 S.
+    peaks = []
+    for n, (a, b) in sorted(sized_sets.items()):
+        command = [arg.format(a=a, b=b) for arg in argv] + ["--out", str(tmp_path / "out")]
+        run(command)  # load the command's modules before tracing
+        peaks.append(traced_peak(run, command))
+    assert peaks[1] - peaks[0] - output * GROWTH_S < 0.1 * GROWTH_S
 
 
 # The record types the readers build, without slots, so each instance carries a dict.
