@@ -347,12 +347,13 @@ def cmd_metrics(args, rc: RunConfig) -> int:
             embedcore.check_jitter(jitter)
         except ValueError as exc:
             raise _FlagError(str(exc), source="--jitter") from exc
-        a = _fit_moments(args.a)
-        b = _fit_moments(args.b, a.dim)  # a mismatch is the second file's fault, as below
+        moments = [_fit_moments(args.a)]
+        # a mismatch is the second file's fault, as below
+        moments.append(_fit_moments(args.b, moments[0].dim))
         # Moments fitted to float32 sets are finite: only a large jitter takes a stage past the
-        # float range.
+        # float range. The list is consumed, so each matrix is freed after its last use.
         with _blame("--jitter"):
-            output = repr(embedcore.frechet_distance(a, b, jitter=jitter)) + "\n"
+            output = repr(embedcore._frechet(moments, jitter)) + "\n"
     else:
         first, second = (args.text, args.image) if kind == "clipt" else (args.pred, args.target)
         # A pair that does not line up is the second file's fault; a zero-norm row, its own file's.
@@ -404,18 +405,20 @@ def cmd_perturb(args, rc: RunConfig) -> int:
             except ValueError as exc:
                 raise InputError(f"{exc}; use --format jsonl", source=args.input) from exc
         basis = _population_std(args, source)
+
+        def fill(fd: int, offset: int) -> list[str] | None:
+            return embedcore._perturb_into(fd, offset, source, basis, rc.perturbation, args.shuffle_mode,
+                                           rc.threads)
+
         # Every input but the rows of --in is checked by now: a bad row names --in. What
         # else can fail is noise past float32, set by a flag or the config, or else at its
         # default and so too large for the basis file.
-        with _blame(rc.sources.get("noise_scale", args.population or args.input)):
-            result = embedcore.perturb_set(
-                source, basis, rc.perturbation, shuffle_mode=args.shuffle_mode, threads=rc.threads
-            )
-    with _outputs(args.out) as (out,):
-        # binary output goes to the byte stream under the text sink
-        written = embedio.write_embeddings(result, out.buffer, fmt=args.format)
+        noise_source = rc.sources.get("noise_scale", args.population or args.input)
+        with _outputs(args.out) as (out,), _blame(noise_source):
+            # each process writes its rows straight into the file under the text sink
+            written = embedio._write_rows(out.buffer, args.format, (len(source), source.dim), fill)
     _log(
-        f"perturbed {len(result)} embeddings "
+        f"perturbed {len(source)} embeddings "
         f"(noise {rc.perturbation.noise_scale}, mask {rc.perturbation.mask_rate}, "
         f"shuffle {rc.perturbation.shuffle}/{args.shuffle_mode}): {written} bytes"
     )

@@ -22,9 +22,10 @@ set in memory; a one-column set is the exception (see _row_sum). An input is an 
 ``embedio.open_embeddings`` returns, whose ``blocks(lo, hi)`` reads each
 block from the file as it is needed. ``population_std`` and ``fit_moments``
 make two passes (the mean, then the deviations from it); the pair metrics
-zip the blocks of their two sets; ``perturb_set`` reads each process's own
-rows and writes them into one output array of the set's dtype, which its
-forked workers share.
+zip the blocks of their two sets; each process of a perturbation reads its
+own rows and writes each finished block into a file by a positional write
+(see _perturb_into). The Fréchet body adds its jitter to the fitted
+covariances in place and drops each d×d temporary after its last use.
 """
 
 from __future__ import annotations
@@ -200,9 +201,10 @@ def _row_cosines(x: np.ndarray, y: np.ndarray, first: int = 0):
 
 
 def _mean(values: np.ndarray) -> float:
-    # Summed left to right, as a per-pair loop sums; numpy's pairwise
-    # summation rounds differently and would change the reported bits.
-    return sum(values.tolist()) / len(values)
+    # Summed left to right, as a per-pair loop sums. numpy's pairwise sum rounds
+    # differently, and so does Python's builtin sum from 3.12 on, which compensates
+    # float sums. Adding 0.0, as sum's start value does, makes a sum of -0.0s 0.0.
+    return (float(np.cumsum(values)[-1]) + 0.0) / len(values)
 
 
 def cosine_similarity(a: ArrayLike, b: ArrayLike) -> float:
@@ -345,7 +347,7 @@ def perturb(
 
 
 def _worker_count(threads: int, rows: int) -> int:
-    """Processes that perturb_set splits ``rows`` across: ``threads``, capped
+    """Processes that a perturbation splits ``rows`` across: ``threads``, capped
     by the rows and by the CPUs this process may run on."""
     check_threads(threads)
     if hasattr(os, "sched_getaffinity"):
@@ -359,13 +361,13 @@ def _run_forked(fill: Callable[[int, int], None], bounds: list[int]) -> None:
     """Run ``fill(lo, hi)`` over each range of ``bounds``: the first in this
     process, each other in a forked worker. Every worker is reaped before this
     returns or raises. A worker whose fill raises ValueError (bad input rows)
-    sends it back through a pipe, and the first such range's error is raised
-    here, as this process would have raised it; a worker that fails otherwise
-    raises ChildProcessError.
+    or OSError (a failed read or write) sends it back through a pipe, and the
+    first such range's error is raised here, as this process would have raised
+    it; a worker that fails otherwise raises ChildProcessError.
 
     Fork copies only the calling thread. OpenBLAS's idle threads stay behind,
     which is safe because the row loop calls no BLAS: it reads rows, draws
-    random numbers and does elementwise arithmetic and indexing only.
+    random numbers, does elementwise arithmetic and indexing, and writes.
     """
     workers = []
     try:
@@ -383,7 +385,7 @@ def _run_forked(fill: Callable[[int, int], None], bounds: list[int]) -> None:
                     os.close(reply)
                     fill(lo, hi)
                     status = 0
-                except ValueError as exc:
+                except (ValueError, OSError) as exc:
                     with open(send, "wb") as pipe:
                         pickle.dump(exc, pipe)
                 except BaseException:
@@ -412,6 +414,71 @@ def _run_forked(fill: Callable[[int, int], None], bounds: list[int]) -> None:
             )
 
 
+def _pwrite(fd: int, data, position: int) -> None:
+    """Write all of ``data`` at ``position`` of file descriptor ``fd``."""
+    view = memoryview(data).cast("B")
+    while view:
+        written = os.pwrite(fd, view, position)
+        view, position = view[written:], position + written
+
+
+def _rows_at(rows, index: Union[range, list]) -> np.ndarray:
+    """Rows ``index`` (at most _BLOCK) of an array or a reader: a range as one
+    slice or block read, a list of row numbers by a gather."""
+    if isinstance(index, range):
+        return next(_blocks(rows, index.start, index.stop))
+    return rows[index] if isinstance(rows, np.ndarray) else rows.take(index)
+
+
+def _perturb_into(
+    fd: int,
+    offset: int,
+    embeddings: EmbeddingSet,
+    std_basis: ArrayLike,
+    spec: PerturbationSpec,
+    shuffle_mode: str = "coords",
+    threads: int = 1,
+) -> list[str] | None:
+    """Write the rows of ``perturb_set(embeddings, std_basis, spec, shuffle_mode,
+    threads)``, in the set's dtype, into file descriptor ``fd``: output row k,
+    which is input row src[k] perturbed with that row's own random stream, at
+    byte ``offset + k * dim * itemsize``; src is the sequence-shuffle order, or
+    the identity. Return the output's ids.
+
+    Each process walks its range of output rows (see perturb_set) in blocks of
+    _BLOCK rows, checks that each finished block is finite and writes it by one
+    positional write, so processes share no buffer and no file offset.
+    """
+    if shuffle_mode not in ("coords", "sequence"):
+        raise ValueError(f"shuffle_mode must be 'coords' or 'sequence', got {shuffle_mode!r}")
+    rows = _as_rows(embeddings)
+    n, dim = rows.shape
+    basis = _std_basis(std_basis, dim)
+    coord_shuffle = shuffle_mode == "coords"
+    src = range(n)
+    if spec.shuffle and not coord_shuffle:
+        src = _order_rng(spec.seed).permutation(n).tolist()
+    ids = None if embeddings.ids is None else [embeddings.ids[i] for i in src]
+
+    def fill(lo: int, hi: int) -> None:
+        out = np.empty((min(_BLOCK, hi - lo), dim), rows.dtype)
+        for first in range(lo, hi, _BLOCK):
+            index = src[first : min(first + _BLOCK, hi)]
+            block = out[: len(index)]
+            for k, (i, row) in enumerate(zip(index, _rows_at(rows, index))):
+                block[k] = _perturb_row(row, basis, spec, i, coord_shuffle)
+            if not np.isfinite(block).all():
+                raise ValueError(f"the noise takes perturbed values past the {rows.dtype} range")
+            _pwrite(fd, block, offset + first * block.itemsize * dim)
+
+    # A cast past the dtype's range leaves an infinity, reported once by the
+    # check above instead of one warning per process.
+    workers = _worker_count(threads, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _run_forked(fill, [n * k // workers for k in range(workers + 1)])
+    return ids
+
+
 def perturb_set(
     embeddings: EmbeddingSet,
     std_basis: ArrayLike,
@@ -426,54 +493,27 @@ def perturb_set(
     of the vectors themselves (ids travel with their rows). Each row owns
     its random stream, so the output bytes do not depend on ``threads``.
 
-    ``threads`` (at least 1) splits the rows into that many contiguous
-    ranges, capped by the rows and by the CPUs this process may run on. This
-    process perturbs the first range and one forked worker each other range;
-    each reads only its own rows, _BLOCK at a time, and all write into one
-    anonymous shared buffer that becomes the result's vectors. Fork copies
-    only the calling thread, so pass ``threads`` above 1 only from a process
-    that runs no other Python thread. A reader's error in a worker's rows is
-    raised here; a worker that fails otherwise raises ChildProcessError, once
-    every worker has exited.
+    ``threads`` (at least 1) splits the output rows into that many
+    contiguous ranges, capped by the rows and by the CPUs this process may
+    run on. This process perturbs the first range and one forked worker each
+    other range; each reads only the input rows its range needs, _BLOCK at a
+    time, and writes each finished block into one anonymous temporary file,
+    which is read back whole as the result's vectors (see _perturb_into).
+    Fork copies only the calling thread, so pass ``threads`` above 1 only
+    from a process that runs no other Python thread. A reader's error in a
+    worker's rows is raised here; a worker that fails otherwise raises
+    ChildProcessError, once every worker has exited.
 
     Raises ValueError when the noise takes a value past the range of the
     set's dtype.
     """
-    if shuffle_mode not in ("coords", "sequence"):
-        raise ValueError(f"shuffle_mode must be 'coords' or 'sequence', got {shuffle_mode!r}")
+    import tempfile  # loaded only here, so the commands do not pay for it
+
     rows = _as_rows(embeddings)
-    n = len(rows)
-    basis = _std_basis(std_basis, rows.shape[1])
-    coord_shuffle = shuffle_mode == "coords"
-    ids = list(embeddings.ids) if embeddings.ids is not None else None
-    # Row i lands at slot[i] of the output; a sequence shuffle puts row order[k] at k.
-    slot = range(n)
-    if spec.shuffle and shuffle_mode == "sequence":
-        order = _order_rng(spec.seed).permutation(n)
-        slot = np.argsort(order)
-        if ids is not None:
-            ids = [ids[i] for i in order]
-    workers = _worker_count(threads, n)
-    if workers == 1:
-        result = np.empty(rows.shape, rows.dtype)
-    else:  # MAP_SHARED: the pages a worker writes are the pages this process reads
-        import mmap  # loaded only here, so the metrics commands do not pay for it
-
-        shared = mmap.mmap(-1, n * rows.shape[1] * rows.dtype.itemsize, flags=mmap.MAP_SHARED)
-        result = np.ndarray(rows.shape, rows.dtype, shared)
-
-    def fill(lo: int, hi: int) -> None:
-        for first, block in zip(range(lo, hi, _BLOCK), _blocks(rows, lo, hi)):
-            for i, row in enumerate(block, first):
-                result[slot[i]] = _perturb_row(row, basis, spec, i, coord_shuffle)
-
-    # An overflow leaves an infinity, reported once below for every worker
-    # count, instead of one warning per process.
-    with np.errstate(over="ignore", invalid="ignore"):
-        _run_forked(fill, [n * k // workers for k in range(workers + 1)])
-    if not _finite(result):
-        raise ValueError(f"the noise takes perturbed values past the {result.dtype} range")
-    return _trusted_set(result, ids)  # checked just above; the ids are the input's
+    with tempfile.TemporaryFile() as scratch:
+        ids = _perturb_into(scratch.fileno(), 0, embeddings, std_basis, spec, shuffle_mode, threads)
+        vectors = np.fromfile(scratch, rows.dtype).reshape(rows.shape)
+    return _trusted_set(vectors, ids)  # each block was checked as it was written
 
 
 def rescale_latent(z: ArrayLike, factor: float) -> np.ndarray:
@@ -549,15 +589,6 @@ def fit_moments(embeddings: Rows) -> GaussianMoments:
     return GaussianMoments(mean, scatter * np.true_divide(1, x.shape[0] - 1))
 
 
-def _psd_sqrt(c: np.ndarray, stage: str) -> np.ndarray:
-    try:
-        w, v = np.linalg.eigh(c)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"eigendecomposition failed during {stage}") from exc
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
-
-
 def check_jitter(jitter: float) -> None:
     """Raise ValueError unless jitter is a diagonal term frechet_distance accepts.
 
@@ -568,7 +599,6 @@ def check_jitter(jitter: float) -> None:
         raise ValueError(f"jitter must be finite and >= 0, got {jitter}")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # every stage is checked for finite values
 def frechet_distance(
     a: GaussianMoments, b: GaussianMoments, jitter: float = 1e-6
 ) -> float:
@@ -587,24 +617,51 @@ def frechet_distance(
     of a covariance that has a non-zero variance, equal to the jitter alone;
     or when the mean term survives being added to the bare covariances'
     traces but is lost in the jittered ones. Neither fires at jitter 0.
+
+    ``a`` and ``b`` are left as they are: the jitter goes into a copy of each
+    covariance, which is dropped after its last use (see _frechet).
     """
+    return _frechet([GaussianMoments(m.mean, m.covariance.copy()) for m in (a, b)], jitter)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # every stage is checked for finite values
+def _frechet(moments: list[GaussianMoments], jitter: float) -> float:
+    """frechet_distance of the two moments in ``moments``, which it consumes: it
+    empties the list and adds the jitter to their covariances in place. Each d×d
+    matrix is dropped after its last use, so that at most four more than the
+    moments are alive at once."""
+    a, b = moments
+    moments.clear()
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     check_jitter(jitter)
-    eye = np.eye(a.dim)
-    ca = a.covariance + jitter * eye
-    cb = b.covariance + jitter * eye
-
     diff = a.mean - b.mean
+    ca, cb = a.covariance, b.covariance
+    del a, b
+    # The swamp checks below read the bare covariances too.
+    variances = [ca.diagonal().any(), cb.diagonal().any()]
+    bare = float(np.trace(ca) + np.trace(cb))
+    for c in (ca, cb):
+        c.flat[:: c.shape[0] + 1] += jitter
+    only_jitter = [(ca.diagonal() == jitter).all(), (cb.diagonal() == jitter).all()]
+    traces = float(np.trace(ca) + np.trace(cb))
+
     mean_term = float(diff @ diff)
     if not np.isfinite(mean_term):
         raise ValueError("non-finite value in the mean term")
 
-    sqrt_ca = _psd_sqrt(ca, "covariance square root")
+    try:  # C_a^{1/2}, with negative eigenvalues clamped to zero
+        w, v = np.linalg.eigh(ca)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("eigendecomposition failed during covariance square root") from exc
+    del ca
+    sqrt_ca = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    del v
     if not np.all(np.isfinite(sqrt_ca)):
         raise ValueError("non-finite value in the covariance square root")
 
     inner = sqrt_ca @ cb @ sqrt_ca
+    del sqrt_ca, cb
     inner = (inner + inner.T) / 2.0
     if not np.all(np.isfinite(inner)):
         raise ValueError("non-finite value in the trace term")
@@ -612,19 +669,17 @@ def frechet_distance(
         eigvals = np.linalg.eigvalsh(inner)
     except np.linalg.LinAlgError as exc:
         raise ValueError("eigendecomposition failed during the trace term") from exc
+    del inner
     if not np.all(np.isfinite(eigvals)):
         raise ValueError("non-finite value in the trace term")
     trace_cross = 2.0 * float(np.sum(np.sqrt(np.clip(eigvals, 0.0, None))))
 
-    traces = float(np.trace(ca) + np.trace(cb))
     value = mean_term + traces - trace_cross
     if not np.isfinite(value):
         raise ValueError("non-finite value in the final distance")
-    for which, moments, c in (("first", a, ca), ("second", b, cb)):
-        if (mean_term + jitter == jitter and moments.covariance.diagonal().any()
-                and (c.diagonal() == jitter).all()):
+    for which, variance, jitter_alone in zip(("first", "second"), variances, only_jitter):
+        if mean_term + jitter == jitter and variance and jitter_alone:
             raise ValueError(f"jitter {jitter!r} swamps the mean term and every variance of the {which} set")
-    bare = float(np.trace(a.covariance) + np.trace(b.covariance))
     if mean_term + bare != bare and mean_term + traces == traces:
         raise ValueError(f"jitter {jitter!r} swamps the mean term")
     return max(0.0, value)

@@ -9,11 +9,15 @@ accepted interchangeably; readers sniff the magic bytes.
 Memory: no binary set is read whole unless asked. ``open_embeddings``
 checks an ``EMB1`` file's header, payload size and id block without reading
 the payload; its reader's ``blocks(lo, hi)`` reads rows lo..hi into a fresh
-float32 array of _BLOCK rows at a time, by positional reads, so forked
-workers never share a file offset. A JSONL set, decoded line by line, and a
-pipe's bytes are held in memory. ``read_embeddings`` reads every row into
-one array. The writer sends the header, the vector buffer and the id block
-(or one JSONL line at a time) to the sink without joining them first.
+float32 array of _BLOCK rows at a time, and ``take(index)`` the listed rows,
+by positional reads, so forked workers never share a file offset. A pipe's
+bytes are held in memory. A JSONL set is held in memory too, decoded line
+by line into one float32 array that grows in place by a quarter as it fills
+and is trimmed to the records found.
+``read_embeddings`` reads every row into one array. The writer sends the
+header, each block of rows and the id block (or one JSONL line at a time) to
+the sink without joining them first; ``_write_rows`` writes a set whose rows
+a caller writes into the file itself.
 """
 
 from __future__ import annotations
@@ -23,11 +27,12 @@ import io
 import json
 import os
 import struct
-from typing import IO, Iterable, Iterator, Union
+from itertools import chain
+from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .embedcore import _BLOCK, EmbeddingSet, _trusted_set
+from .embedcore import _BLOCK, EmbeddingSet, _as_rows, _blocks, _pwrite, _trusted_set
 from .jsonl import TEXT, InputError, iter_json_objects, want_str
 
 __all__ = ["MAGIC", "EmbeddingFile", "open_embeddings", "read_embeddings", "write_embeddings"]
@@ -98,8 +103,8 @@ class EmbeddingFile:
     def dim(self) -> int:
         return self.shape[1]
 
-    def _read_rows(self, lo: int, out: np.ndarray) -> None:
-        """Fill ``out``, C-contiguous float32, with the rows from row lo on."""
+    def _fill(self, lo: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out``, C-contiguous float32, with the rows from row lo on; return it."""
         view = memoryview(out).cast("B")
         start = self._offset + lo * self.dim * 4
         got = 0
@@ -109,36 +114,51 @@ class EmbeddingFile:
             else:
                 self._fh.seek(start + got)
                 n = self._fh.readinto(view[got:])
-            if not n:
+            if not n:  # the file is shorter now: say by how much, whichever row ran short
+                size = self._fh.seek(0, io.SEEK_END) - self._offset
                 raise InputError(f"embedding file truncated: expected {self._payload} data bytes, "
-                                 f"got {lo * self.dim * 4 + got}", source=self.name)
+                                 f"got {size}", source=self.name)
             got += n
-        if not np.isfinite(out).all():
+        return out
+
+    def _finite(self, rows: np.ndarray) -> np.ndarray:
+        if not np.isfinite(rows).all():
             raise InputError("embeddings must be finite", source=self.name)
+        return rows
 
     def blocks(self, lo: int = 0, hi: int | None = None) -> Iterator[np.ndarray]:
         """Rows lo..hi (default: all), in fresh arrays of _BLOCK rows cut at lo,
         lo + _BLOCK, ..., each read as it is asked for."""
         hi = len(self) if hi is None else hi
         for first in range(lo, hi, _BLOCK):
-            block = np.empty((min(_BLOCK, hi - first), self.dim), self.dtype)
-            self._read_rows(first, block)
-            yield block
+            yield self._finite(self._fill(first, np.empty((min(_BLOCK, hi - first), self.dim), self.dtype)))
+
+    def take(self, index: Sequence[int]) -> np.ndarray:
+        """Rows index[0], index[1], ..., in that order, in one fresh array; each
+        row is read by its own positional read."""
+        rows = np.empty((len(index), self.dim), self.dtype)
+        for row, i in zip(rows, index):
+            self._fill(i, row)
+        return self._finite(rows)
 
     def read(self) -> EmbeddingSet:
         """Every row, in one writable float32 array that no other copy shares."""
         vectors = np.empty(self.shape, self.dtype)
         for first in range(0, len(self), _BLOCK):
-            self._read_rows(first, vectors[first : first + _BLOCK])
+            self._finite(self._fill(first, vectors[first : first + _BLOCK]))
         return _trusted_set(vectors, self.ids)  # each block checked as it was read
 
 
 _NUMBER_TYPES = frozenset({int, float})
 
 
+@np.errstate(over="ignore")  # a value past float32 becomes inf, rejected by line below
 def _decode_jsonl(lines: Iterable[str], source: str) -> EmbeddingSet:
-    rows: list[np.ndarray] = []
+    """Decode JSONL records into one float32 array, grown in place by a quarter
+    (at least _BLOCK rows) whenever it is full and trimmed to the records found."""
+    vectors = None
     ids: list[str] = []
+    dims: set[int] = set()
     have_ids = 0
     for lineno, rec in iter_json_objects(lines, source):
         values = rec.get("values")
@@ -146,27 +166,32 @@ def _decode_jsonl(lines: Iterable[str], source: str) -> EmbeddingSet:
         if not numbers or not values:
             raise InputError("field 'values' must be a non-empty array of numbers", lineno, source)
         try:
-            with np.errstate(over="ignore"):  # rejected just below, by line
-                row = np.asarray(values, dtype=np.float32)
+            row = np.asarray(values, dtype=np.float32)
             finite = np.isfinite(row).all()
         except OverflowError:  # an integer literal beyond the float range
             finite = False
         if not finite:
             raise InputError("field 'values' exceeds the float32 range", lineno, source)
-        rows.append(row)
+        if vectors is None:  # stored as binary rows are, so that every set read is EMB1's dtype
+            vectors = np.empty((_BLOCK, len(row)), EmbeddingFile.dtype)
+        dims.add(len(row))
+        if len(dims) == 1:  # else the set is rejected once every line is checked
+            if len(ids) == len(vectors):
+                vectors.resize((len(ids) + max(_BLOCK, len(ids) // 4), len(row)), refcheck=False)
+            vectors[len(ids)] = row
         if rec.get("id") is not None:
             ids.append(want_str(rec, "id", lineno, source))
             have_ids += 1
         else:
             ids.append("")
-    if not rows:
+    if not ids:
         raise InputError("no embedding records found", source=source)
-    dims = {r.shape[0] for r in rows}
     if len(dims) != 1:
         raise InputError(f"inconsistent embedding dimensions: {sorted(dims)}", source=source)
-    if have_ids not in (0, len(rows)):
+    if have_ids not in (0, len(ids)):
         raise InputError("either every record carries an id or none does", source=source)
-    return EmbeddingSet(np.stack(rows), ids if have_ids else None)
+    vectors.resize((len(ids), vectors.shape[1]), refcheck=False)  # in place, freeing the rest
+    return _trusted_set(vectors, ids if have_ids else None)  # each row and id checked above
 
 
 def _open(fh: IO[bytes], name: str) -> EmbeddingSet | EmbeddingFile:
@@ -218,24 +243,31 @@ def _check_binary_ids(ids: list[str]) -> None:
             raise ValueError(f"embedding id {number} may not contain a newline: {item!r}")
 
 
-def _encode_binary(es: EmbeddingSet) -> list:
-    parts = [MAGIC, _HEADER.pack(len(es), es.dim)]
-    parts.append(np.ascontiguousarray(es.vectors, dtype="<f4"))
-    if es.ids is not None:
-        _check_binary_ids(es.ids)
-        parts.append("\n".join(es.ids).encode("utf-8"))
-    return parts
+def _id_block(ids: list[str] | None) -> bytes:
+    if ids is None:
+        return b""
+    _check_binary_ids(ids)
+    return "\n".join(ids).encode("utf-8")
 
 
-def _encode_jsonl(es: EmbeddingSet) -> Iterable[bytes]:
-    f32 = np.ascontiguousarray(es.vectors, dtype=np.float32)
-    for i, row in enumerate(f32):
-        rec = {}
-        if es.ids is not None:
-            rec["id"] = es.ids[i]
-        rec["values"] = [float(x) for x in row]
-        yield (json.dumps(rec) + "\n").encode("utf-8")
-    if not len(f32):
+Rows = Union[EmbeddingSet, EmbeddingFile]
+
+
+def _encode_binary(es: Rows) -> Iterable:
+    tail = _id_block(es.ids)  # checked before anything is written
+    head = MAGIC + _HEADER.pack(len(es), es.dim)
+    return chain([head], (np.ascontiguousarray(b, dtype="<f4") for b in _blocks(_as_rows(es))), [tail])
+
+
+def _encode_jsonl(es: Rows) -> Iterable[bytes]:
+    for first, block in zip(range(0, len(es), _BLOCK), _blocks(_as_rows(es))):
+        for i, row in enumerate(np.asarray(block, dtype=np.float32), first):
+            rec = {}
+            if es.ids is not None:
+                rec["id"] = es.ids[i]
+            rec["values"] = row.tolist()
+            yield (json.dumps(rec) + "\n").encode("utf-8")
+    if not len(es):
         yield b"\n"  # an empty set is one blank line
 
 
@@ -248,12 +280,13 @@ def _write_parts(fh: IO[bytes], parts: Iterable) -> int:
 
 
 def write_embeddings(
-    es: EmbeddingSet, sink: Source, fmt: str = "binary"
+    es: Rows, sink: Source, fmt: str = "binary"
 ) -> int:
-    """Write an embedding set in the given format; returns bytes written.
+    """Write an embedding set, or a reader's set, in the given format; returns
+    bytes written.
 
     Both formats store single precision, so writing a float32 set and
-    reading it back is bit-exact. The output is written part by part, so a
+    reading it back is bit-exact. The output is written block by block, so a
     float32 set is never copied.
     """
     if fmt == "binary":
@@ -266,3 +299,32 @@ def write_embeddings(
         with open(sink, "wb") as fh:
             return _write_parts(fh, parts)
     return _write_parts(sink, parts)
+
+
+def _write_rows(
+    sink: IO[bytes], fmt: str, shape: tuple[int, int], fill: Callable[[int, int], list[str] | None]
+) -> int:
+    """Write a set of ``shape`` whose rows ``fill(fd, offset)`` writes itself, in
+    EmbeddingFile.dtype, row k at byte ``offset + 4 * k * dim`` of file
+    descriptor fd, returning the set's ids; return the bytes written to ``sink``.
+
+    Binary output to a sink that can seek is written in place, all of it by
+    positional writes at the sink's start: the header, fill's rows, then the id
+    block. Any other output goes through an anonymous temporary file that fill
+    writes as binary, which is then copied, or encoded as JSONL, into ``sink``
+    by its own writes.
+    """
+    import tempfile  # loaded only here: binary output to a file never needs it
+
+    in_place = fmt == "binary" and sink.seekable()
+    with contextlib.nullcontext(sink) if in_place else tempfile.TemporaryFile() as fh:
+        head = MAGIC + _HEADER.pack(*shape)
+        _pwrite(fh.fileno(), head, 0)
+        ids = fill(fh.fileno(), len(head))
+        if not in_place:
+            rows = EmbeddingFile(fh, getattr(sink, "name", "<output>"))
+            rows.ids = ids
+            return write_embeddings(rows, sink, fmt)
+        tail = _id_block(ids)
+        _pwrite(fh.fileno(), tail, len(head) + 4 * shape[0] * shape[1])
+        return len(head) + 4 * shape[0] * shape[1] + len(tail)

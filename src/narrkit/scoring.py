@@ -11,8 +11,10 @@ any 0-100 conversion of ratings is left to consumers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import reduce
 from typing import Iterable
 
 from .jsonl import InputError, iter_json_objects, want_choice, want_int, want_str
@@ -115,7 +117,9 @@ def aggregate_tiers(judgments: Iterable[TierJudgment]) -> TierAggregate:
     item_means = [sum(v) / len(v) for v in per_item.values()]
     return TierAggregate(
         mean_score=sum(scores) / len(scores),
-        item_weighted_mean=sum(item_means) / len(item_means),
+        # Left to right: from Python 3.12 on, builtin sum compensates float sums and
+        # can round item means differently. The other sums add integer-valued scores.
+        item_weighted_mean=reduce(operator.add, item_means, 0.0) / len(item_means),
         per_tier_counts=counts,
         per_rater_means={
             rater: sum(v) / len(v) for rater, v in sorted(per_rater.items())

@@ -1,3 +1,5 @@
+import functools
+import operator
 import os
 
 import numpy as np
@@ -85,3 +87,9 @@ def assert_no_child_left() -> None:
     """Fail if this process has a child that is running or not yet reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def left_to_right_sum(values) -> float:
+    """Floats added one at a time from 0.0, as Python's builtin sum added them
+    before 3.12 made it compensated: the order a per-pair loop sums in."""
+    return functools.reduce(operator.add, values, 0.0)

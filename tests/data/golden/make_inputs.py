@@ -131,6 +131,16 @@ def main() -> None:
         {"item_id": f"item-{i:03d}", "rating": rnd.randint(0, 6)} for i in range(150)
     ])
 
+    # Three items whose means, 100, 66.66666666666667 and 28.333333333333332, add up
+    # to 195.00000000000003 left to right, and to 195.0 under the compensated float
+    # sum that Python 3.12's builtin sum does.
+    _write("tiers-item-means.jsonl", [
+        {"item_id": item, "rater_id": f"r{r}", "tier": tier}
+        for item, tiers in (("a", ["VeryMatch"] * 3), ("b", ["VeryMatch", "VeryMatch", "NotMatch"]),
+                            ("c", ["GoodMatch", "NotMatch", "NotMatch"]))
+        for r, tier in enumerate(tiers)
+    ])
+
     config = {"max_start_diff_s": 4.5, "beta": 2.0, "mask_rate": 0.5, "k": 3, "threads": 1,
               "histogram_edges": {"clip_length_s": [0, 2.5, 5, 10, 20, 40]}}
     with open(os.path.join(HERE, "config.json"), "w", encoding="utf-8") as fh:

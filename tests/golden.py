@@ -30,7 +30,7 @@ import tempfile
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
 DIGESTS = os.path.join(DATA, "digests.json")
 INPUTS = ("manifest.jsonl", "caption_tokens.jsonl", "action_tokens.jsonl", "steps.jsonl",
-          "tiers.jsonl", "ratings.jsonl", "config.json")
+          "tiers.jsonl", "ratings.jsonl", "tiers-item-means.jsonl", "config.json")
 
 _M = ("--manifest", "manifest.jsonl")
 # (case name, argv, output files), run in this order: filter reads match's output.
@@ -50,6 +50,7 @@ CASES = [
     *[(f"windows-k{k}", ["windows", "--steps", "steps.jsonl", "--k", str(k),
                          "--out", f"windows-k{k}.jsonl"], [f"windows-k{k}.jsonl"]) for k in (1, 2, 3)],
     ("score", ["score", "--tiers", "tiers.jsonl", "--ratings", "ratings.jsonl"], []),
+    ("score-item-means", ["score", "--tiers", "tiers-item-means.jsonl"], []),
 ]
 
 

@@ -1,4 +1,6 @@
+import errno
 import gc
+import io
 import json
 import os
 import stat
@@ -6,10 +8,10 @@ import stat
 import numpy as np
 import pytest
 
-from conftest import allow_cpus, assert_no_child_left, random_manifest, random_sequence
+from conftest import allow_cpus, assert_no_child_left, left_to_right_sum, random_manifest, random_sequence
 from narrkit import cli, embedcore, embedio
 from narrkit.cli import run
-from narrkit.embedcore import EmbeddingSet
+from narrkit.embedcore import EmbeddingSet, PerturbationSpec, perturb_set, population_std
 from narrkit.embedio import MAGIC, read_embeddings, write_embeddings
 from narrkit.manifest import parse_manifest, write_manifest
 
@@ -342,7 +344,7 @@ class TestMetrics:
     @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (2.0, 0.5)])
     def test_loss_bytes_match_per_pair_formula(self, capsys, tmp_path, alpha, beta):
         # The per-pair formula the loss commands computed before they were
-        # batched: 1-D dot products and norms, summed by Python left to right.
+        # batched: 1-D dot products and norms, summed left to right.
         rng = np.random.default_rng(11)
         n = embedcore._BLOCK + 1
         pred = rng.normal(size=(n, 768)).astype(np.float32)
@@ -355,7 +357,7 @@ class TestMetrics:
             cos = float(np.clip(np.dot(p, t) / (np.linalg.norm(p) * np.linalg.norm(t)), -1.0, 1.0))
             cos_term, mse_term = alpha * (1.0 - cos), beta * float(np.mean((p - t) ** 2))
             terms.append((cos_term + mse_term, cos_term, mse_term, float(np.dot(p - t, p - t))))
-        total, cos_term, mse_term, flow = (sum(column) / n for column in zip(*terms))
+        total, cos_term, mse_term, flow = (left_to_right_sum(column) / n for column in zip(*terms))
         regloss = {"total": total, "cosine_term": cos_term, "mse_term": mse_term, "pairs": n}
 
         pair = ["--pred", paths[0], "--target", paths[1]]
@@ -729,6 +731,61 @@ class TestPerturbThreads:
                                   "--threads", threads)
             assert code == 0, err
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_write_failure_in_a_worker_is_an_error(self, capsys, monkeypatch, emb_paths, tmp_path):
+        allow_cpus(monkeypatch, 2)
+        pwrite, parent = embedcore._pwrite, os.getpid()
+
+        def full_disk_in_the_worker(fd, data, position):
+            if os.getpid() != parent:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            pwrite(fd, data, position)
+
+        monkeypatch.setattr(embedcore, "_pwrite", full_disk_in_the_worker)
+        out_path = tmp_path / "o.emb"
+        code, out, err = invoke(capsys, "perturb", "--in", emb_paths[0], "--out", str(out_path),
+                                "--threads", "2")
+        assert (code, out, err) == (1, "", f"error: [Errno 28] {os.strerror(errno.ENOSPC)}\n")
+        assert sorted(os.listdir(tmp_path)) == ["a.emb", "b.emb"]  # no output, no temp file
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fmt", ["binary", "jsonl"])
+    @pytest.mark.parametrize("mode", ["coords", "sequence"])
+    def test_bytes_are_perturb_set_written(self, capsys, monkeypatch, tmp_path, rng, mode, fmt):
+        # Three processes each start a block at their own first row; ids travel with their rows.
+        allow_cpus(monkeypatch, 3)
+        n = 2 * embedcore._BLOCK + 5
+        es = EmbeddingSet(rng.normal(size=(n, 6)).astype(np.float32), [f"row-{i}" for i in range(n)])
+        source = tmp_path / "in.emb"
+        write_embeddings(es, source)
+        expected = io.BytesIO()
+        write_embeddings(perturb_set(es, population_std(es), PerturbationSpec(seed=5), mode), expected, fmt)
+        for threads in ("1", "2", "3"):
+            out_path = tmp_path / f"t{threads}.out"
+            code, _, err = invoke(capsys, "perturb", "--in", str(source), "--seed", "5", "--format", fmt,
+                                  "--shuffle-mode", mode, "--threads", threads, "--out", str(out_path))
+            assert code == 0, err
+            assert out_path.read_bytes() == expected.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["binary", "jsonl"])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_pipe_output_written_in_place(self, capsys, monkeypatch, emb_paths, tmp_path, threads, fmt):
+        # A pipe takes no positional write: its bytes go through a temporary file.
+        allow_cpus(monkeypatch, 2)
+        fifo, regular = tmp_path / "out.fifo", tmp_path / "o.out"
+        os.mkfifo(fifo)
+        argv = ["perturb", "--in", emb_paths[0], "--format", fmt, "--threads", threads, "--out"]
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open at once
+        try:
+            piped = invoke(capsys, *argv, str(fifo))
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert piped == invoke(capsys, *argv, str(regular))
+        assert piped[0] == 0
+        assert data == regular.read_bytes()
+        assert_no_child_left()
 
     def test_fork_failure_is_an_error(self, capsys, monkeypatch, emb_paths, tmp_path):
         allow_cpus(monkeypatch, 2)

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import allow_cpus, assert_no_child_left
+from conftest import allow_cpus, assert_no_child_left, left_to_right_sum
 from narrkit import embedcore
 from narrkit.embedcore import (
     EmbeddingSet,
@@ -92,9 +93,9 @@ class TestRegressionLoss:
         params = RegressionLossParams(alpha=2.0, beta=0.5)
         rows = [regression_loss(p, t, params) for p, t in zip(pred.vectors, target)]
         batch = regression_loss(pred, target, params)
-        assert batch.total == sum(r.total for r in rows) / n
-        assert batch.cosine_term == sum(r.cosine_term for r in rows) / n
-        assert batch.mse_term == sum(r.mse_term for r in rows) / n
+        assert batch.total == left_to_right_sum(r.total for r in rows) / n
+        assert batch.cosine_term == left_to_right_sum(r.cosine_term for r in rows) / n
+        assert batch.mse_term == left_to_right_sum(r.mse_term for r in rows) / n
 
     def test_zero_norm_names_pair_index(self, rng):
         pred = rng.normal(size=(embedcore._BLOCK + 5, 3))
@@ -615,6 +616,19 @@ class TestFrechet:
         with pytest.raises(ValueError, match="mean term"):
             frechet_distance(a, b)
 
+    def test_bits_of_jitter_times_eye_on_copies(self, rng):
+        # The body adds the jitter to the diagonals in place and drops each matrix
+        # after its last use; the operations and their order are those of the route
+        # below, so the bits are too. Only _frechet changes the moments it is given.
+        a, b = (fit_moments(rng.normal(size=(300, 40))) for _ in range(2))
+        before = [m.covariance.copy() for m in (a, b)]
+        value = frechet_distance(a, b, jitter=1e-3)
+        assert value == eye_frechet(a, b, 1e-3)
+        assert all(np.array_equal(m.covariance, c) for m, c in zip((a, b), before))
+        moments = [a, b]
+        assert embedcore._frechet(moments, 1e-3) == value
+        assert moments == []
+
     def test_never_negative(self, rng):
         # nearly identical sampled populations push the value toward zero
         base = rng.normal(size=(500, 4))
@@ -641,6 +655,11 @@ class TestClipT:
         )
         assert clip_t_score(t, v) == pytest.approx(0.3, abs=1e-12)
 
+    def test_mean_sums_left_to_right(self):
+        # Python 3.12's builtin sum compensates and gives 1.0; a left-to-right sum loses the 1.0.
+        assert embedcore._mean(np.array([1e16, 1.0, -1e16])) == 0.0
+        assert math.copysign(1.0, embedcore._mean(np.array([-0.0, -0.0]))) == 1.0  # as sum from 0
+
     def test_count_mismatch(self):
         with pytest.raises(ValueError, match="count mismatch"):
             clip_t_score(np.ones((2, 3)), np.ones((3, 3)))
@@ -656,8 +675,8 @@ class TestClipT:
         text = rng.normal(size=(n, 24)).astype(np.float32)
         image = (text + rng.normal(size=(n, 24))).astype(np.float32)
         cosines = [cosine_similarity(t, v) for t, v in zip(text.astype(np.float64), image)]
-        assert clip_t_score(text, image) == sum(cosines) / n
-        assert clip_t_score(text, image, scale="percent") == sum(cosines) / n * 100.0
+        assert clip_t_score(text, image) == left_to_right_sum(cosines) / n
+        assert clip_t_score(text, image, scale="percent") == left_to_right_sum(cosines) / n * 100.0
 
     def test_bad_scale(self):
         with pytest.raises(ValueError, match="scale"):
@@ -695,12 +714,25 @@ class TestFlowLoss:
         target = EmbeddingSet(rng.normal(size=(n, 7)).astype(np.float32))
         batch = flow_loss(pred, target)
         assert batch == flow_matching_loss(FlowSample(p, t) for p, t in zip(pred, target.vectors))
-        assert batch == sum(flow_loss(p, t) for p, t in zip(pred, target.vectors)) / n
+        assert batch == left_to_right_sum(flow_loss(p, t) for p, t in zip(pred, target.vectors)) / n
 
     def test_cross_sample_dims_checked(self):
         samples = [FlowSample([1.0], [0.0]), FlowSample([1.0, 2.0], [0.0, 0.0])]
         with pytest.raises(ValueError, match="dimension"):
             flow_matching_loss(samples)
+
+
+def eye_frechet(a, b, jitter):
+    """Reference for frechet_distance once its checks pass: jitter * eye added to copies."""
+    eye = np.eye(a.dim)
+    ca, cb = a.covariance + jitter * eye, b.covariance + jitter * eye
+    diff = a.mean - b.mean
+    w, v = np.linalg.eigh(ca)
+    sqrt_ca = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    inner = sqrt_ca @ cb @ sqrt_ca
+    eigvals = np.linalg.eigvalsh((inner + inner.T) / 2.0)
+    trace_cross = 2.0 * float(np.sum(np.sqrt(np.clip(eigvals, 0.0, None))))
+    return max(0.0, float(diff @ diff) + float(np.trace(ca) + np.trace(cb)) - trace_cross)
 
 
 def sliced_pair_rows(x, y, row_fn):

@@ -142,6 +142,25 @@ class TestJsonl:
         assert back.vectors.tobytes() == es.vectors.tobytes()
         assert back.ids == es.ids
 
+    @pytest.mark.parametrize("n", [1, embedcore._BLOCK, embedcore._BLOCK + 1, 5 * embedcore._BLOCK + 1])
+    def test_round_trip_across_growth(self, rng, n):
+        # the decoded array grows as it fills, and is trimmed to the records read
+        es = make_set(rng, n=n, dim=3)
+        buf = io.BytesIO()
+        write_embeddings(es, buf, fmt="jsonl")
+        buf.seek(0)
+        back = read_embeddings(buf)
+        assert back.vectors.shape == (n, 3)
+        assert back.vectors.tobytes() == es.vectors.tobytes()
+        assert back.ids == es.ids
+
+    def test_ragged_dims_after_growth_rejected(self):
+        lines = ['{"values": [1.0, 2.0]}'] * (embedcore._BLOCK + 1) + ['{"values": [3.0]}', '{"values": []}']
+        with pytest.raises(InputError, match=r"^line 1027: field 'values' must be a non-empty array"):
+            read_embeddings(io.BytesIO("\n".join(lines).encode()))
+        with pytest.raises(InputError, match=r"^inconsistent embedding dimensions: \[1, 2\]$"):
+            read_embeddings(io.BytesIO("\n".join(lines[:-1]).encode()))
+
     def test_formats_interchangeable(self, rng, tmp_path):
         es = make_set(rng)
         binary_path = tmp_path / "x.emb"

@@ -3,7 +3,9 @@
 numpy reports its data buffers to tracemalloc, so a traced peak counts every
 array a call allocates, exactly and repeatably. Each bound is in units of
 S, the byte size of the float32 input set, and sits between what one stored
-copy per set costs and what an extra whole-set copy would add.
+copy per set costs and what an extra whole-set copy would add; a call whose
+working memory does not grow with the set is bounded in blocks of rows or in
+dimension × dimension matrices instead.
 
 The readers' guards compare the bytes their records keep alive with the same
 records rebuilt in place two ways, on the same interpreter: with an instance
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import random_manifest
+from narrkit import embedcore
 from narrkit.cli import run
 from narrkit.embedcore import (_BLOCK, EmbeddingSet, PerturbationSpec, clip_t_score, fit_moments, flow_loss,
                                perturb_set, population_std, regression_loss)
@@ -66,6 +69,13 @@ def test_binary_read_holds_one_copy(es, tmp_path):
     assert traced_peak(read_embeddings, path) <= 1.5 * S
 
 
+def test_jsonl_read_holds_one_copy(es, tmp_path):
+    # One float32 array for every row; a float32 array per row, stacked, took 2.2 S.
+    path = tmp_path / "x.jsonl"
+    write_embeddings(es, path, fmt="jsonl")
+    assert traced_peak(read_embeddings, path) <= 1.3 * S
+
+
 def test_binary_write_copies_nothing(es, tmp_path):
     assert traced_peak(write_embeddings, es, tmp_path / "x.emb") <= 0.25 * S
 
@@ -88,6 +98,23 @@ def test_frechet_command_holds_one_set(es, tmp_path, capsys):
     run(argv)  # load the command's modules before tracing
     assert traced_peak(run, argv) <= 2.4 * S
     assert capsys.readouterr().err == ""
+
+
+def test_frechet_body_holds_four_matrices():
+    # Counting the two fitted covariances, at most four d×d float64 matrices are alive
+    # at once: the body jitters the covariances in place and frees each matrix after its
+    # last use. Adding jitter * eye to copies of them held eight.
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        moments = [fit_moments(rng.normal(size=(2 * DIM, DIM))) for _ in range(2)]
+        tracemalloc.reset_peak()  # from here on, the moments and what the body adds
+        embedcore._frechet(moments, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.1 * DIM * DIM * 8
+    assert moments == []  # consumed
 
 
 @pytest.mark.parametrize("mode", ["coords", "sequence"])
@@ -120,11 +147,12 @@ def sized_sets(tmp_path_factory):
 @pytest.mark.parametrize("argv,output", [
     (["metrics", "regloss", "--pred", "{a}", "--target", "{b}"], 0),
     (["metrics", "frechet", "--a", "{a}", "--b", "{b}"], 0),
-    (["perturb", "--in", "{a}", "--threads", "1"], 3),
+    (["perturb", "--in", "{a}", "--threads", "1"], 0),
 ], ids=["regloss", "frechet", "perturb"])
 def test_command_peak_does_not_grow_with_its_inputs(sized_sets, tmp_path, argv, output):
-    # Each binary set is read block by block: from N to 4N rows, the traced peak grows
-    # by less than 0.1 S beyond what the output holds (perturb's output buffer: 4 S - S).
+    # Each binary set is read block by block, and perturb writes each output block
+    # into the file as it is made: from N to 4N rows, the traced peak grows by less
+    # than 0.1 S beyond what the output holds in memory (nothing, for every command).
     # Holding an input set whole would add 3 S, and a float64 copy of one 6 S.
     peaks = []
     for n, (a, b) in sorted(sized_sets.items()):
@@ -132,6 +160,17 @@ def test_command_peak_does_not_grow_with_its_inputs(sized_sets, tmp_path, argv, 
         run(command)  # load the command's modules before tracing
         peaks.append(traced_peak(run, command))
     assert peaks[1] - peaks[0] - output * GROWTH_S < 0.1 * GROWTH_S
+
+
+@pytest.mark.parametrize("mode", ["coords", "sequence"])
+def test_perturb_command_holds_a_few_blocks(sized_sets, tmp_path, mode):
+    # On a set of 8 blocks, the std basis pass holds a float64 block's buffer and two
+    # float32 blocks, about two float64 blocks; the rows, up to three float32 blocks.
+    # Holding the output, as the whole 8-block set, would add four float64 blocks.
+    block64 = _BLOCK * DIM * 8
+    argv = ["perturb", "--in", sized_sets[4 * GROWTH_N][0], "--shuffle-mode", mode, "--out", str(tmp_path / "o")]
+    run(argv)  # load the command's modules before tracing
+    assert traced_peak(run, argv) <= 2.5 * block64
 
 
 # The record types the readers build, without slots, so each instance carries a dict.
