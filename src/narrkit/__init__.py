@@ -11,7 +11,7 @@ The package splits into small, independently usable modules:
 - ``jsonl``: strict line-delimited JSON decoding and field checks for every reader
 - ``params``: the settings every command range-checks (matching thresholds,
   context length, embedding loss and perturbation), with no numpy
-- ``context``: narrative sequences, histories and rolling conditioning windows
+- ``context``: narrative sequences and rolling conditioning windows
 - ``cli``: the ``narrkit`` command-line driver
 
 Each name in a library module's ``__all__`` is also a package attribute,
@@ -20,7 +20,7 @@ imported on first use: ``from narrkit import histogram`` loads no numpy.
 
 import importlib.util
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # Library modules whose ``__all__`` makes up the package namespace (``cli``
 # is the driver, not a library). The numpy-free ones come first, so that a

@@ -2,17 +2,12 @@
 
 A narrative sequence is an ordered list of steps, each holding an action,
 a caption, an embedding reference and a keyframe reference. From it we
-derive two export products:
-
-* cumulative-history training records: for each step, the interleaved
-  action / caption / embedding blocks, truncated to the sequence's context
-  window;
-* conditioning windows: 2k-step views where the first k steps supply
-  reference frames and the last k are render targets. Windows advance with
-  stride k, so each window's targets become the next window's references
-  (the rolling contract). When the steps run out before the last window's
-  targets are complete, that window is the same slice cut short by the end
-  of the sequence and is flagged partial.
+derive conditioning windows: 2k-step views where the first k steps supply
+reference frames and the last k are render targets. Windows advance with
+stride k, so each window's targets become the next window's references (the
+rolling contract). When the steps run out before the last window's targets
+are complete, that window is the same slice cut short by the end of the
+sequence and is flagged partial.
 """
 
 from __future__ import annotations
@@ -27,20 +22,14 @@ from .params import check_context_length
 __all__ = [
     "StepRecord",
     "NarrativeSequence",
-    "HistoryRecord",
     "ConditioningWindow",
-    "build_history",
     "tile_captions",
     "check_context_length",
     "build_windows",
     "window_count",
     "export_windows",
-    "export_training_records",
-    "parse_training_records",
     "read_step_sequences",
 ]
-
-DEFAULT_CONTEXT_WINDOW = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,13 +45,10 @@ class StepRecord:
 class NarrativeSequence:
     sequence_id: str
     steps: list[StepRecord]
-    context_window: int = DEFAULT_CONTEXT_WINDOW
 
     def __post_init__(self):
         if not self.steps:
             raise ValueError(f"sequence '{self.sequence_id}' has no steps")
-        if self.context_window < 1:
-            raise ValueError(f"context_window must be >= 1, got {self.context_window}")
         for pos, step in enumerate(self.steps, start=1):
             if step.index != pos:
                 raise ValueError(
@@ -72,28 +58,6 @@ class NarrativeSequence:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-
-@dataclass(frozen=True)
-class HistoryRecord:
-    """Everything generated before step t, as three aligned prefix lists."""
-
-    t: int
-    actions: tuple[str, ...]
-    captions: tuple[str, ...]
-    embedding_ids: tuple[str, ...]
-
-
-def build_history(seq: NarrativeSequence, t: int) -> HistoryRecord:
-    if not 1 <= t <= len(seq):
-        raise ValueError(f"t must be within 1..{len(seq)}, got {t}")
-    prefix = seq.steps[: t - 1]
-    return HistoryRecord(
-        t,
-        tuple(s.action for s in prefix),
-        tuple(s.caption for s in prefix),
-        tuple(s.embedding_id for s in prefix),
-    )
 
 
 def tile_captions(captions: Iterable[str], separator: str = "\n") -> str:
@@ -191,56 +155,7 @@ def export_windows(
         )
 
 
-def export_training_records(seq: NarrativeSequence) -> list[dict]:
-    """Flatten a sequence into the interleaved supervision stream.
-
-    For each step, in order: an action block, a caption block, then the
-    embedding reference. Sequences longer than the context window are
-    truncated to their last ``context_window`` steps, keeping original
-    indices.
-    """
-    steps = seq.steps
-    if len(steps) > seq.context_window:
-        steps = steps[-seq.context_window :]
-    out: list[dict] = []
-    for step in steps:
-        out.append({"kind": "action", "t": step.index, "text": step.action})
-        out.append({"kind": "caption", "t": step.index, "text": step.caption})
-        out.append(
-            {"kind": "embedding", "t": step.index, "embedding_id": step.embedding_id}
-        )
-    return out
-
-
-def parse_training_records(records: Iterable[dict]) -> list[tuple[int, str, str, str]]:
-    """Regroup an interleaved stream into (t, action, caption, embedding_id).
-
-    The inverse of export_training_records up to keyframe references, which
-    are not part of the supervision stream.
-    """
-    out: list[tuple[int, str, str, str]] = []
-    pending: list[dict] = []
-    for rec in records:
-        pending.append(rec)
-        if len(pending) == 3:
-            a, c, e = pending
-            if (a["kind"], c["kind"], e["kind"]) != ("action", "caption", "embedding"):
-                raise ValueError(
-                    f"malformed step triple at t={a.get('t')}: "
-                    f"{[r['kind'] for r in pending]}"
-                )
-            if not (a["t"] == c["t"] == e["t"]):
-                raise ValueError(f"step indices disagree within triple: {pending}")
-            out.append((a["t"], a["text"], c["text"], e["embedding_id"]))
-            pending = []
-    if pending:
-        raise ValueError(f"dangling records at end of stream: {pending}")
-    return out
-
-
-def read_step_sequences(
-    lines: Iterable[str], context_window: int = DEFAULT_CONTEXT_WINDOW
-) -> dict[str, NarrativeSequence]:
+def read_step_sequences(lines: Iterable[str]) -> dict[str, NarrativeSequence]:
     """Read line-delimited step records grouped into sequences.
 
     Each record is {sequence_id, index, action, caption, embedding_id,
@@ -261,5 +176,5 @@ def read_step_sequences(
     sequences: dict[str, NarrativeSequence] = {}
     for sequence_id in sorted(grouped):
         steps = sorted(grouped[sequence_id], key=lambda s: s.index)
-        sequences[sequence_id] = NarrativeSequence(sequence_id, steps, context_window)
+        sequences[sequence_id] = NarrativeSequence(sequence_id, steps)
     return sequences

@@ -8,8 +8,8 @@ scoring, and a drift-field matching loss.
 
 The pair metrics are batch kernels: ``regression_loss``, ``flow_loss`` and
 ``clip_t_score`` take two whole sets of index-paired rows (a vector is one
-row) and return the mean over the pairs. ``cosine_similarity`` and
-``flow_matching_loss`` are one-row and record-list calls of the same code.
+row) and return the mean over the pairs. ``flow_matching_loss`` is a
+record-list call of ``flow_loss``.
 
 Everything computes in double precision regardless of storage dtype, and
 every random operation is a pure function of an explicit seed. Per-item
@@ -18,14 +18,15 @@ depend on scheduling or thread count.
 
 Memory: every kernel walks its input in blocks of _BLOCK rows, one block
 (and its float64 working copy) alive at a time, so it never needs a whole
-set in memory; a one-column set is the exception (see _row_sum). An input is an array, an ``EmbeddingSet`` or a reader that
-``embedio.open_embeddings`` returns, whose ``blocks(lo, hi)`` reads each
-block from the file as it is needed. ``population_std`` and ``fit_moments``
-make two passes (the mean, then the deviations from it); the pair metrics
-zip the blocks of their two sets; each process of a perturbation reads its
-own rows and writes each finished block into a file by a positional write
-(see _perturb_into). The Fréchet body adds its jitter to the fitted
-covariances in place and drops each d×d temporary after its last use.
+set in memory; a one-column set is the exception (see _row_sum). An input
+is an array, an ``EmbeddingSet`` or a reader that ``embedio.open_embeddings``
+returns, whose ``blocks(lo, hi)`` reads each block from the file as it is
+needed. ``population_std`` and ``fit_moments`` make two passes (the mean,
+then the deviations from it); the pair metrics walk the blocks of their two
+sets in step; each process of a perturbation reads its own rows and writes
+each finished block into a file by a positional write (see _perturb_into).
+The Fréchet body adds its jitter to the fitted covariances in place and
+drops each d×d temporary after its last use.
 """
 
 from __future__ import annotations
@@ -47,14 +48,11 @@ __all__ = [
     "PerturbationSpec",
     "GaussianMoments",
     "FlowSample",
-    "cosine_similarity",
     "regression_loss",
     "regression_loss_grad",
     "population_std",
     "perturb",
     "perturb_set",
-    "rescale_latent",
-    "add_noise",
     "fit_moments",
     "check_jitter",
     "frechet_distance",
@@ -173,13 +171,17 @@ def _pair_rows(x, y, row_fn: Callable) -> np.ndarray:
     """Concatenate the per-row results of ``row_fn(a, b, first)`` over the float64
     copies of the blocks of _BLOCK paired rows of x and y (see _blocks), whose row
     0 is pair ``first``. Every block pair is copied into the same two buffers:
-    a fresh pair of float64 blocks each time would cost its page faults anew."""
+    a fresh pair of float64 blocks each time would cost its page faults anew.
+    Each stored block is copied straight from its iterator, so none is still
+    alive while the next is read."""
     a64, b64 = np.empty((2, min(_BLOCK, len(x)), x.shape[1]))
+    xs, ys = _blocks(x), _blocks(y)
     results = []
-    for first, a, b in zip(range(0, len(x), _BLOCK), _blocks(x), _blocks(y)):
-        np.copyto(a64[: len(a)], a)
-        np.copyto(b64[: len(b)], b)
-        results.append(row_fn(a64[: len(a)], b64[: len(b)], first))
+    for first in range(0, len(x), _BLOCK):
+        n = min(_BLOCK, len(x) - first)
+        np.copyto(a64[:n], next(xs))
+        np.copyto(b64[:n], next(ys))
+        results.append(row_fn(a64[:n], b64[:n], first))
     return np.concatenate(results, axis=-1)
 
 
@@ -205,12 +207,6 @@ def _mean(values: np.ndarray) -> float:
     # differently, and so does Python's builtin sum from 3.12 on, which compensates
     # float sums. Adding 0.0, as sum's start value does, makes a sum of -0.0s 0.0.
     return (float(np.cumsum(values)[-1]) + 0.0) / len(values)
-
-
-def cosine_similarity(a: ArrayLike, b: ArrayLike) -> float:
-    """Cosine of the angle between two vectors, clipped to [-1, 1]."""
-    x, y = _check_pairs(_as_vector(a, "a"), _as_vector(b, "b"))
-    return float(_row_cosines(x, y)[0][0])
 
 
 @dataclass(frozen=True)
@@ -276,6 +272,7 @@ def _row_sum(rows, mean: np.ndarray | None = None) -> np.ndarray:
         else:
             np.square(np.subtract(block, mean, out=part), out=part)
         buf[0] = buf[: len(block) + 1].sum(axis=0)
+        del block, part  # so that no stored block is alive while the next is read
     return buf[0].copy()
 
 
@@ -467,6 +464,7 @@ def _perturb_into(
             block = out[: len(index)]
             for k, (i, row) in enumerate(zip(index, _rows_at(rows, index))):
                 block[k] = _perturb_row(row, basis, spec, i, coord_shuffle)
+            del row  # a view that keeps its input block alive while the next is read
             if not np.isfinite(block).all():
                 raise ValueError(f"the noise takes perturbed values past the {rows.dtype} range")
             _pwrite(fd, block, offset + first * block.itemsize * dim)
@@ -514,24 +512,6 @@ def perturb_set(
         ids = _perturb_into(scratch.fileno(), 0, embeddings, std_basis, spec, shuffle_mode, threads)
         vectors = np.fromfile(scratch, rows.dtype).reshape(rows.shape)
     return _trusted_set(vectors, ids)  # each block was checked as it was written
-
-
-def rescale_latent(z: ArrayLike, factor: float) -> np.ndarray:
-    """Multiply every coordinate by a constant factor."""
-    if not np.isfinite(factor):
-        raise ValueError(f"factor must be finite, got {factor}")
-    return np.asarray(z, dtype=np.float64) * factor
-
-
-def add_noise(z: ArrayLike, sigma: float, seed: int = 0) -> np.ndarray:
-    """Add i.i.d. Gaussian noise with standard deviation sigma, seeded."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    v = np.asarray(z, dtype=np.float64)
-    if sigma == 0:
-        return v.copy()
-    rng = np.random.default_rng(np.random.SeedSequence([seed & _U64, 2]))
-    return v + rng.standard_normal(v.shape) * sigma
 
 
 @dataclass(frozen=True, eq=False)

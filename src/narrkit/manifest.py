@@ -36,7 +36,6 @@ __all__ = [
     "Violation",
     "parse_manifest",
     "validate_manifest",
-    "partition",
     "write_manifest",
 ]
 
@@ -101,14 +100,11 @@ class DatasetManifest:
     """In-memory corpus: videos (with clips) and per-video action lists.
 
     Treated as immutable once built; functions in this package never mutate a
-    manifest they receive. ``split_tag`` annotates which partition a manifest
-    represents and is deliberately excluded from structural equality, since
-    the wire format only carries video/clip/action records.
+    manifest they receive.
     """
 
     videos: dict[str, VideoEntry] = field(default_factory=dict)
     actions: dict[str, list[ActionRecord]] = field(default_factory=dict)
-    split_tag: str | None = field(default=None, compare=False)
 
     @property
     def n_videos(self) -> int:
@@ -300,29 +296,6 @@ def validate_manifest(m: DatasetManifest) -> list[Violation]:
                     f"action {idx} description is blank",
                 )
     return out
-
-
-def partition(
-    m: DatasetManifest, val_ids: Iterable[str]
-) -> tuple[DatasetManifest, DatasetManifest]:
-    """Split a manifest into (train, val) by video id.
-
-    Every id in ``val_ids`` must exist in the manifest; records are shared
-    with the input, never copied or modified.
-    """
-    wanted = set(val_ids)
-    known = set(m.videos) | set(m.actions)
-    unknown = sorted(wanted - known)
-    if unknown:
-        raise ValueError(f"val_ids not present in manifest: {unknown}")
-
-    train = DatasetManifest(split_tag="train")
-    val = DatasetManifest(split_tag="val")
-    for video_id, entry in m.videos.items():
-        (val if video_id in wanted else train).videos[video_id] = entry
-    for video_id, records in m.actions.items():
-        (val if video_id in wanted else train).actions[video_id] = records
-    return train, val
 
 
 def _record_lines(m: DatasetManifest) -> Iterator[str]:

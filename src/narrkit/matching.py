@@ -231,7 +231,7 @@ def filter_matched(
             ),
         )
 
-    filtered = DatasetManifest(split_tag=m.split_tag)
+    filtered = DatasetManifest()
     assignment: dict[tuple[str, str], list[int]] = {}
     for video_id, entry in m.videos.items():
         kept = []

@@ -8,11 +8,8 @@ from narrkit.context import (
     ConditioningWindow,
     NarrativeSequence,
     StepRecord,
-    build_history,
     build_windows,
-    export_training_records,
     export_windows,
-    parse_training_records,
     read_step_sequences,
     tile_captions,
     window_count,
@@ -45,12 +42,12 @@ def windows_two_branch(seq, k):
     ]
 
 
-def make_seq(n, context_window=8):
+def make_seq(n):
     steps = [
         StepRecord(t, f"act {t}", f"cap {t}", f"emb{t}", f"key{t}")
         for t in range(1, n + 1)
     ]
-    return NarrativeSequence("s1", steps, context_window)
+    return NarrativeSequence("s1", steps)
 
 
 class TestSequenceInvariants:
@@ -62,37 +59,6 @@ class TestSequenceInvariants:
         steps = [StepRecord(1, "a", "c", "e", "k"), StepRecord(3, "a", "c", "e", "k")]
         with pytest.raises(ValueError, match="contiguous"):
             NarrativeSequence("s", steps)
-
-    def test_bad_context_window(self):
-        with pytest.raises(ValueError, match="context_window"):
-            make_seq(3, context_window=0)
-
-
-class TestHistory:
-    def test_first_step_has_empty_history(self):
-        h = build_history(make_seq(5), 1)
-        assert h.actions == h.captions == h.embedding_ids == ()
-
-    def test_prefix_length(self):
-        h = build_history(make_seq(5), 3)
-        assert len(h.actions) == len(h.captions) == len(h.embedding_ids) == 2
-
-    def test_prefix_identity(self):
-        seq = make_seq(7)
-        for t in range(1, 8):
-            h = build_history(seq, t)
-            rebuilt = list(
-                zip(h.actions + (seq.steps[t - 1].action,),
-                    h.captions + (seq.steps[t - 1].caption,),
-                    h.embedding_ids + (seq.steps[t - 1].embedding_id,))
-            )
-            expected = [(s.action, s.caption, s.embedding_id) for s in seq.steps[:t]]
-            assert rebuilt == expected
-
-    @pytest.mark.parametrize("t", [0, 6, -1])
-    def test_out_of_range(self, t):
-        with pytest.raises(ValueError, match="within"):
-            build_history(make_seq(5), t)
 
 
 class TestTileCaptions:
@@ -194,37 +160,6 @@ class TestWindows:
         assert rec["k"] == 2
         assert rec["partial"] is True
         assert rec["embedding_ids"] == ["emb3", "emb4", "emb5"]
-
-
-class TestTrainingRecords:
-    def test_single_step(self):
-        records = export_training_records(make_seq(1))
-        assert [r["kind"] for r in records] == ["action", "caption", "embedding"]
-
-    def test_truncates_to_context_window(self):
-        records = export_training_records(make_seq(10, context_window=8))
-        steps = sorted({r["t"] for r in records})
-        assert steps == list(range(3, 11))
-
-    def test_round_trip(self):
-        seq = make_seq(6)
-        back = parse_training_records(export_training_records(seq))
-        assert back == [
-            (s.index, s.action, s.caption, s.embedding_id) for s in seq.steps
-        ]
-
-    def test_interleaving_order(self):
-        records = export_training_records(make_seq(3))
-        kinds = [r["kind"] for r in records]
-        assert kinds == ["action", "caption", "embedding"] * 3
-
-    def test_malformed_stream_rejected(self):
-        records = export_training_records(make_seq(2))
-        with pytest.raises(ValueError, match="dangling"):
-            parse_training_records(records[:-1])
-        swapped = [records[1], records[0]] + records[2:]
-        with pytest.raises(ValueError, match="malformed"):
-            parse_training_records(swapped)
 
 
 class TestStepReader:

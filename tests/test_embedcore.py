@@ -14,9 +14,7 @@ from narrkit.embedcore import (
     GaussianMoments,
     PerturbationSpec,
     RegressionLossParams,
-    add_noise,
     clip_t_score,
-    cosine_similarity,
     fit_moments,
     flow_loss,
     flow_matching_loss,
@@ -26,37 +24,38 @@ from narrkit.embedcore import (
     population_std,
     regression_loss,
     regression_loss_grad,
-    rescale_latent,
 )
 from narrkit.embedio import open_embeddings, write_embeddings
 
 
 class TestCosine:
+    """The cosine of one vector pair, as clip_t_score scores it."""
+
     def test_identity(self):
-        assert cosine_similarity([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0, abs=1e-12)
+        assert clip_t_score([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine_similarity([1, 0], [0, 1]) == 0.0
+        assert clip_t_score([1, 0], [0, 1]) == 0.0
 
     def test_hand_case(self):
-        assert cosine_similarity([1, 1], [1, -1]) == pytest.approx(0.0, abs=1e-12)
+        assert clip_t_score([1, 1], [1, -1]) == pytest.approx(0.0, abs=1e-12)
 
     def test_scale_invariance(self, rng):
         for _ in range(100):
             a = rng.normal(size=8)
             b = rng.normal(size=8)
             c = float(rng.uniform(0.01, 100))
-            assert cosine_similarity(c * a, b) == pytest.approx(
-                cosine_similarity(a, b), abs=1e-12
+            assert clip_t_score(c * a, b) == pytest.approx(
+                clip_t_score(a, b), abs=1e-12
             )
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):
-            cosine_similarity([0, 0], [1, 0])
+            clip_t_score([0, 0], [1, 0])
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            cosine_similarity([1, 0], [1, 0, 0])
+            clip_t_score([1, 0], [1, 0, 0])
 
 
 class TestRegressionLoss:
@@ -432,33 +431,6 @@ class TestForkedWorkers:
             perturb_set(es, np.ones(3), PerturbationSpec(), threads=threads)
 
 
-class TestLatentEdits:
-    def test_rescale_identity(self, rng):
-        z = rng.normal(size=12)
-        assert np.array_equal(rescale_latent(z, 1.0), z)
-
-    def test_rescale_doubles_norm_exactly(self, rng):
-        z = rng.normal(size=12)
-        assert np.linalg.norm(rescale_latent(z, 2.0)) == 2.0 * np.linalg.norm(z)
-
-    def test_rescale_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            rescale_latent([1.0], float("nan"))
-
-    def test_add_noise_sigma_zero_identity(self, rng):
-        z = rng.normal(size=12)
-        assert np.array_equal(add_noise(z, 0.0), z)
-
-    def test_add_noise_seeded(self, rng):
-        z = rng.normal(size=12)
-        assert np.array_equal(add_noise(z, 0.3, seed=5), add_noise(z, 0.3, seed=5))
-        assert not np.array_equal(add_noise(z, 0.3, seed=5), add_noise(z, 0.3, seed=6))
-
-    def test_add_noise_negative_sigma(self):
-        with pytest.raises(ValueError):
-            add_noise([1.0], -0.1)
-
-
 class TestMoments:
     def test_hand_case(self):
         m = fit_moments(np.array([[0.0, 0.0], [2.0, 0.0]]))
@@ -674,7 +646,7 @@ class TestClipT:
         n = embedcore._BLOCK + 1
         text = rng.normal(size=(n, 24)).astype(np.float32)
         image = (text + rng.normal(size=(n, 24))).astype(np.float32)
-        cosines = [cosine_similarity(t, v) for t, v in zip(text.astype(np.float64), image)]
+        cosines = [clip_t_score(t[None], v[None]) for t, v in zip(text, image)]
         assert clip_t_score(text, image) == left_to_right_sum(cosines) / n
         assert clip_t_score(text, image, scale="percent") == left_to_right_sum(cosines) / n * 100.0
 

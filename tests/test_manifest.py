@@ -15,7 +15,6 @@ from narrkit.manifest import (
     VideoEntry,
     dumps_manifest,
     parse_manifest,
-    partition,
     validate_manifest,
     write_manifest,
 )
@@ -198,34 +197,6 @@ class TestValidate:
             ],
         )
         assert any(v.code == "clips-unordered" for v in validate_manifest(m))
-
-
-class TestPartition:
-    def test_split_sizes(self, rng):
-        m = random_manifest(rng, n_videos=5)
-        ids = sorted(m.videos)
-        train, val = partition(m, {ids[0], ids[3]})
-        assert train.n_videos == 3 and val.n_videos == 2
-        assert set(train.videos) | set(val.videos) == set(m.videos)
-        assert set(train.videos) & set(val.videos) == set()
-        assert (train.split_tag, val.split_tag) == ("train", "val")
-
-    def test_empty_val(self, rng):
-        m = random_manifest(rng, n_videos=4)
-        train, val = partition(m, set())
-        assert val.n_videos == 0
-        assert train.videos == m.videos
-
-    def test_unknown_id_named(self, rng):
-        m = random_manifest(rng, n_videos=3)
-        with pytest.raises(ValueError, match="'x'"):
-            partition(m, {"x"})
-
-    def test_records_shared_not_copied(self, rng):
-        m = random_manifest(rng, n_videos=4)
-        train, val = partition(m, {sorted(m.videos)[0]})
-        for vid, entry in train.videos.items():
-            assert entry is m.videos[vid]
 
 
 class TestRoundTrip:

@@ -14,6 +14,7 @@ than both, so the guards hold whatever the interpreter's object layout.
 """
 
 import struct
+import tempfile
 import tracemalloc
 from dataclasses import fields, make_dataclass, replace
 
@@ -25,7 +26,7 @@ from narrkit import embedcore
 from narrkit.cli import run
 from narrkit.embedcore import (_BLOCK, EmbeddingSet, PerturbationSpec, clip_t_score, fit_moments, flow_loss,
                                perturb_set, population_std, regression_loss)
-from narrkit.embedio import read_embeddings, write_embeddings
+from narrkit.embedio import open_embeddings, read_embeddings, write_embeddings
 from narrkit.manifest import ActionRecord, ClipRecord, TimeInterval, dumps_manifest, parse_manifest
 from narrkit.matching import MatchRecord, format_match_record, match_dataset, parse_match_records
 
@@ -171,6 +172,36 @@ def test_perturb_command_holds_a_few_blocks(sized_sets, tmp_path, mode):
     argv = ["perturb", "--in", sized_sets[4 * GROWTH_N][0], "--shuffle-mode", mode, "--out", str(tmp_path / "o")]
     run(argv)  # load the command's modules before tracing
     assert traced_peak(run, argv) <= 2.5 * block64
+
+
+BLOCK64 = _BLOCK * DIM * 8  # one float64 block of rows; a stored float32 block is half of it
+
+
+@pytest.mark.parametrize("kernel", [regression_loss, flow_loss, clip_t_score])
+def test_pair_kernels_hold_one_stored_block_pair(sized_sets, kernel):
+    # The two float64 buffers, and then either the next stored float32 pair or the
+    # kernel's float64 temporary: about 3 blocks. Keeping the previous stored pair
+    # alive while the next is read took 4.2.
+    a, b = sized_sets[4 * GROWTH_N]
+    with open_embeddings(a) as x, open_embeddings(b) as y:
+        assert traced_peak(kernel, x, y) <= 3.3 * BLOCK64
+
+
+def test_population_std_holds_one_stored_block(sized_sets):
+    # The float64 buffer and one stored float32 block: 1.63 blocks; 2.13 with the
+    # previous stored block still alive while the next is read.
+    with open_embeddings(sized_sets[4 * GROWTH_N][0]) as x:
+        assert traced_peak(population_std, x) <= 1.8 * BLOCK64
+
+
+@pytest.mark.parametrize("mode", ["coords", "sequence"])
+def test_perturb_rows_hold_one_input_block(sized_sets, mode):
+    # One float32 output block and one stored input block, about 1.1 to 1.3 float64
+    # blocks; a row view of the last input block, left alive while the next block is
+    # read, added half a block.
+    with open_embeddings(sized_sets[4 * GROWTH_N][0]) as x, tempfile.TemporaryFile() as out:
+        perturb = embedcore._perturb_into
+        assert traced_peak(perturb, out.fileno(), 0, x, np.ones(DIM), PerturbationSpec(seed=3), mode) <= 1.4 * BLOCK64
 
 
 # The record types the readers build, without slots, so each instance carries a dict.
