@@ -66,7 +66,7 @@ _CONFIG_TYPES = {
 }
 
 # The flags whose option name is not their dest spelled with dashes.
-_FLAG_NAMES = {"max_start_diff_s": "--max-start-diff"}
+_FLAG_NAMES = {"max_start_diff_s": "--max-start-diff", "input": "--in"}
 
 
 class _FlagError(InputError):
@@ -107,6 +107,9 @@ def _flag(key: str) -> str:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    for key, value in vars(args).items():  # every string flag but a choice takes a path
+        if value == "":
+            raise _FlagError("empty path", source=_flag(key))
     path = getattr(args, "config", None)
     cfg = _load_config(path)
     sources = dict.fromkeys(cfg, path)
@@ -183,17 +186,20 @@ def _outputs(*paths: str | None):
                 files.append(open(tmp, "x", encoding="utf-8", newline=""))
             except OSError as exc:  # report the path asked for, not the temp file
                 raise type(exc)(exc.errno, exc.strerror, path) from exc
-            moves.append((tmp, target))
+            moves.append((tmp, target, path))
         opened = iter(files)
         yield [sys.stdout if path is None else next(opened) for path in paths]
         for fh in files:
             fh.close()
-        for tmp, target in moves:
-            os.replace(tmp, target)
+        for tmp, target, path in moves:
+            try:
+                os.replace(tmp, target)
+            except OSError as exc:  # report the path asked for, not the temp file
+                raise type(exc)(exc.errno, exc.strerror, path) from exc
     finally:
         for fh in files:
             fh.close()
-        for tmp, _ in moves:
+        for tmp, *_ in moves:
             if os.path.exists(tmp):
                 os.remove(tmp)
 

@@ -32,8 +32,7 @@ drops each d×d temporary after its last use.
 from __future__ import annotations
 
 import os
-import pickle
-import sys
+import tempfile
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence, Union
 
@@ -100,14 +99,6 @@ class EmbeddingSet:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-
-def _trusted_set(vectors: np.ndarray, ids: list[str] | None) -> EmbeddingSet:
-    """A set of float rows and ids that already pass EmbeddingSet's checks, built
-    without running them again."""
-    es = object.__new__(EmbeddingSet)
-    es.vectors, es.ids = vectors, ids
-    return es
 
 
 ArrayLike = Union[np.ndarray, Sequence[float]]
@@ -356,59 +347,53 @@ def _worker_count(threads: int, rows: int) -> int:
 
 def _run_forked(fill: Callable[[int, int], None], bounds: list[int]) -> None:
     """Run ``fill(lo, hi)`` over each range of ``bounds``: the first in this
-    process, each other in a forked worker. Every worker is reaped before this
-    returns or raises. A worker whose fill raises ValueError (bad input rows)
-    or OSError (a failed read or write) sends it back through a pipe, and the
-    first such range's error is raised here, as this process would have raised
-    it; a worker that fails otherwise raises ChildProcessError.
+    process, each other in a ``multiprocessing`` fork-context worker, every one
+    joined before this returns or raises. A worker whose fill raises ValueError
+    (bad input rows) or OSError (a failed read or write) sends it back through
+    a pipe, and the first such range's error is raised here, as this process
+    would have raised it; a worker that fails otherwise prints ``Process
+    ForkProcess-N:`` and its traceback, and raises ChildProcessError here.
 
     Fork copies only the calling thread. OpenBLAS's idle threads stay behind,
     which is safe because the row loop calls no BLAS: it reads rows, draws
     random numbers, does elementwise arithmetic and indexing, and writes.
     """
+
+    def work(lo: int, hi: int, send) -> None:
+        try:
+            fill(lo, hi)
+        except (ValueError, OSError) as exc:
+            send.send(exc)
+
     workers = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            reply, send = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(reply)
-                os.close(send)
-                raise
-            if pid == 0:  # a worker: fill its rows and exit, never returning to the caller
-                status = 1
-                try:
-                    os.close(reply)
-                    fill(lo, hi)
-                    status = 0
-                except (ValueError, OSError) as exc:
-                    with open(send, "wb") as pipe:
-                        pickle.dump(exc, pipe)
-                except BaseException:
-                    import traceback  # loaded only here: the other commands never need it
+            import multiprocessing  # loaded only here: --threads 1 and the other commands never need it
 
-                    traceback.print_exc()
-                    sys.stderr.flush()
-                finally:
-                    os._exit(status)
-            os.close(send)
-            workers.append((pid, reply, lo, hi))
+            context = multiprocessing.get_context("fork")  # not the platform's default start method
+            reply, send = context.Pipe(duplex=False)
+            worker = context.Process(target=work, args=(lo, hi, send))
+            worker.start()
+            send.close()
+            workers.append((worker, reply, lo, hi))
         fill(bounds[0], bounds[1])
     finally:
         ends = []
-        for pid, reply, lo, hi in workers:
-            with open(reply, "rb") as pipe:
-                sent = pipe.read()  # until the worker exits
-            ends.append((os.waitpid(pid, 0)[1], sent, lo, hi))
-    for status, sent, lo, hi in ends:
-        if sent:
-            raise pickle.loads(sent)
-        if status:
-            code = os.waitstatus_to_exitcode(status)
-            raise ChildProcessError(
-                f"perturb worker for rows {lo}..{hi - 1} exited with status {code}"
-            )
+        for worker, reply, lo, hi in workers:
+            # Read before the join: a worker that sends an error larger than the pipe
+            # buffer blocks until it is read.
+            with reply:
+                try:
+                    sent = reply.recv()  # until the worker sends an error or exits
+                except EOFError:
+                    sent = None
+            worker.join()
+            ends.append((worker.exitcode, sent, lo, hi))
+    for code, sent, lo, hi in ends:
+        if sent is not None:
+            raise sent
+        if code:
+            raise ChildProcessError(f"perturb worker for rows {lo}..{hi - 1} exited with status {code}")
 
 
 def _pwrite(fd: int, data, position: int) -> None:
@@ -493,25 +478,24 @@ def perturb_set(
 
     ``threads`` (at least 1) splits the output rows into that many
     contiguous ranges, capped by the rows and by the CPUs this process may
-    run on. This process perturbs the first range and one forked worker each
-    other range; each reads only the input rows its range needs, _BLOCK at a
-    time, and writes each finished block into one anonymous temporary file,
-    which is read back whole as the result's vectors (see _perturb_into).
-    Fork copies only the calling thread, so pass ``threads`` above 1 only
-    from a process that runs no other Python thread. A reader's error in a
-    worker's rows is raised here; a worker that fails otherwise raises
-    ChildProcessError, once every worker has exited.
+    run on. This process perturbs the first range and a ``multiprocessing``
+    fork-context worker each other range; each reads only the input rows its
+    range needs, _BLOCK at a time, and writes each finished block into one
+    anonymous temporary file, which is read back whole as the result's vectors
+    (see _perturb_into). Fork copies only the calling thread, so pass
+    ``threads`` above 1 only from a process that runs no other Python thread.
+    A reader's error in a worker's rows is raised here; a worker that fails
+    otherwise prints ``Process ForkProcess-N:`` and its traceback, and raises
+    ChildProcessError here, once every worker has exited.
 
     Raises ValueError when the noise takes a value past the range of the
     set's dtype.
     """
-    import tempfile  # loaded only here, so the commands do not pay for it
-
     rows = _as_rows(embeddings)
     with tempfile.TemporaryFile() as scratch:
         ids = _perturb_into(scratch.fileno(), 0, embeddings, std_basis, spec, shuffle_mode, threads)
         vectors = np.fromfile(scratch, rows.dtype).reshape(rows.shape)
-    return _trusted_set(vectors, ids)  # each block was checked as it was written
+    return EmbeddingSet(vectors, ids)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,12 +27,13 @@ import io
 import json
 import os
 import struct
+import tempfile
 from itertools import chain
 from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .embedcore import _BLOCK, EmbeddingSet, _as_rows, _blocks, _pwrite, _trusted_set
+from .embedcore import _BLOCK, EmbeddingSet, _as_rows, _blocks, _pwrite
 from .jsonl import TEXT, InputError, iter_json_objects, want_str
 
 __all__ = ["MAGIC", "EmbeddingFile", "open_embeddings", "read_embeddings", "write_embeddings"]
@@ -146,7 +147,7 @@ class EmbeddingFile:
         vectors = np.empty(self.shape, self.dtype)
         for first in range(0, len(self), _BLOCK):
             self._finite(self._fill(first, vectors[first : first + _BLOCK]))
-        return _trusted_set(vectors, self.ids)  # each block checked as it was read
+        return EmbeddingSet(vectors, self.ids)
 
 
 _NUMBER_TYPES = frozenset({int, float})
@@ -191,7 +192,7 @@ def _decode_jsonl(lines: Iterable[str], source: str) -> EmbeddingSet:
     if have_ids not in (0, len(ids)):
         raise InputError("either every record carries an id or none does", source=source)
     vectors.resize((len(ids), vectors.shape[1]), refcheck=False)  # in place, freeing the rest
-    return _trusted_set(vectors, ids if have_ids else None)  # each row and id checked above
+    return EmbeddingSet(vectors, ids if have_ids else None)
 
 
 def _open(fh: IO[bytes], name: str) -> EmbeddingSet | EmbeddingFile:
@@ -314,8 +315,6 @@ def _write_rows(
     writes as binary, which is then copied, or encoded as JSONL, into ``sink``
     by its own writes.
     """
-    import tempfile  # loaded only here: binary output to a file never needs it
-
     in_place = fmt == "binary" and sink.seekable()
     with contextlib.nullcontext(sink) if in_place else tempfile.TemporaryFile() as fh:
         head = MAGIC + _HEADER.pack(*shape)

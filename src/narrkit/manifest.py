@@ -20,6 +20,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Union
 
@@ -158,13 +159,11 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
     explicit_videos: set[str] = set()
     clip_ids: dict[str, set[str]] = {}
     actions: dict[str, list[ActionRecord]] = {}
-    # Each id maps to its first copy, so all the records of a video share one string.
-    ids: dict[str, str] = {}
 
     for lineno, rec in iter_json_objects(source, name):
         kind = want_choice(rec, "kind", RECORD_KINDS, lineno, name)
-        video_id = want_str(rec, "video_id", lineno, name)
-        video_id = ids.setdefault(video_id, video_id)
+        # Interned, so that all the records of a video share one string.
+        video_id = sys.intern(want_str(rec, "video_id", lineno, name))
         entry = videos.get(video_id)
         if entry is None:
             entry = videos[video_id] = VideoEntry()

@@ -28,6 +28,7 @@ finite, which ``TimeInterval`` enforces, so the sweep's sorted order holds.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -272,14 +273,10 @@ _RULES = {rule.value: rule for rule in MatchRule}
 def parse_match_records(lines: Iterable[str]) -> Iterator[MatchRecord]:
     source = getattr(lines, "name", "<input>")
     rules = tuple(_RULES)
-    # Match files are grouped by video: a run of records shares one id string.
-    video_id = None
     for lineno, rec in iter_json_objects(lines, source):
-        value = want_str(rec, "video_id", lineno, source)
-        if value != video_id:
-            video_id = value
         yield MatchRecord(
-            video_id,
+            # Interned, so that the records of a video share one string, the manifest's too.
+            sys.intern(want_str(rec, "video_id", lineno, source)),
             want_str(rec, "clip_id", lineno, source),
             want_int(rec, "action_index", lineno, source),
             want_number(rec, "iou", lineno, source),

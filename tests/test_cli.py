@@ -952,6 +952,29 @@ class TestSubprocessDeterminism:
         )
 
 
+# A command line for each flag that takes a path, that path empty; the other paths name files.
+_EMPTY_PATHS = [
+    (["validate", "--manifest", "{m}", "--config", ""], "--config"),
+    (["validate", "--manifest", "{m}", "--out", ""], "--out"),
+    (["validate", "--manifest", ""], "--manifest"),
+    (["filter", "--manifest", "{m}", "--matches", ""], "--matches"),
+    (["filter", "--manifest", "{m}", "--matches", "{matches}", "--assignment", ""], "--assignment"),
+    (["stats", "--manifest", "{m}", "--caption-tokens", ""], "--caption-tokens"),
+    (["stats", "--manifest", "{m}", "--action-tokens", ""], "--action-tokens"),
+    (["score", "--tiers", ""], "--tiers"),
+    (["score", "--ratings", ""], "--ratings"),
+    (["metrics", "frechet", "--a", "", "--b", "{b}"], "--a"),
+    (["metrics", "frechet", "--a", "{a}", "--b", ""], "--b"),
+    (["metrics", "clipt", "--text", "", "--image", "{b}"], "--text"),
+    (["metrics", "clipt", "--text", "{a}", "--image", ""], "--image"),
+    (["metrics", "regloss", "--pred", "", "--target", "{b}"], "--pred"),
+    (["metrics", "flowloss", "--pred", "{a}", "--target", ""], "--target"),
+    (["perturb", "--in", "", "--out", "{o}"], "--in"),
+    (["perturb", "--in", "{a}", "--population", "", "--out", "{o}"], "--population"),
+    (["windows", "--steps", ""], "--steps"),
+]
+
+
 class TestUsageAndConfig:
     def test_unknown_flag_exits_2(self, capsys, manifest_path):
         code, _, err = invoke(capsys, "match", "--manifest", manifest_path, "--bogus")
@@ -1011,6 +1034,30 @@ class TestUsageAndConfig:
         code, _, err = invoke(capsys, "match", "--manifest", manifest_path, "--out", str(out))
         assert code == 1
         assert err == f"error: {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize("argv,flag", _EMPTY_PATHS, ids=[flag for _, flag in _EMPTY_PATHS])
+    def test_empty_path_is_a_usage_error(self, capsys, monkeypatch, manifest_path, emb_paths, tmp_path,
+                                         argv, flag):
+        matches = tmp_path / "matches.jsonl"
+        matches.write_text("")
+        before = sorted(os.listdir(tmp_path))
+        cwd = tmp_path / "cwd"  # an empty path would resolve to the working directory
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        names = dict(m=manifest_path, matches=matches, a=emb_paths[0], b=emb_paths[1], o=tmp_path / "o.emb")
+        argv = [arg.format(**names) for arg in argv]
+        assert invoke(capsys, *argv) == (2, "", f"error: {flag}: empty path\n")
+        assert sorted(os.listdir(tmp_path)) == sorted([*before, "cwd"])
+        assert os.listdir(cwd) == []
+
+    def test_failed_replace_names_the_path_asked_for(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(IsADirectoryError) as exc:
+            with cli._outputs(str(out)) as (fh,):
+                fh.write("x\n")
+                out.mkdir()  # the temp file can no longer replace it
+        assert exc.value.filename == str(out)
+        assert os.listdir(tmp_path) == ["out.jsonl"]  # and the temp file is gone
 
     def test_config_file_applies(self, capsys, manifest_path, tmp_path):
         cfg = tmp_path / "cfg.json"

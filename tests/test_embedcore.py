@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -416,6 +417,28 @@ class TestForkedWorkers:
                 perturb_set(es, np.ones(8), PerturbationSpec(), threads=2)
             assert "RuntimeError: row 5 failed" in capfd.readouterr().err  # the worker's traceback
         assert_no_child_left()
+
+    def test_a_worker_killed_by_a_signal(self, rng, monkeypatch):
+        allow_cpus(monkeypatch, 2)
+        row, parent = embedcore._perturb_row, os.getpid()
+
+        def killed(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return row(*args)
+
+        monkeypatch.setattr(embedcore, "_perturb_row", killed)
+        es = EmbeddingSet(rng.normal(size=(6, 8)).astype(np.float32))
+        with pytest.raises(ChildProcessError, match=r"^perturb worker for rows 3\.\.5 exited with status -9$"):
+            perturb_set(es, np.ones(8), PerturbationSpec(), threads=2)
+        assert_no_child_left()
+
+    def test_worker_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert embedcore._worker_count(8, 100) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert embedcore._worker_count(8, 100) == 3
 
     def test_worker_count(self, monkeypatch):
         allow_cpus(monkeypatch, 3)

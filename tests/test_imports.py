@@ -220,3 +220,30 @@ def test_corpus_names_and_submodules_load_no_numpy():
         "from narrkit import fit_moments; assert 'numpy' in sys.modules"
     ))
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (["perturb", "--in", "{a}", "--threads", "1"], False),
+        (["perturb", "--in", "{a}", "--threads", "2"], True),
+        (["metrics", "regloss", "--pred", "{a}", "--target", "{b}"], False),
+        (["metrics", "flowloss", "--pred", "{a}", "--target", "{b}"], False),
+        (["metrics", "frechet", "--a", "{a}", "--b", "{b}"], False),
+        (["metrics", "clipt", "--text", "{a}", "--image", "{b}"], False),
+    ],
+    ids=["perturb-threads-1", "perturb-threads-2", "regloss", "flowloss", "frechet", "clipt"],
+)
+def test_only_a_perturb_worker_loads_multiprocessing(tmp_path, argv, loaded):
+    from narrkit.embedio import write_embeddings
+
+    rng = np.random.default_rng(3)
+    names = {name: str(tmp_path / f"{name}.emb") for name in "ab"}
+    for path in names.values():
+        write_embeddings(narrkit.EmbeddingSet(rng.normal(size=(40, 8)).astype(np.float32)), path)
+    argv = [arg.format(**names) for arg in argv] + ["--out", str(tmp_path / "out")]
+    # Two CPUs, so that --threads 2 starts a worker on any machine.
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; from narrkit.cli import run; "
+            "assert run(sys.argv[1:]) == 0; print('multiprocessing' in sys.modules)")
+    proc = _python("-c", code, *argv)
+    assert (proc.returncode, proc.stdout) == (0, f"{loaded}\n"), proc.stderr
