@@ -231,10 +231,11 @@ def cmd_match(args, rc: RunConfig) -> int:
     from .manifest import parse_manifest
 
     manifest = parse_manifest(args.manifest)
-    records = matching.match_dataset(manifest, rc.thresholds)
+    n_matches = 0
     with _outputs(args.out) as (out,):
-        out.writelines(matching.format_match_record(r) + "\n" for r in records)
-    _log(f"matched {len(records)} clip/action pairs")
+        for n_matches, rec in enumerate(matching._iter_matches(manifest, rc.thresholds), 1):
+            out.write(matching.format_match_record(rec) + "\n")
+    _log(f"matched {n_matches} clip/action pairs")
     return 0
 
 
@@ -245,8 +246,7 @@ def cmd_filter(args, rc: RunConfig) -> int:
     manifest = parse_manifest(args.manifest)
     policy = matching.FilterPolicy(args.policy)
     with open(args.matches, **TEXT) as fh, _blame(args.matches):
-        records = list(matching.parse_match_records(fh))
-        result = matching.filter_matched(manifest, records, policy)
+        result = matching.filter_matched(manifest, matching.parse_match_records(fh), policy)
     with _outputs(args.out, args.assignment) as (out, assignment):
         write_manifest(result.manifest, out)
         if args.assignment:
@@ -316,8 +316,7 @@ def cmd_score(args, rc: RunConfig) -> int:
     from . import scoring
 
     if not args.tiers and not args.ratings:
-        _log("score: need --tiers and/or --ratings")
-        return 2
+        raise _FlagError("required unless --ratings is given", source="--tiers")
     doc = {}
     if args.tiers:
         with open(args.tiers, **TEXT) as fh, _blame(args.tiers):
@@ -402,8 +401,7 @@ def cmd_perturb(args, rc: RunConfig) -> int:
     from . import embedcore, embedio
 
     if not args.out:
-        _log("perturb: --out is required (binary output does not go to stdout)")
-        return 2
+        raise _FlagError("required (binary output does not go to stdout)", source="--out")
     with embedio.open_embeddings(args.input) as source:
         if args.format == "binary" and source.ids is not None:
             try:  # before any row is perturbed
@@ -434,16 +432,16 @@ def cmd_perturb(args, rc: RunConfig) -> int:
 def cmd_windows(args, rc: RunConfig) -> int:
     from . import context as ctx
 
-    lines: list[str] = []
+    n_windows = 0
     with open(args.steps, **TEXT) as fh, _blame(args.steps):
         sequences = ctx.read_step_sequences(fh)
-        for sequence_id in sorted(sequences):
-            seq = sequences[sequence_id]
-            windows = ctx.build_windows(seq, rc.k)
-            lines.extend(ctx.export_windows(seq, windows))
-    with _outputs(args.out) as (out,):
-        out.writelines(line + "\n" for line in lines)
-    _log(f"exported {len(lines)} windows from {len(sequences)} sequences (k={rc.k})")
+        with _outputs(args.out) as (out,):  # written as built; a failure leaves no file
+            for sequence_id in sorted(sequences):
+                seq = sequences[sequence_id]
+                windows = ctx.build_windows(seq, rc.k)
+                out.writelines(line + "\n" for line in ctx.export_windows(seq, windows))
+                n_windows += len(windows)
+    _log(f"exported {n_windows} windows from {len(sequences)} sequences (k={rc.k})")
     return 0
 
 

@@ -151,6 +151,12 @@ def _match_video(
     return found
 
 
+def _iter_matches(m: DatasetManifest, th: MatchThresholds) -> Iterator[MatchRecord]:
+    """match_dataset's records; only the current video's are alive."""
+    for video_id in sorted(m.videos):
+        yield from _match_video(video_id, m.videos[video_id], m.actions.get(video_id, []), th)
+
+
 def match_dataset(
     m: DatasetManifest, th: MatchThresholds | None = None, threads: int = 1
 ) -> list[MatchRecord]:
@@ -160,13 +166,7 @@ def match_dataset(
     in the calling thread; ``threads`` is accepted for compatibility and
     ignored.
     """
-    th = th or MatchThresholds()
-    merged: list[MatchRecord] = []
-    for video_id in sorted(m.videos):
-        merged.extend(
-            _match_video(video_id, m.videos[video_id], m.actions.get(video_id, []), th)
-        )
-    return merged
+    return list(_iter_matches(m, th or MatchThresholds()))
 
 
 class FilterPolicy(Enum):
@@ -197,40 +197,40 @@ def filter_matched(
     earliest action start and then lowest action index. Videos and actions
     pass through untouched; only clips are filtered, so every surviving
     record existed in the input.
+
+    ``matches`` is read once, in any order, and each match is folded into its
+    clip's entry as it arrives: the rank (-iou, action start, action index) of
+    the clip's best match so far under BEST_PER_CLIP, else one action index
+    per match. A match that the manifest lacks fails before the next is read.
     """
-    by_clip: dict[tuple[str, str], list[MatchRecord]] = {}
-    # Clip ids of the video the previous match named. Match files are grouped
-    # by video, so each set is built once and only one is alive at a time.
-    ids_video, clip_ids = None, set()
+    best = policy is FilterPolicy.BEST_PER_CLIP
+    folded: dict[tuple[str, str], tuple | list[int]] = {}
+    # The manifest's own clip ids of the video the previous match named. ``match``
+    # writes each video's lines together; any other order only rebuilds this more.
+    ids_video, clip_ids = None, {}
     for rec in matches:
         entry = m.videos.get(rec.video_id)
         if entry is None:
             raise ValueError(f"match references unknown video '{rec.video_id}'")
         if rec.video_id != ids_video:
-            ids_video, clip_ids = rec.video_id, {c.clip_id for c in entry.clips}
-        if rec.clip_id not in clip_ids:
-            raise ValueError(
-                f"match references unknown clip '{rec.clip_id}' in video "
-                f"'{rec.video_id}'"
-            )
+            ids_video, clip_ids = rec.video_id, {c.clip_id: c.clip_id for c in entry.clips}
+        clip_id = clip_ids.get(rec.clip_id)
+        if clip_id is None:
+            raise ValueError(f"match references unknown clip '{rec.clip_id}' in video '{rec.video_id}'")
         actions = m.actions.get(rec.video_id, [])
         if not 0 <= rec.action_index < len(actions):
             raise ValueError(
                 f"match references action index {rec.action_index} out of range "
                 f"for video '{rec.video_id}'"
             )
-        by_clip.setdefault((rec.video_id, rec.clip_id), []).append(rec)
-
-    def best(candidates: list[MatchRecord]) -> MatchRecord:
-        actions = m.actions[candidates[0].video_id]
-        return min(
-            candidates,
-            key=lambda r: (
-                -r.iou,
-                actions[r.action_index].interval.start_s,
-                r.action_index,
-            ),
-        )
+        key = (rec.video_id, clip_id)
+        if not best:
+            folded.setdefault(key, []).append(rec.action_index)
+            continue
+        rank = (-rec.iou, actions[rec.action_index].interval.start_s, rec.action_index)
+        old = folded.get(key)
+        if old is None or rank < old:  # only a strictly smaller rank wins, as in min()
+            folded[key] = rank
 
     filtered = DatasetManifest()
     assignment: dict[tuple[str, str], list[int]] = {}
@@ -238,14 +238,11 @@ def filter_matched(
         kept = []
         for clip in entry.clips:
             key = (video_id, clip.clip_id)
-            candidates = by_clip.get(key)
-            if not candidates:
+            found = folded.get(key)
+            if found is None:
                 continue
             kept.append(clip)
-            if policy is FilterPolicy.BEST_PER_CLIP:
-                assignment[key] = [best(candidates).action_index]
-            else:
-                assignment[key] = sorted(r.action_index for r in candidates)
+            assignment[key] = [found[2]] if best else sorted(found)
         filtered.videos[video_id] = VideoEntry(entry.duration_s, kept)
     for video_id, records in m.actions.items():
         filtered.actions[video_id] = records

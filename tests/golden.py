@@ -11,6 +11,10 @@ Python can check them.
     PYTHONPATH=src python tests/golden.py --rewrite  # record the current digests
 
 A change that moves a digest names the case in CHANGES.md and says why.
+``matches-interleaved.jsonl`` is the ``match`` case's output stably sorted by
+``clip_id``, so each video's lines are spread across the file; the
+``filter-*-interleaved`` cases read it and write the same bytes, under the
+same names, as ``filter-best`` and ``filter-all``.
 ``perturb`` and the metrics are left out: their bits depend on numpy and on
 the BLAS build.
 """
@@ -30,7 +34,8 @@ import tempfile
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
 DIGESTS = os.path.join(DATA, "digests.json")
 INPUTS = ("manifest.jsonl", "caption_tokens.jsonl", "action_tokens.jsonl", "steps.jsonl",
-          "tiers.jsonl", "ratings.jsonl", "tiers-item-means.jsonl", "config.json")
+          "tiers.jsonl", "ratings.jsonl", "tiers-item-means.jsonl", "config.json",
+          "matches-interleaved.jsonl")
 
 _M = ("--manifest", "manifest.jsonl")
 # (case name, argv, output files), run in this order: filter reads match's output.
@@ -42,6 +47,11 @@ CASES = [
     *[(f"filter-{policy}", ["filter", *_M, "--matches", "matches.jsonl", "--policy", policy,
                             "--out", f"filtered-{policy}.jsonl",
                             "--assignment", f"assignment-{policy}.jsonl"],
+       [f"filtered-{policy}.jsonl", f"assignment-{policy}.jsonl"]) for policy in ("best", "all")],
+    # The same matches in another order, so each case must reproduce its twin's digests.
+    *[(f"filter-{policy}-interleaved",
+       ["filter", *_M, "--matches", "matches-interleaved.jsonl", "--policy", policy,
+        "--out", f"filtered-{policy}.jsonl", "--assignment", f"assignment-{policy}.jsonl"],
        [f"filtered-{policy}.jsonl", f"assignment-{policy}.jsonl"]) for policy in ("best", "all")],
     ("stats", ["stats", *_M, "--out", "report.json"], ["report.json"]),
     ("stats-tokens-config", ["stats", *_M, "--caption-tokens", "caption_tokens.jsonl",

@@ -1186,6 +1186,21 @@ class TestStrictInput:
         }[flag]
         assert invoke(capsys, *argv) == (1, "", f"error: {bad}: {reason}\n")
 
+    def test_match_fault_reported_before_a_later_bad_line(self, capsys, tmp_path):
+        # filter reads the matches as a stream: line 2's unknown video stops it
+        # before line 4's malformed JSON is read.
+        manifest_path = tmp_path / "m.jsonl"
+        manifest_path.write_text(
+            '{"kind": "clip", "video_id": "v", "clip_id": "c", "start_s": 0.0, "end_s": 9.0, "caption": "x"}\n'
+            '{"kind": "action", "video_id": "v", "start_s": 0.0, "end_s": 9.0, "description": "y"}\n')
+        bad = tmp_path / "matches.jsonl"
+        bad.write_text("".join(line + "\n" for line in (
+            json.dumps(MATCH), json.dumps({**MATCH, "video_id": "w"}), json.dumps(MATCH), "{not json")))
+        out = tmp_path / "out.jsonl"
+        argv = ["filter", "--manifest", str(manifest_path), "--matches", str(bad), "--out", str(out)]
+        assert invoke(capsys, *argv) == (1, "", f"error: {bad}: match references unknown video 'w'\n")
+        assert not out.exists()
+
 
 class TestConfig:
     @pytest.fixture
@@ -1279,6 +1294,14 @@ class TestConfig:
         argv = [arg.format(m=manifest_path, a=emb_paths[0], cfg=cfg, out=out) for arg in argv]
         assert invoke(capsys, *argv) == (2, "", f"error: {err}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,err", [
+        (["score"], "--tiers: required unless --ratings is given"),
+        (["perturb", "--in", "{a}"], "--out: required (binary output does not go to stdout)"),
+    ], ids=["score-without-input", "perturb-without-out"])
+    def test_missing_required_flag_named(self, capsys, emb_paths, argv, err):
+        argv = [arg.format(a=emb_paths[0]) for arg in argv]
+        assert invoke(capsys, *argv) == (2, "", f"error: {err}\n")
 
     def test_flag_of_another_section_leaves_the_config_named(self, capsys, manifest_path, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,7 +1,19 @@
 """The corpus commands reproduce the committed digests of their outputs (see golden.py)."""
 
+import json
+import os
+
 import golden
 
 
 def test_corpus_commands_match_golden_digests(tmp_path):
-    assert golden.run_cases(str(tmp_path)) == golden.load_digests()
+    results = golden.run_cases(str(tmp_path))
+    assert results == golden.load_digests()
+    # filter gives the same bytes whatever the order of its match lines
+    for policy in ("best", "all"):
+        assert results[f"filter-{policy}-interleaved"] == results[f"filter-{policy}"]
+    # the interleaved input is the match case's output, stably sorted by clip_id
+    with open(tmp_path / "matches.jsonl", encoding="utf-8") as fh:
+        lines = sorted(fh, key=lambda line: json.loads(line)["clip_id"])
+    with open(os.path.join(golden.DATA, "matches-interleaved.jsonl"), encoding="utf-8") as fh:
+        assert fh.readlines() == lines

@@ -408,6 +408,85 @@ class TestFilterMatched:
         assert result.manifest.actions == m.actions
 
 
+def collect_then_min(m, matches, policy):
+    """The assignment as filter_matched made it before it folded the stream:
+    every match collected per clip, then the first minimum of each clip's rank."""
+    by_clip = {}
+    for rec in matches:
+        by_clip.setdefault((rec.video_id, rec.clip_id), []).append(rec)
+    assignment = {}
+    for video_id, entry in m.videos.items():
+        actions = m.actions.get(video_id, [])
+        for c in entry.clips:
+            candidates = by_clip.get((video_id, c.clip_id))
+            if not candidates:
+                continue
+            if policy is FilterPolicy.BEST_PER_CLIP:
+                best = min(candidates, key=lambda r: (-r.iou, actions[r.action_index].interval.start_s,
+                                                       r.action_index))
+                assignment[(video_id, c.clip_id)] = [best.action_index]
+            else:
+                assignment[(video_id, c.clip_id)] = sorted(r.action_index for r in candidates)
+    return assignment
+
+
+def _shuffled(records, rng):
+    return [records[i] for i in rng.permutation(len(records))]
+
+
+def _video_returns(records, rng):
+    # each video's first half of matches, then every video's second half
+    halves = [[], []]
+    for video_id in dict.fromkeys(r.video_id for r in records):
+        own = [r for r in records if r.video_id == video_id]
+        halves[0] += own[: len(own) // 2]
+        halves[1] += own[len(own) // 2:]
+    return halves[0] + halves[1]
+
+
+def _duplicated(records, rng):
+    return _shuffled(records + [records[i] for i in rng.integers(0, len(records), len(records) // 3)], rng)
+
+
+class TestFilterFold:
+    """filter_matched folds the stream and gives collect-then-min's assignment."""
+
+    @pytest.mark.parametrize("policy", list(FilterPolicy))
+    @pytest.mark.parametrize("reorder", [_shuffled, _video_returns, _duplicated],
+                             ids=["interleaved", "video-returns", "duplicates"])
+    def test_any_order_matches_collect_then_min(self, rng, policy, reorder):
+        m = random_manifest(rng, n_videos=40)
+        matches = reorder(match_dataset(m), rng)
+        assert len({r.video_id for r in matches[:20]}) > 1  # not grouped by video
+        result = filter_matched(m, matches, policy)
+        expected = collect_then_min(m, matches, policy)
+        assert list(result.assignment.items()) == list(expected.items())
+        assert [(c.video_id, c.clip_id) for c in result.manifest.iter_clips()] == list(expected)
+
+    # Action starts 3, 3 and 5; every match is against clip c1, in the order given.
+    _TIES = {
+        "iou": [(2, 0.4), (1, 0.6), (0, 0.5)],
+        "start": [(2, 0.5), (1, 0.5), (0, 0.4)],
+        "index": [(1, 0.5), (0, 0.5), (2, 0.5)],
+        "duplicate": [(1, 0.5), (1, 0.5), (0, 0.4), (1, 0.5)],
+    }
+
+    @pytest.mark.parametrize("policy", list(FilterPolicy))
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    @pytest.mark.parametrize("tie", list(_TIES))
+    def test_tie_breaks_match_collect_then_min(self, policy, reverse, tie):
+        m = DatasetManifest()
+        m.videos["v"] = VideoEntry(None, [clip("v", "c1", 0, 20)])
+        m.actions["v"] = [action("v", 3, 13), action("v", 3, 9), action("v", 5, 15)]
+        matches = [MatchRecord("v", "c1", i, iou, 0.0, MatchRule.RULE_A) for i, iou in self._TIES[tie]]
+        if reverse:
+            matches.reverse()
+        expected = collect_then_min(m, matches, policy)
+        assert filter_matched(m, matches, policy).assignment == expected
+        if policy is FilterPolicy.BEST_PER_CLIP:
+            assert expected == {("v", "c1"): [{"iou": 1, "start": 1, "index": 0, "duplicate": 1}[tie]]}
+
+
 class TestWireFormat:
     def test_round_trip(self, rng):
         m = random_manifest(rng, n_videos=10)

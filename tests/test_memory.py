@@ -7,27 +7,35 @@ copy per set costs and what an extra whole-set copy would add; a call whose
 working memory does not grow with the set is bounded in blocks of rows or in
 dimension × dimension matrices instead.
 
+The corpus commands' guards check that each consumes its records as they
+arrive: ``filter`` holds no match record past its line, ``match`` no video's
+records past that video, and ``windows`` no window past its sequence.
+
 The readers' guards compare the bytes their records keep alive with the same
 records rebuilt in place two ways, on the same interpreter: with an instance
 dict each, and with one copy of the video id each. The readers must keep less
 than both, so the guards hold whatever the interpreter's object layout.
 """
 
+import json
 import struct
 import tempfile
 import tracemalloc
-from dataclasses import fields, make_dataclass, replace
+from dataclasses import asdict, fields, make_dataclass, replace
 
 import numpy as np
 import pytest
 
-from conftest import random_manifest
+from conftest import random_manifest, random_sequence
 from narrkit import embedcore
+from narrkit import manifest as manifest_module
 from narrkit.cli import run
 from narrkit.embedcore import (_BLOCK, EmbeddingSet, PerturbationSpec, clip_t_score, fit_moments, flow_loss,
                                perturb_set, population_std, regression_loss)
 from narrkit.embedio import open_embeddings, read_embeddings, write_embeddings
-from narrkit.manifest import ActionRecord, ClipRecord, TimeInterval, dumps_manifest, parse_manifest
+from narrkit.context import read_step_sequences
+from narrkit.manifest import (ActionRecord, ClipRecord, DatasetManifest, TimeInterval, dumps_manifest,
+                              parse_manifest)
 from narrkit.matching import MatchRecord, format_match_record, match_dataset, parse_match_records
 
 N, DIM = 4000, 256
@@ -202,6 +210,85 @@ def test_perturb_rows_hold_one_input_block(sized_sets, mode):
     with open_embeddings(sized_sets[4 * GROWTH_N][0]) as x, tempfile.TemporaryFile() as out:
         perturb = embedcore._perturb_into
         assert traced_peak(perturb, out.fileno(), 0, x, np.ones(DIM), PerturbationSpec(seed=3), mode) <= 1.4 * BLOCK64
+
+
+def test_filter_peak_does_not_grow_with_repeated_matches(manifest_lines, tmp_path):
+    # Every matched clip gets 4x as many valid match lines, each line repeated; the
+    # output is the same. Folded as they are read, the lines leave nothing behind:
+    # holding each one's record took about 190 bytes a line, and any per-line
+    # retention costs at least a pointer.
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text("".join(line + "\n" for line in manifest_lines))
+    lines = [format_match_record(r) for r in match_dataset(parse_manifest(manifest_lines))]
+    peaks, outputs = [], []
+    for repeat in (1, 4):
+        matches = tmp_path / f"matches{repeat}.jsonl"
+        matches.write_text("".join(line + "\n" for line in lines for _ in range(repeat)))
+        out, assignment = tmp_path / f"out{repeat}", tmp_path / f"assignment{repeat}"
+        argv = ["filter", "--manifest", str(manifest), "--matches", str(matches), "--policy", "best",
+                "--out", str(out), "--assignment", str(assignment)]
+        run(argv)  # load the command's modules before tracing
+        peaks.append(traced_peak(run, argv))
+        outputs.append((out.read_bytes(), assignment.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert peaks[1] - peaks[0] < struct.calcsize("P") * 3 * len(lines)
+
+
+def test_match_command_holds_one_video_of_records(tmp_path, monkeypatch):
+    # Past the parsed manifest, match holds the records of the video it is
+    # writing: about 1.1 times the largest video's. Holding every video's, as a
+    # list for the whole corpus, took 3.9 times; the previous video's alive while
+    # the next is matched, 1.6.
+    m = random_manifest(np.random.default_rng(12), n_videos=8, max_clips=200, max_actions=200)
+    path = tmp_path / "m.jsonl"
+    path.write_text(dumps_manifest(m))
+
+    def video_records(video_id):
+        one = DatasetManifest()
+        one.videos[video_id] = m.videos[video_id]
+        one.actions[video_id] = m.actions.get(video_id, [])
+        return traced_retained(match_dataset, one)
+
+    largest = max(map(video_records, m.videos))
+    parse, parsed = manifest_module.parse_manifest, []
+
+    def parse_then_reset_peak(source):
+        result = parse(source)
+        tracemalloc.reset_peak()  # parsing's own temporaries are not the matcher's
+        parsed.append(tracemalloc.get_traced_memory()[0])
+        return result
+
+    monkeypatch.setattr(manifest_module, "parse_manifest", parse_then_reset_peak)
+    argv = ["match", "--manifest", str(path), "--out", str(tmp_path / "out")]
+    run(argv)  # load the command's modules before tracing
+    assert traced_peak(run, argv) - parsed[-1] <= 1.5 * largest
+
+
+def test_windows_peak_grows_by_less_than_its_output(tmp_path):
+    # From N to 4N sequences, beyond what read_step_sequences keeps, the traced
+    # peak grows by about 0.1 times the output's growth in bytes: each sequence's
+    # windows are written as they are built. Holding every output line took 1.2.
+    rng = np.random.default_rng(3)
+    grown = []
+    for n in (100, 400):
+        steps = tmp_path / f"steps{n}.jsonl"
+        with open(steps, "w", encoding="utf-8") as fh:
+            for i in range(n):
+                seq = random_sequence(rng, 12, f"s{i:05d}")
+                fh.writelines(json.dumps({"sequence_id": seq.sequence_id, **asdict(step)}) + "\n"
+                              for step in seq.steps)
+
+        def read():
+            with open(steps, encoding="utf-8") as fh:
+                return read_step_sequences(fh)
+
+        read()  # fill the interpreter's free lists first, as in retained_by_variant
+        out = tmp_path / f"windows{n}.jsonl"
+        argv = ["windows", "--steps", str(steps), "--k", "2", "--out", str(out)]
+        run(argv)  # load the command's modules before tracing
+        grown.append((traced_peak(run, argv) - traced_retained(read), out.stat().st_size))
+    (peak_n, out_n), (peak_4n, out_4n) = grown
+    assert peak_4n - peak_n < 0.5 * (out_4n - out_n)
 
 
 # The record types the readers build, without slots, so each instance carries a dict.
