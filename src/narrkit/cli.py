@@ -241,27 +241,23 @@ def cmd_match(args, rc: RunConfig) -> int:
 
 def cmd_filter(args, rc: RunConfig) -> int:
     from . import matching
-    from .manifest import parse_manifest, write_manifest
+    from .manifest import DatasetManifest, parse_manifest, write_manifest
 
     manifest = parse_manifest(args.manifest)
     policy = matching.FilterPolicy(args.policy)
     with open(args.matches, **TEXT) as fh, _blame(args.matches):
-        result = matching.filter_matched(manifest, matching.parse_match_records(fh), policy)
+        folded = matching._fold_matches(manifest, matching.parse_match_records(fh), policy)
+    filtered = DatasetManifest(actions=manifest.actions)
     with _outputs(args.out, args.assignment) as (out, assignment):
-        write_manifest(result.manifest, out)
-        if args.assignment:
-            for (video_id, clip_id), indices in result.assignment.items():
-                assignment.write(
-                    json.dumps(
-                        {
-                            "video_id": video_id,
-                            "clip_id": clip_id,
-                            "action_indices": indices,
-                        }
-                    )
-                    + "\n"
+        for video_id, entry, indices in matching._kept_clips(manifest, folded, policy):
+            filtered.videos[video_id] = entry
+            if args.assignment:
+                assignment.writelines(
+                    json.dumps({"video_id": video_id, "clip_id": clip.clip_id, "action_indices": ix}) + "\n"
+                    for clip, ix in zip(entry.clips, indices)
                 )
-    kept = result.manifest.n_clips
+        write_manifest(filtered, out)
+    kept = filtered.n_clips
     _log(f"kept {kept} of {manifest.n_clips} clips ({policy.value} policy)")
     return 0
 
@@ -271,12 +267,14 @@ _TOKEN_KEYS = {"caption": ("clip_id", want_str), "action": ("action_index", want
 
 
 def _read_token_counts(kind: str, path: str, keys: list[tuple]) -> list[int]:
-    """The ``tokens`` count of each key, in order; there must be keys, and each must be present."""
+    """The ``tokens`` count of each key, in order; there must be keys, and each must be present once."""
     field, want_key = _TOKEN_KEYS[kind]
     table: dict[tuple, int] = {}
     with open(path, **TEXT) as fh:
         for lineno, rec in iter_json_objects(fh, path):
             key = (want_str(rec, "video_id", lineno, path), want_key(rec, field, lineno, path))
+            if key in table:
+                raise InputError(f"duplicate {kind} token count for {key}", lineno, path)
             count = table[key] = want_int(rec, "tokens", lineno, path)
             if not 0 <= count <= 2**53:  # a histogram bins each count as an exact float
                 raise InputError("field 'tokens' must be an integer in [0, 2**53]", lineno, path)

@@ -88,7 +88,7 @@ class ActionRecord:
     description: str
 
 
-@dataclass
+@dataclass(slots=True)
 class VideoEntry:
     """Per-video slot: known duration (if any) plus start-ordered clips."""
 
@@ -157,7 +157,8 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
     name = getattr(source, "name", "<input>")
     videos: dict[str, VideoEntry] = {}
     explicit_videos: set[str] = set()
-    clip_ids: dict[str, set[str]] = {}
+    # Each video's clips by clip_id: the duplicate check and, in line order, the clips.
+    clips: dict[str, dict[str, ClipRecord]] = {}
     actions: dict[str, list[ActionRecord]] = {}
 
     for lineno, rec in iter_json_objects(source, name):
@@ -186,13 +187,12 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
                 interval = TimeInterval(start, end)
             except ValueError as exc:
                 raise ManifestError(f"clip '{clip_id}': {exc}", lineno, name) from exc
-            seen = clip_ids.setdefault(video_id, set())
-            if clip_id in seen:
+            by_id = clips.setdefault(video_id, {})
+            if clip_id in by_id:
                 raise ManifestError(
                     f"duplicate clip_id '{clip_id}' in video '{video_id}'", lineno, name
                 )
-            seen.add(clip_id)
-            entry.clips.append(ClipRecord(video_id, clip_id, interval, caption))
+            by_id[clip_id] = ClipRecord(video_id, clip_id, interval, caption)
         else:
             start = want_number(rec, "start_s", lineno, name)
             end = want_number(rec, "end_s", lineno, name)
@@ -208,14 +208,14 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
     manifest = DatasetManifest()
     for video_id in sorted(videos):
         entry = manifest.videos[video_id] = videos[video_id]
-        entry.clips.sort(key=lambda c: c.interval.start_s)
-        if video_id in actions:
+        # Each video's dict goes as its list is made; the stable sort keeps line order.
+        entry.clips = sorted(clips.pop(video_id, {}).values(), key=lambda c: c.interval.start_s)
+        records = actions.get(video_id)
+        if records is not None:
             # full-key sort keeps parsing insensitive to input line order even
             # for actions sharing a start time
-            manifest.actions[video_id] = sorted(
-                actions[video_id],
-                key=lambda a: (a.interval.start_s, a.interval.end_s, a.description),
-            )
+            records.sort(key=lambda a: (a.interval.start_s, a.interval.end_s, a.description))
+            manifest.actions[video_id] = records
     return manifest
 
 

@@ -196,57 +196,75 @@ def filter_matched(
     BEST_PER_CLIP keeps the highest-IoU action per clip, breaking ties by
     earliest action start and then lowest action index. Videos and actions
     pass through untouched; only clips are filtered, so every surviving
-    record existed in the input.
+    record existed in the input. Clip ids are unique within a video, as
+    parse_manifest ensures.
 
     ``matches`` is read once, in any order, and each match is folded into its
     clip's entry as it arrives: the rank (-iou, action start, action index) of
     the clip's best match so far under BEST_PER_CLIP, else one action index
     per match. A match that the manifest lacks fails before the next is read.
     """
+    filtered = DatasetManifest(actions=dict(m.actions))
+    assignment: dict[tuple[str, str], list[int]] = {}
+    for video_id, entry, indices in _kept_clips(m, _fold_matches(m, matches, policy), policy):
+        filtered.videos[video_id] = entry
+        assignment.update(((video_id, clip.clip_id), i) for clip, i in zip(entry.clips, indices))
+    return FilterResult(filtered, assignment)
+
+
+def _fold_matches(
+    m: DatasetManifest, matches: Iterable[MatchRecord], policy: FilterPolicy
+) -> dict[str, list]:
+    """filter_matched's fold: per video with a match, one entry or None per clip, in clip order."""
     best = policy is FilterPolicy.BEST_PER_CLIP
-    folded: dict[tuple[str, str], tuple | list[int]] = {}
-    # The manifest's own clip ids of the video the previous match named. ``match``
-    # writes each video's lines together; any other order only rebuilds this more.
-    ids_video, clip_ids = None, {}
+    folded: dict[str, list] = {}
+    # The video the previous match named: its clips' positions by clip_id, its actions and its
+    # entries. ``match`` writes each video's lines together; any other order only rebuilds the
+    # positions more often.
+    ids_video, positions, actions, slots = None, {}, [], []
     for rec in matches:
-        entry = m.videos.get(rec.video_id)
-        if entry is None:
-            raise ValueError(f"match references unknown video '{rec.video_id}'")
         if rec.video_id != ids_video:
-            ids_video, clip_ids = rec.video_id, {c.clip_id: c.clip_id for c in entry.clips}
-        clip_id = clip_ids.get(rec.clip_id)
-        if clip_id is None:
+            entry = m.videos.get(rec.video_id)
+            if entry is None:
+                raise ValueError(f"match references unknown video '{rec.video_id}'")
+            ids_video, positions = rec.video_id, {c.clip_id: i for i, c in enumerate(entry.clips)}
+            actions = m.actions.get(rec.video_id, [])
+            slots = folded.get(rec.video_id)
+            if slots is None:
+                slots = folded[rec.video_id] = [None] * len(entry.clips)
+        i = positions.get(rec.clip_id)
+        if i is None:
             raise ValueError(f"match references unknown clip '{rec.clip_id}' in video '{rec.video_id}'")
-        actions = m.actions.get(rec.video_id, [])
         if not 0 <= rec.action_index < len(actions):
             raise ValueError(
                 f"match references action index {rec.action_index} out of range "
                 f"for video '{rec.video_id}'"
             )
-        key = (rec.video_id, clip_id)
         if not best:
-            folded.setdefault(key, []).append(rec.action_index)
+            if slots[i] is None:
+                slots[i] = []
+            slots[i].append(rec.action_index)
             continue
         rank = (-rec.iou, actions[rec.action_index].interval.start_s, rec.action_index)
-        old = folded.get(key)
+        old = slots[i]
         if old is None or rank < old:  # only a strictly smaller rank wins, as in min()
-            folded[key] = rank
+            slots[i] = rank
+    return folded
 
-    filtered = DatasetManifest()
-    assignment: dict[tuple[str, str], list[int]] = {}
+
+def _kept_clips(
+    m: DatasetManifest, folded: dict[str, list], policy: FilterPolicy
+) -> Iterator[tuple[str, VideoEntry, list[list[int]]]]:
+    """Per video of ``m``, in order: its id, an entry with just its kept clips, and the
+    action indices of each. Each video's entries leave ``folded`` as it is reached."""
+    best = policy is FilterPolicy.BEST_PER_CLIP
     for video_id, entry in m.videos.items():
-        kept = []
-        for clip in entry.clips:
-            key = (video_id, clip.clip_id)
-            found = folded.get(key)
-            if found is None:
-                continue
-            kept.append(clip)
-            assignment[key] = [found[2]] if best else sorted(found)
-        filtered.videos[video_id] = VideoEntry(entry.duration_s, kept)
-    for video_id, records in m.actions.items():
-        filtered.actions[video_id] = records
-    return FilterResult(filtered, assignment)
+        kept, indices = [], []
+        for clip, found in zip(entry.clips, folded.pop(video_id, ())):
+            if found is not None:
+                kept.append(clip)
+                indices.append([found[2]] if best else sorted(found))
+        yield video_id, VideoEntry(entry.duration_s, kept), indices
 
 
 def format_match_record(rec: MatchRecord) -> str:

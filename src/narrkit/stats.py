@@ -154,21 +154,17 @@ def dataset_report(
     durations = [
         e.duration_s for e in m.videos.values() if e.duration_s is not None
     ]
-    clip_lengths = [c.interval.length_s for c in m.iter_clips()]
-    clips_per_video = [len(e.clips) for e in m.videos.values()]
-    caption_words = [word_count(c.caption) for c in m.iter_clips()]
-    action_words = [word_count(a.description) for a in m.iter_actions()]
-
+    # Each section's values are built as its entry is, so one list is alive at a time.
     report = {
         "n_videos": m.n_videos,
         "n_clips": m.n_clips,
         "n_actions": m.n_actions,
         "n_videos_with_duration": len(durations),
         "video_length_s": _entry(durations, cfg["video_length_s"]),
-        "clip_length_s": _entry(clip_lengths, cfg["clip_length_s"]),
-        "clips_per_video": _entry(clips_per_video, cfg["clips_per_video"]),
-        "action_words": _entry(action_words, cfg["action_words"]),
-        "caption_words": _entry(caption_words, cfg["caption_words"]),
+        "clip_length_s": _entry([c.interval.length_s for c in m.iter_clips()], cfg["clip_length_s"]),
+        "clips_per_video": _entry([len(e.clips) for e in m.videos.values()], cfg["clips_per_video"]),
+        "action_words": _entry([word_count(a.description) for a in m.iter_actions()], cfg["action_words"]),
+        "caption_words": _entry([word_count(c.caption) for c in m.iter_clips()], cfg["caption_words"]),
     }
     for name, counts in (("action_tokens", action_tokens), ("caption_tokens", caption_tokens)):
         if counts is not None:

@@ -14,7 +14,8 @@ A change that moves a digest names the case in CHANGES.md and says why.
 ``matches-interleaved.jsonl`` is the ``match`` case's output stably sorted by
 ``clip_id``, so each video's lines are spread across the file; the
 ``filter-*-interleaved`` cases read it and write the same bytes, under the
-same names, as ``filter-best`` and ``filter-all``.
+same names, as ``filter-best`` and ``filter-all``. The ``filter-*-no-assignment``
+cases leave out ``--assignment`` and write the same filtered manifest.
 ``perturb`` and the metrics are left out: their bits depend on numpy and on
 the BLAS build.
 """
@@ -48,6 +49,10 @@ CASES = [
                             "--out", f"filtered-{policy}.jsonl",
                             "--assignment", f"assignment-{policy}.jsonl"],
        [f"filtered-{policy}.jsonl", f"assignment-{policy}.jsonl"]) for policy in ("best", "all")],
+    # Without --assignment, so each case must reproduce its twin's filtered manifest.
+    *[(f"filter-{policy}-no-assignment",
+       ["filter", *_M, "--matches", "matches.jsonl", "--policy", policy, "--out", f"filtered-{policy}.jsonl"],
+       [f"filtered-{policy}.jsonl"]) for policy in ("best", "all")],
     # The same matches in another order, so each case must reproduce its twin's digests.
     *[(f"filter-{policy}-interleaved",
        ["filter", *_M, "--matches", "matches-interleaved.jsonl", "--policy", policy,

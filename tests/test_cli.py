@@ -278,6 +278,22 @@ class TestStats:
         code, out, err = invoke(capsys, "stats", "--manifest", str(manifest), flag, str(tokens))
         assert (code, out, err) == (1, "", f"error: {tokens}: no records to profile\n")
 
+    @pytest.mark.parametrize("flag,kind,field,key", [
+        ("--caption-tokens", "caption", '"clip_id": "c1"', "('v1', 'c1')"),
+        ("--action-tokens", "action", '"action_index": 0', "('v1', 0)"),
+    ], ids=["caption", "action"])
+    def test_duplicate_token_count_named(self, capsys, tmp_path, flag, kind, field, key):
+        # A second count for a key is an error on its line, not a silent overwrite.
+        manifest, tokens = tmp_path / "m.jsonl", tmp_path / "tokens.jsonl"
+        manifest.write_text(
+            '{"kind": "clip", "video_id": "v1", "clip_id": "c1", "start_s": 0, "end_s": 5, "caption": "a"}\n'
+            '{"kind": "action", "video_id": "v1", "start_s": 0, "end_s": 4, "description": "b"}\n'
+        )
+        tokens.write_text(f'{{"video_id": "v1", {field}, "tokens": 3}}\n'
+                          f'{{"video_id": "v1", {field}, "tokens": 900}}\n')
+        code, out, err = invoke(capsys, "stats", "--manifest", str(manifest), flag, str(tokens))
+        assert (code, out, err) == (1, "", f"error: {tokens}: line 2: duplicate {kind} token count for {key}\n")
+
 
 class TestScore:
     def test_both_sections(self, capsys, tmp_path):

@@ -11,7 +11,11 @@ def test_corpus_commands_match_golden_digests(tmp_path):
     assert results == golden.load_digests()
     # filter gives the same bytes whatever the order of its match lines
     for policy in ("best", "all"):
-        assert results[f"filter-{policy}-interleaved"] == results[f"filter-{policy}"]
+        twin = results[f"filter-{policy}"]
+        assert results[f"filter-{policy}-interleaved"] == twin
+        # and whether or not it writes the assignment
+        manifest = f"filtered-{policy}.jsonl"
+        assert results[f"filter-{policy}-no-assignment"] == {**twin, "outputs": {manifest: twin["outputs"][manifest]}}
     # the interleaved input is the match case's output, stably sorted by clip_id
     with open(tmp_path / "matches.jsonl", encoding="utf-8") as fh:
         lines = sorted(fh, key=lambda line: json.loads(line)["clip_id"])

@@ -78,6 +78,18 @@ class TestParse:
     def test_duplicate_clip_id(self):
         with pytest.raises(ManifestError, match="duplicate clip_id"):
             parse_manifest([LINES[1], LINES[1]])
+        # the second occurrence's line, before a later bad line
+        with pytest.raises(ManifestError) as err:
+            parse_manifest([LINES[1], LINES[0], LINES[1], "{nope"])
+        assert str(err.value) == "line 3: duplicate clip_id 'c1' in video 'v1'"
+
+    def test_clips_sharing_a_start_keep_line_order(self):
+        lines = [LINES[2].replace('"c2"', f'"{clip_id}"').replace("12.0", "0.0") for clip_id in ("c9", "c1", "c5")]
+        assert [c.clip_id for c in parse_manifest(lines).videos["v1"].clips] == ["c9", "c1", "c5"]
+
+    def test_video_entry_is_slotted(self):
+        with pytest.raises(AttributeError):
+            parse_manifest(LINES).videos["v1"].note = "x"
 
     def test_duplicate_video_record(self):
         with pytest.raises(ManifestError, match="duplicate video"):

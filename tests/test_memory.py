@@ -8,17 +8,26 @@ working memory does not grow with the set is bounded in blocks of rows or in
 dimension × dimension matrices instead.
 
 The corpus commands' guards check that each consumes its records as they
-arrive: ``filter`` holds no match record past its line, ``match`` no video's
-records past that video, and ``windows`` no window past its sequence.
+arrive: ``filter`` holds no match record past its line and no assignment
+line past its video, ``match`` no video's records past that video, and
+``windows`` no window past its sequence. ``parse_manifest`` keeps little
+beyond the manifest it returns.
 
 The readers' guards compare the bytes their records keep alive with the same
 records rebuilt in place two ways, on the same interpreter: with an instance
 dict each, and with one copy of the video id each. The readers must keep less
 than both, so the guards hold whatever the interpreter's object layout.
+
+Every guard traces with the cyclic collector off, as ``narrkit.cli.main``
+runs: a collection that fires mid-trace, freeing garbage of earlier tests or
+not, moves a peak by more than some bounds allow.
 """
 
+import contextlib
+import gc
 import json
 import struct
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import asdict, fields, make_dataclass, replace
@@ -47,24 +56,35 @@ def es():
     return EmbeddingSet(np.random.default_rng(7).normal(size=(N, DIM)).astype(np.float32))
 
 
-def traced_peak(fn, *args):
-    """Peak bytes traced while fn(*args) runs; its result is still alive at the peak."""
+@contextlib.contextmanager
+def tracing():
+    """Trace allocations in the block with the cyclic collector off."""
+    enabled = gc.isenabled()
+    gc.disable()
     tracemalloc.start()
     try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
+        yield
     finally:
         tracemalloc.stop()
+        if enabled:
+            gc.enable()
+
+
+def traced_memory(fn, *args):
+    """(retained, peak): bytes traced when fn(*args) returns, its result alive, and at most."""
+    with tracing():
+        result = fn(*args)  # alive while the sizes are read
+        return tracemalloc.get_traced_memory()
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while fn(*args) runs; its result is still alive at the peak."""
+    return traced_memory(fn, *args)[1]
 
 
 def traced_retained(fn, *args):
     """Bytes still traced when fn(*args) returns, its result alive."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)  # alive while the size is read
-        return tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    return traced_memory(fn, *args)[0]
 
 
 @pytest.fixture(scope="module")
@@ -114,14 +134,11 @@ def test_frechet_body_holds_four_matrices():
     # at once: the body jitters the covariances in place and frees each matrix after its
     # last use. Adding jitter * eye to copies of them held eight.
     rng = np.random.default_rng(5)
-    tracemalloc.start()
-    try:
+    with tracing():
         moments = [fit_moments(rng.normal(size=(2 * DIM, DIM))) for _ in range(2)]
         tracemalloc.reset_peak()  # from here on, the moments and what the body adds
         embedcore._frechet(moments, 1e-6)
         peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert peak <= 4.1 * DIM * DIM * 8
     assert moments == []  # consumed
 
@@ -234,7 +251,22 @@ def test_filter_peak_does_not_grow_with_repeated_matches(manifest_lines, tmp_pat
     assert peaks[1] - peaks[0] < struct.calcsize("P") * 3 * len(lines)
 
 
-def test_match_command_holds_one_video_of_records(tmp_path, monkeypatch):
+@pytest.fixture
+def parsed_bytes(monkeypatch):
+    """Bytes traced once each parse_manifest call returns, which resets the traced peak."""
+    parse, parsed = manifest_module.parse_manifest, []
+
+    def parse_then_reset_peak(source):
+        result = parse(source)
+        tracemalloc.reset_peak()  # parsing's own temporaries are not the command's
+        parsed.append(tracemalloc.get_traced_memory()[0])
+        return result
+
+    monkeypatch.setattr(manifest_module, "parse_manifest", parse_then_reset_peak)
+    return parsed
+
+
+def test_match_command_holds_one_video_of_records(tmp_path, parsed_bytes):
     # Past the parsed manifest, match holds the records of the video it is
     # writing: about 1.1 times the largest video's. Holding every video's, as a
     # list for the whole corpus, took 3.9 times; the previous video's alive while
@@ -250,18 +282,49 @@ def test_match_command_holds_one_video_of_records(tmp_path, monkeypatch):
         return traced_retained(match_dataset, one)
 
     largest = max(map(video_records, m.videos))
-    parse, parsed = manifest_module.parse_manifest, []
-
-    def parse_then_reset_peak(source):
-        result = parse(source)
-        tracemalloc.reset_peak()  # parsing's own temporaries are not the matcher's
-        parsed.append(tracemalloc.get_traced_memory()[0])
-        return result
-
-    monkeypatch.setattr(manifest_module, "parse_manifest", parse_then_reset_peak)
     argv = ["match", "--manifest", str(path), "--out", str(tmp_path / "out")]
     run(argv)  # load the command's modules before tracing
-    assert traced_peak(run, argv) - parsed[-1] <= 1.5 * largest
+    assert traced_peak(run, argv) - parsed_bytes[-1] <= 1.5 * largest
+
+
+def test_filter_command_holds_no_assignment(tmp_path, parsed_bytes):
+    # Past the parsed manifest, filter holds its fold, one rank per matched clip, and
+    # writes each assignment line as its video is reached. From N to 4N videos that
+    # grows by about 90 bytes a kept clip; holding the whole assignment as well took
+    # 290. The bound is one assignment entry's key tuple and index list a kept clip.
+    grown = []
+    for n in (100, 400):
+        m = random_manifest(np.random.default_rng(12), n_videos=n)
+        manifest, matches = tmp_path / f"m{n}.jsonl", tmp_path / f"matches{n}.jsonl"
+        manifest.write_text(dumps_manifest(m))
+        matches.write_text("".join(format_match_record(r) + "\n" for r in match_dataset(m)))
+        assignment = tmp_path / f"assignment{n}"
+        argv = ["filter", "--manifest", str(manifest), "--matches", str(matches), "--policy", "best",
+                "--out", str(tmp_path / "out"), "--assignment", str(assignment)]
+        run(argv)  # load the command's modules before tracing
+        peak = traced_peak(run, argv)
+        grown.append((peak - parsed_bytes[-1], len(assignment.read_text().splitlines())))
+    (past_n, kept_n), (past_4n, kept_4n) = grown
+    entry = sys.getsizeof(("v", "c")) + sys.getsizeof([0])
+    assert past_4n - past_n < entry * (kept_4n - kept_n)
+
+
+def test_parse_manifest_frees_its_temporaries(manifest_lines):
+    # Beyond the manifest it returns, parsing peaks at its per-video clip dicts, about
+    # 0.05 of the manifest. A set of clip ids per video beside the clip lists, and an
+    # unsorted copy of each action list, took 0.17.
+    parse_manifest(manifest_lines)  # fill the interpreter's free lists first
+    retained, peak = traced_memory(parse_manifest, manifest_lines)
+    assert peak - retained <= 0.1 * retained
+
+
+def test_guards_trace_with_the_collector_off():
+    # As the CLI runs. With it on, a collection mid-trace once moved
+    # test_filter_peak_does_not_grow_with_repeated_matches past its bound.
+    enabled = []
+    traced_peak(lambda: enabled.append(gc.isenabled()))
+    assert enabled == [False]
+    assert gc.isenabled()
 
 
 def test_windows_peak_grows_by_less_than_its_output(tmp_path):
