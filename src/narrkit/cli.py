@@ -29,7 +29,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING, get_type_hints
+from typing import TYPE_CHECKING, Iterator, get_type_hints
 
 from .jsonl import TEXT, InputError, decode_object, iter_json_objects, want_int, want_number, want_str
 from .params import (MatchThresholds, PerturbationSpec, RegressionLossParams, check_context_length,
@@ -243,6 +243,9 @@ def cmd_filter(args, rc: RunConfig) -> int:
     from . import matching
     from .manifest import DatasetManifest, parse_manifest, write_manifest
 
+    if args.out and args.assignment and os.path.realpath(args.out) == os.path.realpath(args.assignment):
+        if os.path.isfile(args.out) or not os.path.exists(args.out):  # /dev/null may take both
+            raise _FlagError("names the same file as --out", source="--assignment")
     manifest = parse_manifest(args.manifest)
     policy = matching.FilterPolicy(args.policy)
     with open(args.matches, **TEXT) as fh, _blame(args.matches):
@@ -266,7 +269,7 @@ def cmd_filter(args, rc: RunConfig) -> int:
 _TOKEN_KEYS = {"caption": ("clip_id", want_str), "action": ("action_index", want_int)}
 
 
-def _read_token_counts(kind: str, path: str, keys: list[tuple]) -> list[int]:
+def _read_token_counts(kind: str, path: str, keys: Iterator[tuple]) -> list[int]:
     """The ``tokens`` count of each key, in order; there must be keys, and each must be present once."""
     field, want_key = _TOKEN_KEYS[kind]
     table: dict[tuple, int] = {}
@@ -278,12 +281,13 @@ def _read_token_counts(kind: str, path: str, keys: list[tuple]) -> list[int]:
             count = table[key] = want_int(rec, "tokens", lineno, path)
             if not 0 <= count <= 2**53:  # a histogram bins each count as an exact float
                 raise InputError("field 'tokens' must be an integer in [0, 2**53]", lineno, path)
-    if not keys:
+    try:
+        counts = [table[key] for key in keys]
+    except KeyError as exc:
+        raise InputError(f"missing {kind} token count for {exc.args[0]}", source=path) from None
+    if not counts:
         raise InputError("no records to profile", source=path)
-    for key in keys:
-        if key not in table:
-            raise InputError(f"missing {kind} token count for {key}", source=path)
-    return [table[key] for key in keys]
+    return counts
 
 
 def cmd_stats(args, rc: RunConfig) -> int:
@@ -293,10 +297,10 @@ def cmd_stats(args, rc: RunConfig) -> int:
     manifest = parse_manifest(args.manifest)
     caption_tokens = action_tokens = None
     if args.caption_tokens:
-        clips = [(clip.video_id, clip.clip_id) for clip in manifest.iter_clips()]
+        clips = ((clip.video_id, clip.clip_id) for clip in manifest.iter_clips())
         caption_tokens = _read_token_counts("caption", args.caption_tokens, clips)
     if args.action_tokens:
-        actions = [(v, i) for v, records in manifest.actions.items() for i in range(len(records))]
+        actions = ((v, i) for v, records in manifest.actions.items() for i in range(len(records)))
         action_tokens = _read_token_counts("action", args.action_tokens, actions)
     report = stats.dataset_report(
         manifest,

@@ -60,9 +60,6 @@ __all__ = [
     "flow_matching_loss",
 ]
 
-_U64 = (1 << 64) - 1
-
-
 @dataclass
 class EmbeddingSet:
     """A stack of equal-dimension embedding vectors with optional ids.
@@ -282,11 +279,11 @@ def population_std(embeddings: Rows) -> np.ndarray:
 
 
 def _item_rng(seed: int, item_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed & _U64, 0, item_index]))
+    return np.random.default_rng(np.random.SeedSequence([seed, 0, item_index]))
 
 
 def _order_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed & _U64, 1]))
+    return np.random.default_rng(np.random.SeedSequence([seed, 1]))
 
 
 def _perturb_row(

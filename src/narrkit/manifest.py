@@ -220,80 +220,28 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
 
 
 def validate_manifest(m: DatasetManifest) -> list[Violation]:
-    """Collect every invariant breach in the manifest.
+    """Collect the content breaches of a manifest as ``parse_manifest`` returns it.
 
-    Returns an empty list exactly when the manifest is well-formed. Unlike
-    parse_manifest this never raises; violations are data.
+    Parsing already rejects duplicate ids and durations not above 0, sorts each
+    video's clips, and files every record under its own video: what a parsed
+    manifest can still hold is a blank caption, a clip that ends past its video,
+    and a blank action description. Returns an empty list when it holds none of
+    these; unlike parse_manifest this never raises.
     """
     out: list[Violation] = []
-
-    def flag(code, video_id, clip_id, message):
-        out.append(Violation(code, video_id, clip_id, message))
-
     for video_id, entry in m.videos.items():
         duration = entry.duration_s
-        if duration is not None and duration <= 0:
-            flag("bad-duration", video_id, None, f"duration_s {duration} is not > 0")
-            duration = None
-        seen_ids: set[str] = set()
-        prev_start = None
         for clip in entry.clips:
-            if clip.video_id != video_id:
-                flag(
-                    "video-id-mismatch",
-                    video_id,
-                    clip.clip_id,
-                    f"clip carries video_id '{clip.video_id}'",
-                )
-            if clip.clip_id in seen_ids:
-                flag(
-                    "duplicate-clip-id",
-                    video_id,
-                    clip.clip_id,
-                    f"clip_id '{clip.clip_id}' appears more than once",
-                )
-            seen_ids.add(clip.clip_id)
             if not clip.caption.strip():
-                flag("empty-caption", video_id, clip.clip_id, "caption is blank")
+                out.append(Violation("empty-caption", video_id, clip.clip_id, "caption is blank"))
             if duration is not None and clip.interval.end_s > duration:
-                flag(
-                    "clip-exceeds-duration",
-                    video_id,
-                    clip.clip_id,
-                    f"clip ends at {clip.interval.end_s}s but video lasts {duration}s",
-                )
-            if prev_start is not None and clip.interval.start_s < prev_start:
-                flag(
-                    "clips-unordered",
-                    video_id,
-                    clip.clip_id,
-                    "clips are not sorted by start_s",
-                )
-            prev_start = clip.interval.start_s
-
+                message = f"clip ends at {clip.interval.end_s}s but video lasts {duration}s"
+                out.append(Violation("clip-exceeds-duration", video_id, clip.clip_id, message))
     for video_id, records in m.actions.items():
-        if video_id not in m.videos:
-            flag(
-                "orphan-actions",
-                video_id,
-                None,
-                "actions reference a video absent from the videos map",
-            )
         for idx, action in enumerate(records):
-            if action.video_id != video_id:
-                flag(
-                    "video-id-mismatch",
-                    video_id,
-                    None,
-                    f"action {idx} carries video_id '{action.video_id}'",
-                )
             if not action.description.strip():
-                flag(
-                    "empty-description",
-                    video_id,
-                    None,
-                    f"action {idx} description is blank",
-                )
+                message = f"action {idx} description is blank"
+                out.append(Violation("empty-description", video_id, None, message))
     return out
 
 

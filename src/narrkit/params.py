@@ -67,8 +67,9 @@ class PerturbationSpec:
     ``noise_scale`` multiplies a per-dimension std basis (typically the
     empirical std of a reference population) to set the additive Gaussian
     noise level; ``mask_rate`` zeroes each coordinate independently;
-    ``shuffle`` applies a uniform random permutation. Defaults follow the
-    robustness ablation settings: 0.5 noise, 25% masking, shuffling on.
+    ``shuffle`` applies a uniform random permutation; ``seed``, in [0, 2**64),
+    picks the random streams. Defaults follow the robustness ablation
+    settings: 0.5 noise, 25% masking, shuffling on.
     """
 
     noise_scale: float = 0.5
@@ -83,3 +84,5 @@ class PerturbationSpec:
             raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
         if not 0.0 <= self.mask_rate <= 1.0:
             raise ValueError(f"mask_rate must be in [0, 1], got {self.mask_rate}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")

@@ -69,6 +69,26 @@ class TestValidate:
         assert rec["code"] == "clip-exceeds-duration"
         assert rec["clip_id"] == "c1"
 
+    def test_every_code_in_order(self, capsys, tmp_path):
+        # each clip's two checks in clip order, then each action's description
+        path, out_path = tmp_path / "m.jsonl", tmp_path / "v.jsonl"
+        path.write_text(
+            '{"kind": "action", "video_id": "v", "start_s": 0.0, "end_s": 1.0, "description": " "}\n'
+            '{"kind": "clip", "video_id": "v", "clip_id": "c2", "start_s": 2.0, "end_s": 4.0, "caption": ""}\n'
+            '{"kind": "clip", "video_id": "v", "clip_id": "c1", "start_s": 0.0, "end_s": 9.0, "caption": ""}\n'
+            '{"kind": "video", "video_id": "v", "duration_s": 5.0}\n'
+        )
+        code, _, err = invoke(capsys, "validate", "--manifest", str(path), "--out", str(out_path))
+        assert (code, err) == (1, "checked 1 videos, 2 clips, 1 actions: 4 violation(s)\n")
+        assert out_path.read_text().splitlines() == [
+            '{"code": "empty-caption", "video_id": "v", "clip_id": "c1", "message": "caption is blank"}',
+            '{"code": "clip-exceeds-duration", "video_id": "v", "clip_id": "c1", '
+            '"message": "clip ends at 9.0s but video lasts 5.0s"}',
+            '{"code": "empty-caption", "video_id": "v", "clip_id": "c2", "message": "caption is blank"}',
+            '{"code": "empty-description", "video_id": "v", "clip_id": null, '
+            '"message": "action 0 description is blank"}',
+        ]
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("field", ["duration_s", "start_s", "end_s"])
     def test_non_finite_number_rejected(self, capsys, tmp_path, field, literal):
@@ -207,6 +227,29 @@ class TestFilter:
         assert code == 1
         assert err.startswith("error: ")
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_assignment_on_the_out_file_is_a_usage_error(self, capsys, manifest_path, tmp_path, existing):
+        # The two outputs would share one path and one temp file name.
+        matches, out = tmp_path / "matches.jsonl", tmp_path / "f.jsonl"
+        invoke(capsys, "match", "--manifest", manifest_path, "--out", str(matches))
+        if existing:
+            out.write_text("kept\n")
+        code, stdout, err = invoke(
+            capsys, "filter", "--manifest", manifest_path, "--matches", str(matches),
+            "--out", str(out), "--assignment", str(tmp_path / "." / "f.jsonl"),
+        )
+        assert (code, stdout, err) == (2, "", "error: --assignment: names the same file as --out\n")
+        left = ["corpus.jsonl", "f.jsonl", "matches.jsonl"] if existing else ["corpus.jsonl", "matches.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == left
+        assert not existing or out.read_text() == "kept\n"
+
+    def test_both_outputs_on_dev_null(self, capsys, manifest_path, tmp_path):
+        matches = tmp_path / "matches.jsonl"
+        invoke(capsys, "match", "--manifest", manifest_path, "--out", str(matches))
+        code, _, _ = invoke(capsys, "filter", "--manifest", manifest_path, "--matches", str(matches),
+                            "--out", os.devnull, "--assignment", os.devnull)
+        assert code == 0
 
     def test_outputs_replace_existing_files(self, capsys, manifest_path, tmp_path):
         matches = tmp_path / "matches.jsonl"
@@ -1289,6 +1332,11 @@ class TestConfig:
              "--threads: threads must be >= 1, got -3"),
             (["match", "--manifest", "{out}", "--config", "{cfg}", "--threads", "0"],
              "--threads: threads must be >= 1, got 0"),
+            # a seed is never wrapped into range
+            (["perturb", "--in", "{a}", "--out", "{out}", "--seed", "18446744073709551616"],
+             "--seed: seed must be in [0, 2**64), got 18446744073709551616"),
+            (["match", "--manifest", "{out}", "--seed", "-1"],
+             "--seed: seed must be in [0, 2**64), got -1"),
             # of two flags, the one that fails alone is named, not the first
             (["perturb", "--in", "{a}", "--out", "{out}", "--noise-scale", "0.1", "--mask-rate", "3"],
              "--mask-rate: mask_rate must be in [0, 1], got 3.0"),
@@ -1301,7 +1349,7 @@ class TestConfig:
         ids=["iou-low-nan", "max-start-diff", "flag-against-config", "mask-rate", "alpha",
              "alpha-nan", "beta-inf", "noise-scale-nan", "max-start-diff-nan", "k-0",
              "k-4-with-config", "jitter-nan", "jitter-negative", "jitter-inf", "threads-negative",
-             "threads-0-with-config", "second-flag-fails-alone", "beta-fails-alone",
+             "threads-0-with-config", "seed-2-64", "seed-negative", "second-flag-fails-alone", "beta-fails-alone",
              "flags-fail-together"],
     )
     def test_out_of_range_flag_named(self, capsys, manifest_path, emb_paths, tmp_path, argv, err):
@@ -1362,6 +1410,8 @@ class TestConfig:
             ('{"k": 0}', "context length k must be in 1..3, got 0"),
             ('{"threads": 0}', "threads must be >= 1, got 0"),
             ('{"threads": 2.0}', "field 'threads' must be a JSON int"),
+            ('{"seed": -1}', "seed must be in [0, 2**64), got -1"),
+            ('{"seed": 18446744073709551616}', "seed must be in [0, 2**64), got 18446744073709551616"),
         ],
         ids=[
             "shuffle-string", "shuffle-int", "unknown-keys", "array", "string",
@@ -1369,7 +1419,7 @@ class TestConfig:
             "edges-array", "edges-unknown-name", "edges-string-value", "edges-decreasing",
             "edges-one", "bad-utf8",
             "thresholds-range", "loss-range", "perturbation-range", "k-range", "threads-range",
-            "threads-float",
+            "threads-float", "seed-negative", "seed-2-64",
         ],
     )
     def test_bad_config_rejected(self, capsys, steps_path, tmp_path, text, reason):

@@ -272,11 +272,20 @@ class TestPerturb:
             perturb(np.ones(4), np.ones(5), PerturbationSpec())
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(noise_scale=-1), dict(mask_rate=1.5), dict(noise_scale=np.nan), dict(noise_scale=np.inf)]
+        "kwargs", [dict(noise_scale=-1), dict(mask_rate=1.5), dict(noise_scale=np.nan), dict(noise_scale=np.inf),
+                   dict(seed=-1), dict(seed=2**64)]
     )
     def test_bad_spec(self, kwargs):
         with pytest.raises(ValueError):
             PerturbationSpec(**kwargs)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_seed_in_range_is_the_stream_entropy(self, seed):
+        PerturbationSpec(seed=seed)
+        item = np.random.default_rng(np.random.SeedSequence([seed, 0, 3]))
+        order = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+        assert embedcore._item_rng(seed, 3).random(4).tolist() == item.random(4).tolist()
+        assert embedcore._order_rng(seed).random(4).tolist() == order.random(4).tolist()
 
 
 class TestPerturbSet:

@@ -9,9 +9,9 @@ dimension × dimension matrices instead.
 
 The corpus commands' guards check that each consumes its records as they
 arrive: ``filter`` holds no match record past its line and no assignment
-line past its video, ``match`` no video's records past that video, and
-``windows`` no window past its sequence. ``parse_manifest`` keeps little
-beyond the manifest it returns.
+line past its video, ``match`` no video's records past that video,
+``windows`` no window past its sequence, and ``stats`` no token file's keys
+past that file. ``parse_manifest`` keeps little beyond the manifest it returns.
 
 The readers' guards compare the bytes their records keep alive with the same
 records rebuilt in place two ways, on the same interpreter: with an instance
@@ -307,6 +307,28 @@ def test_filter_command_holds_no_assignment(tmp_path, parsed_bytes):
     (past_n, kept_n), (past_4n, kept_4n) = grown
     entry = sys.getsizeof(("v", "c")) + sys.getsizeof([0])
     assert past_4n - past_n < entry * (kept_4n - kept_n)
+
+
+def test_stats_holds_one_token_file_of_keys(tmp_path, parsed_bytes):
+    # Adding the action file to the caption file raises the peak past the parsed
+    # manifest by less than the caption counts, one pointer a clip: each file's keys
+    # are looked up as the manifest yields them, so none outlives its pass. Holding
+    # a list of every clip's and action's key tuple until the report was written
+    # added about 20 bytes a clip.
+    m = random_manifest(np.random.default_rng(12), n_videos=400)
+    manifest, caption, action = tmp_path / "m.jsonl", tmp_path / "caption.jsonl", tmp_path / "action.jsonl"
+    manifest.write_text(dumps_manifest(m))
+    caption.write_text("".join(json.dumps({"video_id": c.video_id, "clip_id": c.clip_id, "tokens": i % 200})
+                               + "\n" for i, c in enumerate(m.iter_clips())))
+    action.write_text("".join(json.dumps({"video_id": v, "action_index": i, "tokens": i % 200}) + "\n"
+                              for v, records in m.actions.items() for i in range(len(records))))
+    past = []
+    for tokens in (["--caption-tokens", str(caption)],
+                   ["--caption-tokens", str(caption), "--action-tokens", str(action)]):
+        argv = ["stats", "--manifest", str(manifest), "--out", str(tmp_path / "out"), *tokens]
+        run(argv)  # load the command's modules before tracing
+        past.append(traced_peak(run, argv) - parsed_bytes[-1])
+    assert past[1] - past[0] < struct.calcsize("P") * m.n_clips
 
 
 def test_parse_manifest_frees_its_temporaries(manifest_lines):
