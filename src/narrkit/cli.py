@@ -28,6 +28,7 @@ import json
 import math
 import os
 import sys
+from collections import defaultdict
 from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Iterator, get_type_hints
 
@@ -118,26 +119,24 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             cfg[key], sources[key] = getattr(args, key), _flag(key)
 
     def build(make, names: list[str]):
-        # make(**values) over the keys in names that are set. If that fails, blame
-        # the config file if its own values fail alone, else the first flag that
-        # fails alone over them, else (the flags fail only together) the first flag.
+        # make(**values) over the keys in names that are set. If that fails, drop the
+        # flags one at a time, in field order, until the rest pass, and blame the last
+        # one dropped; if the config's own values still fail without them, the file.
+        values = {name: cfg[name] for name in names if name in cfg}
         try:
-            return make(**{name: cfg[name] for name in names if name in cfg})
+            return make(**values)
         except ValueError as exc:
             error = exc
-        flags = [name for name in names if name in cfg and sources[name] != path]
-        own = {name: cfg[name] for name in names if name in cfg and name not in flags}
-        trials = [(own, path)] if own else []
-        trials += [({**own, name: cfg[name]}, sources[name]) for name in flags]
-        for values, culprit in trials:
+        for name in [name for name in values if sources[name] != path]:
+            del values[name]
             try:
-                make(**values)
+                if values:  # none left: the defaults pass, and a check such as k's has none
+                    make(**values)
             except ValueError as exc:
-                error, blame = exc, culprit
-                break
-        else:
-            blame = sources[flags[0]]
-        raise (InputError if blame == path else _FlagError)(str(error), source=blame) from error
+                error = exc
+            else:
+                raise _FlagError(str(error), source=sources[name]) from error
+        raise InputError(str(error), source=path) from error
 
     sections = [build(cls, [f.name for f in fields(cls)]) for cls in _SECTIONS]  # with defaults
     for name, check in (("k", check_context_length), ("threads", check_threads)):
@@ -265,26 +264,28 @@ def cmd_filter(args, rc: RunConfig) -> int:
     return 0
 
 
-# Per kind of token file: the field that joins video_id in each record's key.
+# Per kind of token file: the field that keys each count within its video.
 _TOKEN_KEYS = {"caption": ("clip_id", want_str), "action": ("action_index", want_int)}
 
 
 def _read_token_counts(kind: str, path: str, keys: Iterator[tuple]) -> list[int]:
     """The ``tokens`` count of each key, in order; there must be keys, and each must be present once."""
     field, want_key = _TOKEN_KEYS[kind]
-    table: dict[tuple, int] = {}
+    tables: defaultdict[str, dict] = defaultdict(dict)  # per video id, interned as the manifest's are
     with open(path, **TEXT) as fh:
         for lineno, rec in iter_json_objects(fh, path):
-            key = (want_str(rec, "video_id", lineno, path), want_key(rec, field, lineno, path))
+            video_id = sys.intern(want_str(rec, "video_id", lineno, path))
+            key, table = want_key(rec, field, lineno, path), tables[video_id]
             if key in table:
-                raise InputError(f"duplicate {kind} token count for {key}", lineno, path)
+                raise InputError(f"duplicate {kind} token count for {(video_id, key)}", lineno, path)
             count = table[key] = want_int(rec, "tokens", lineno, path)
             if not 0 <= count <= 2**53:  # a histogram bins each count as an exact float
                 raise InputError("field 'tokens' must be an integer in [0, 2**53]", lineno, path)
-    try:
-        counts = [table[key] for key in keys]
-    except KeyError as exc:
-        raise InputError(f"missing {kind} token count for {exc.args[0]}", source=path) from None
+    counts = []
+    for video_id, key in keys:
+        if key not in tables[video_id]:
+            raise InputError(f"missing {kind} token count for {(video_id, key)}", source=path)
+        counts.append(tables[video_id][key])
     if not counts:
         raise InputError("no records to profile", source=path)
     return counts

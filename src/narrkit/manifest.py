@@ -21,6 +21,7 @@ import io
 import math
 import os
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Union
 
@@ -156,23 +157,19 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
             return parse_manifest(fh)
     name = getattr(source, "name", "<input>")
     videos: dict[str, VideoEntry] = {}
-    explicit_videos: set[str] = set()
     # Each video's clips by clip_id: the duplicate check and, in line order, the clips.
-    clips: dict[str, dict[str, ClipRecord]] = {}
-    actions: dict[str, list[ActionRecord]] = {}
+    clips: defaultdict[str, dict[str, ClipRecord]] = defaultdict(dict)
+    actions: defaultdict[str, list[ActionRecord]] = defaultdict(list)
 
     for lineno, rec in iter_json_objects(source, name):
         kind = want_choice(rec, "kind", RECORD_KINDS, lineno, name)
         # Interned, so that all the records of a video share one string.
         video_id = sys.intern(want_str(rec, "video_id", lineno, name))
-        entry = videos.get(video_id)
-        if entry is None:
-            entry = videos[video_id] = VideoEntry()
 
         if kind == "video":
-            if video_id in explicit_videos:
+            if video_id in videos:
                 raise ManifestError(f"duplicate video record '{video_id}'", lineno, name)
-            explicit_videos.add(video_id)
+            entry = videos[video_id] = VideoEntry()
             if rec.get("duration_s") is not None:
                 duration = want_number(rec, "duration_s", lineno, name)
                 if duration <= 0:
@@ -187,7 +184,7 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
                 interval = TimeInterval(start, end)
             except ValueError as exc:
                 raise ManifestError(f"clip '{clip_id}': {exc}", lineno, name) from exc
-            by_id = clips.setdefault(video_id, {})
+            by_id = clips[video_id]
             if clip_id in by_id:
                 raise ManifestError(
                     f"duplicate clip_id '{clip_id}' in video '{video_id}'", lineno, name
@@ -201,13 +198,11 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
                 interval = TimeInterval(start, end)
             except ValueError as exc:
                 raise ManifestError(f"action in video '{video_id}': {exc}", lineno, name) from exc
-            actions.setdefault(video_id, []).append(
-                ActionRecord(video_id, interval, description)
-            )
+            actions[video_id].append(ActionRecord(video_id, interval, description))
 
     manifest = DatasetManifest()
-    for video_id in sorted(videos):
-        entry = manifest.videos[video_id] = videos[video_id]
+    for video_id in sorted(videos.keys() | clips.keys() | actions.keys()):
+        entry = manifest.videos[video_id] = videos.get(video_id) or VideoEntry()
         # Each video's dict goes as its list is made; the stable sort keeps line order.
         entry.clips = sorted(clips.pop(video_id, {}).values(), key=lambda c: c.interval.start_s)
         records = actions.get(video_id)

@@ -200,9 +200,9 @@ def filter_matched(
     parse_manifest ensures.
 
     ``matches`` is read once, in any order, and each match is folded into its
-    clip's entry as it arrives: the rank (-iou, action start, action index) of
-    the clip's best match so far under BEST_PER_CLIP, else one action index
-    per match. A match that the manifest lacks fails before the next is read.
+    clip's entry as it arrives: under BEST_PER_CLIP the action index and IoU of
+    the clip's best match so far, else one action index per match. A match that
+    the manifest lacks fails before the next is read.
     """
     filtered = DatasetManifest(actions=dict(m.actions))
     assignment: dict[tuple[str, str], list[int]] = {}
@@ -215,7 +215,8 @@ def filter_matched(
 def _fold_matches(
     m: DatasetManifest, matches: Iterable[MatchRecord], policy: FilterPolicy
 ) -> dict[str, list]:
-    """filter_matched's fold: per video with a match, one entry or None per clip, in clip order."""
+    """filter_matched's fold: per video with a match, one entry or None per clip, in clip order.
+    Under BEST_PER_CLIP an entry is an action index, and each clip's IoU follows the entries."""
     best = policy is FilterPolicy.BEST_PER_CLIP
     folded: dict[str, list] = {}
     # The video the previous match named: its clips' positions by clip_id, its actions and its
@@ -231,7 +232,7 @@ def _fold_matches(
             actions = m.actions.get(rec.video_id, [])
             slots = folded.get(rec.video_id)
             if slots is None:
-                slots = folded[rec.video_id] = [None] * len(entry.clips)
+                slots = folded[rec.video_id] = [None] * (len(entry.clips) * (1 + best))
         i = positions.get(rec.clip_id)
         if i is None:
             raise ValueError(f"match references unknown clip '{rec.clip_id}' in video '{rec.video_id}'")
@@ -245,10 +246,12 @@ def _fold_matches(
                 slots[i] = []
             slots[i].append(rec.action_index)
             continue
-        rank = (-rec.iou, actions[rec.action_index].interval.start_s, rec.action_index)
-        old = slots[i]
-        if old is None or rank < old:  # only a strictly smaller rank wins, as in min()
-            slots[i] = rank
+        # Only a strictly better match by (-iou, action start, action index) wins, as in min().
+        old, j = slots[i], i + len(slots) // 2
+        start = actions[rec.action_index].interval.start_s
+        if old is None or rec.iou > slots[j] or (
+                rec.iou == slots[j] and (start, rec.action_index) < (actions[old].interval.start_s, old)):
+            slots[i], slots[j] = rec.action_index, rec.iou
     return folded
 
 
@@ -263,7 +266,7 @@ def _kept_clips(
         for clip, found in zip(entry.clips, folded.pop(video_id, ())):
             if found is not None:
                 kept.append(clip)
-                indices.append([found[2]] if best else sorted(found))
+                indices.append([found] if best else sorted(found))
         yield video_id, VideoEntry(entry.duration_s, kept), indices
 
 

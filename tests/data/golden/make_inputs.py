@@ -11,6 +11,11 @@ captions with non-ASCII text, U+2028, quotes and backslashes; clips and
 actions that touch end to start; equal starts; and start-aligned pairs
 whose IoU sits just below, at and just above 0.2, 0.25 and 0.5. A few
 videos break ``validate``'s rules, so ``validate`` writes violations.
+
+The two embedding sets feed the ``perturb`` cases: ``set.emb``, an ``EMB1``
+file without ids, and ``set.jsonl``, whose records carry ids, some of them
+non-ASCII. Their values are Gaussian draws rounded to float32 (the binary
+set) or to six decimals (the JSONL set).
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import struct
 
 SEED = 20261018
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -139,6 +145,16 @@ def main() -> None:
         for item, tiers in (("a", ["VeryMatch"] * 3), ("b", ["VeryMatch", "VeryMatch", "NotMatch"]),
                             ("c", ["GoodMatch", "NotMatch", "NotMatch"]))
         for r, tier in enumerate(tiers)
+    ])
+
+    rows, dim = 40, 12
+    with open(os.path.join(HERE, "set.emb"), "wb") as fh:
+        fh.write(b"EMB1" + struct.pack("<II", rows, dim))
+        fh.write(struct.pack(f"<{rows * dim}f", *[rnd.gauss(0, 1) for _ in range(rows * dim)]))
+    _write("set.jsonl", [
+        {"id": f"e{i:02d}" if i % 7 else f"e{i:02d}-{rnd.choice(_ODD)}",
+         "values": [round(rnd.gauss(0, 2), 6) for _ in range(8)]}
+        for i in range(30)
     ])
 
     config = {"max_start_diff_s": 4.5, "beta": 2.0, "mask_rate": 0.5, "k": 3, "threads": 1,

@@ -1,11 +1,23 @@
-"""Byte digests of the corpus commands on the committed inputs in data/golden.
+"""Byte digests of the corpus commands and of ``perturb`` on the committed inputs
+in data/golden.
 
 Each case runs ``narrkit.cli.run`` in process, in a scratch directory that
 holds a copy of the inputs, and records the exit code and the sha256 of
 stdout, of stderr and of each output file. ``data/golden/digests.json``
-keeps the digests that the current code must reproduce. Only the standard
-library is needed: the corpus commands load no numpy, so any supported
-Python can check them.
+keeps the corpus commands' digests that the current code must reproduce. Only
+the standard library is needed for them: the corpus commands load no numpy,
+so any supported Python can check them.
+
+The ``perturb-*`` cases need numpy, so they run only where it imports, and
+are counted as skipped elsewhere. They cover both shuffle modes, on the
+``EMB1`` set with binary output and on the JSONL set, whose records carry
+ids, with JSONL output, each at ``--threads 1`` and ``2``; test_golden.py also
+requires each ``--threads 2`` case to match its twin. ``data/golden/digests-perturb.json``
+keeps their digests and the numpy release that wrote them, printed beside the
+running one: NEP 19 lets a release change a ``Generator``'s stream, and so
+move a digest. The metric commands are left out: their last digits pass
+through BLAS (the matmul of the pair kernels and ``frechet``'s ``eigh``),
+and whether another machine's BLAS reproduces those bits is unverified.
 
     PYTHONPATH=src python tests/golden.py            # check; exit 1 on a mismatch
     PYTHONPATH=src python tests/golden.py --rewrite  # record the current digests
@@ -16,8 +28,6 @@ A change that moves a digest names the case in CHANGES.md and says why.
 ``filter-*-interleaved`` cases read it and write the same bytes, under the
 same names, as ``filter-best`` and ``filter-all``. The ``filter-*-no-assignment``
 cases leave out ``--assignment`` and write the same filtered manifest.
-``perturb`` and the metrics are left out: their bits depend on numpy and on
-the BLAS build.
 """
 
 from __future__ import annotations
@@ -34,9 +44,10 @@ import tempfile
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
 DIGESTS = os.path.join(DATA, "digests.json")
+PERTURB_DIGESTS = os.path.join(DATA, "digests-perturb.json")
 INPUTS = ("manifest.jsonl", "caption_tokens.jsonl", "action_tokens.jsonl", "steps.jsonl",
           "tiers.jsonl", "ratings.jsonl", "tiers-item-means.jsonl", "config.json",
-          "matches-interleaved.jsonl")
+          "matches-interleaved.jsonl", "set.emb", "set.jsonl")
 
 _M = ("--manifest", "manifest.jsonl")
 # (case name, argv, output files), run in this order: filter reads match's output.
@@ -68,13 +79,22 @@ CASES = [
     ("score-item-means", ["score", "--tiers", "tiers-item-means.jsonl"], []),
 ]
 
+# Run only where numpy imports. Twins differ only in --threads, and write the same files.
+PERTURB_CASES = [
+    (f"perturb-{mode}-{fmt}-threads{threads}",
+     ["perturb", "--in", source, "--shuffle-mode", mode, "--format", fmt, "--seed", "7",
+      "--threads", str(threads), "--out", f"perturbed-{mode}.{fmt}"], [f"perturbed-{mode}.{fmt}"])
+    for mode in ("coords", "sequence") for fmt, source in (("binary", "set.emb"), ("jsonl", "set.jsonl"))
+    for threads in (1, 2)
+]
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_cases(workdir: str) -> dict:
-    """Run every case in ``workdir`` and return its digests, keyed by case name."""
+def run_cases(workdir: str, cases: list = CASES) -> dict:
+    """Run each of ``cases`` in ``workdir`` and return its digests, keyed by case name."""
     from narrkit import cli
 
     for name in INPUTS:
@@ -83,7 +103,7 @@ def run_cases(workdir: str) -> dict:
     cwd = os.getcwd()
     os.chdir(workdir)  # every path the commands see, and so every message, is relative
     try:
-        for name, argv, outputs in CASES:
+        for name, argv, outputs in cases:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.run(argv)
@@ -98,29 +118,58 @@ def run_cases(workdir: str) -> dict:
     return results
 
 
-def load_digests() -> dict:
-    with open(DIGESTS, encoding="utf-8") as fh:
+def load_digests(path: str = DIGESTS) -> dict:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def main(argv: list[str]) -> int:
-    with tempfile.TemporaryDirectory() as workdir:
-        results = run_cases(workdir)
-    if argv == ["--rewrite"]:
-        with open(DIGESTS, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(results, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {len(results)} cases to {DIGESTS}")
-        return 0
-    if argv:
-        print(__doc__, file=sys.stderr)
-        return 2
-    expected = load_digests()
+def numpy_version() -> str | None:
+    """The release of numpy, or None where it does not import."""
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy.__version__
+
+
+def _dump(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _mismatches(expected: dict, results: dict) -> list[str]:
     bad = sorted(name for name in expected.keys() | results.keys()
                  if expected.get(name) != results.get(name))
     for name in bad:
         print(f"MISMATCH {name}: expected {expected.get(name)}, got {results.get(name)}")
-    print(f"{len(results) - len(bad)} of {len(results)} cases match on Python "
-          f"{sys.version.split()[0]}")
+    return bad
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--rewrite"]):
+        print(__doc__, file=sys.stderr)
+        return 2
+    numpy_release = numpy_version()
+    with tempfile.TemporaryDirectory() as workdir:
+        results = run_cases(workdir)
+        perturbed = run_cases(workdir, PERTURB_CASES) if numpy_release else None
+    if perturbed is None:
+        print(f"skipped {len(PERTURB_CASES)} perturb cases: numpy does not import")
+    if argv:
+        _dump(DIGESTS, results)
+        print(f"wrote {len(results)} cases to {DIGESTS}")
+        if perturbed is not None:
+            _dump(PERTURB_DIGESTS, {"numpy": numpy_release, "cases": perturbed})
+            print(f"wrote {len(perturbed)} cases to {PERTURB_DIGESTS}")
+        return 0
+    bad = _mismatches(load_digests(), results)
+    print(f"{len(results) - len(bad)} of {len(results)} cases match on Python {sys.version.split()[0]}")
+    if perturbed is not None:
+        recorded = load_digests(PERTURB_DIGESTS)
+        bad_perturb = _mismatches(recorded["cases"], perturbed)
+        print(f"{len(perturbed) - len(bad_perturb)} of {len(perturbed)} perturb cases match on numpy "
+              f"{numpy_release} (digests written by numpy {recorded['numpy']})")
+        bad += bad_perturb
     return 1 if bad else 0
 
 

@@ -1345,12 +1345,18 @@ class TestConfig:
             # flags that fail only together: the first is named
             (["metrics", "regloss", "--pred", "{a}", "--target", "{a}", "--alpha", "0", "--beta", "0"],
              "--alpha: alpha + beta must be positive"),
+            # a flag that passes with the rest is not named for their error
+            (["match", "--manifest", "{m}", "--max-start-diff", "5", "--iou-low", "0.3", "--iou-high", "0.25"],
+             "--iou-low: need 0 <= iou_low <= iou_high <= 1, got 0.3/0.25"),
+            # two flags that each fail alone: the later in field order is named
+            (["match", "--manifest", "{m}", "--max-start-diff", "-1", "--iou-low", "2"],
+             "--iou-low: need 0 <= iou_low <= iou_high <= 1, got 2.0/0.5"),
         ],
         ids=["iou-low-nan", "max-start-diff", "flag-against-config", "mask-rate", "alpha",
              "alpha-nan", "beta-inf", "noise-scale-nan", "max-start-diff-nan", "k-0",
              "k-4-with-config", "jitter-nan", "jitter-negative", "jitter-inf", "threads-negative",
              "threads-0-with-config", "seed-2-64", "seed-negative", "second-flag-fails-alone", "beta-fails-alone",
-             "flags-fail-together"],
+             "flags-fail-together", "first-flag-passes-with-the-rest", "both-flags-fail-alone"],
     )
     def test_out_of_range_flag_named(self, capsys, manifest_path, emb_paths, tmp_path, argv, err):
         cfg, out = tmp_path / "cfg.json", tmp_path / "o.emb"
@@ -1372,6 +1378,14 @@ class TestConfig:
         cfg.write_text('{"mask_rate": 2}')
         argv = ["match", "--manifest", manifest_path, "--config", str(cfg), "--iou-low", "0.3"]
         assert invoke(capsys, *argv) == (1, "", f"error: {cfg}: mask_rate must be in [0, 1], got 2.0\n")
+
+    def test_flag_that_mends_the_config_leaves_another_flag_named(self, capsys, manifest_path, tmp_path):
+        # iou_low 0.6 fails alone against the default iou_high 0.5, but this run sets 0.7
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"iou_low": 0.6}')
+        argv = ["match", "--manifest", manifest_path, "--config", str(cfg), "--iou-high", "0.7",
+                "--max-start-diff", "-1"]
+        assert invoke(capsys, *argv) == (2, "", "error: --max-start-diff: max_start_diff_s must be >= 0, got -1.0\n")
 
     def test_flag_of_the_same_section_leaves_the_config_named(self, capsys, emb_paths, tmp_path):
         cfg, out = tmp_path / "cfg.json", tmp_path / "o.emb"

@@ -1,4 +1,4 @@
-"""The corpus commands reproduce the committed digests of their outputs (see golden.py)."""
+"""The corpus commands and perturb reproduce the committed digests of their outputs (see golden.py)."""
 
 import json
 import os
@@ -21,3 +21,15 @@ def test_corpus_commands_match_golden_digests(tmp_path):
         lines = sorted(fh, key=lambda line: json.loads(line)["clip_id"])
     with open(os.path.join(golden.DATA, "matches-interleaved.jsonl"), encoding="utf-8") as fh:
         assert fh.readlines() == lines
+
+
+def test_perturb_matches_golden_digests(tmp_path):
+    results = golden.run_cases(str(tmp_path), golden.PERTURB_CASES)
+    recorded = golden.load_digests(golden.PERTURB_DIGESTS)
+    # NEP 19 lets a numpy release change a Generator's stream: name both releases
+    assert results == recorded["cases"], (
+        f"digests written by numpy {recorded['numpy']}, running {golden.numpy_version()}")
+    # each --threads 2 case writes its --threads 1 twin's bytes
+    for name, result in results.items():
+        if name.endswith("-threads2"):
+            assert result == results[name.replace("-threads2", "-threads1")]

@@ -8,10 +8,11 @@ working memory does not grow with the set is bounded in blocks of rows or in
 dimension × dimension matrices instead.
 
 The corpus commands' guards check that each consumes its records as they
-arrive: ``filter`` holds no match record past its line and no assignment
-line past its video, ``match`` no video's records past that video,
-``windows`` no window past its sequence, and ``stats`` no token file's keys
-past that file. ``parse_manifest`` keeps little beyond the manifest it returns.
+arrive: ``filter`` holds no match record past its line, no rank tuple in its
+fold and no assignment line past its video, ``match`` no video's records past
+that video, ``windows`` no window past its sequence, and ``stats`` no token
+file's keys past that file, nor more than one table entry a line while reading
+it. ``parse_manifest`` keeps little beyond the manifest it returns.
 
 The readers' guards compare the bytes their records keep alive with the same
 records rebuilt in place two ways, on the same interpreter: with an instance
@@ -38,14 +39,15 @@ import pytest
 from conftest import random_manifest, random_sequence
 from narrkit import embedcore
 from narrkit import manifest as manifest_module
-from narrkit.cli import run
+from narrkit.cli import _read_token_counts, run
 from narrkit.embedcore import (_BLOCK, EmbeddingSet, PerturbationSpec, clip_t_score, fit_moments, flow_loss,
                                perturb_set, population_std, regression_loss)
 from narrkit.embedio import open_embeddings, read_embeddings, write_embeddings
 from narrkit.context import read_step_sequences
 from narrkit.manifest import (ActionRecord, ClipRecord, DatasetManifest, TimeInterval, dumps_manifest,
                               parse_manifest)
-from narrkit.matching import MatchRecord, format_match_record, match_dataset, parse_match_records
+from narrkit.matching import (FilterPolicy, MatchRecord, _fold_matches, format_match_record, match_dataset,
+                              parse_match_records)
 
 N, DIM = 4000, 256
 S = N * DIM * 4
@@ -287,6 +289,25 @@ def test_match_command_holds_one_video_of_records(tmp_path, parsed_bytes):
     assert traced_peak(run, argv) - parsed_bytes[-1] <= 1.5 * largest
 
 
+def test_best_fold_keeps_no_rank():
+    # Under --policy best the fold keeps two list slots a clip of each matched video,
+    # the action index and the IoU of the clip's best match, and nothing else: its
+    # bytes are those of the same lists copied. A (-iou, action start, action index)
+    # tuple and its negated float a matched clip added 88 bytes each.
+    m = random_manifest(np.random.default_rng(12), n_videos=400)
+    matches = match_dataset(m)  # alive throughout, so their IoU floats are not the fold's
+    best = FilterPolicy.BEST_PER_CLIP
+    folded = _fold_matches(m, matches, best)
+
+    def copies():
+        return {video_id: list(slots) for video_id, slots in folded.items()}
+
+    copies()  # fill the interpreter's free lists first
+    matched = len({(r.video_id, r.clip_id) for r in matches})
+    extra = traced_retained(_fold_matches, m, matches, best) - traced_retained(copies)
+    assert extra < struct.calcsize("P") * matched
+
+
 def test_filter_command_holds_no_assignment(tmp_path, parsed_bytes):
     # Past the parsed manifest, filter holds its fold, one rank per matched clip, and
     # writes each assignment line as its video is reached. From N to 4N videos that
@@ -329,6 +350,33 @@ def test_stats_holds_one_token_file_of_keys(tmp_path, parsed_bytes):
         run(argv)  # load the command's modules before tracing
         past.append(traced_peak(run, argv) - parsed_bytes[-1])
     assert past[1] - past[0] < struct.calcsize("P") * m.n_clips
+
+
+def test_token_tables_hold_one_entry_a_line(tmp_path):
+    # Past the counts it returns, reading a token file peaks at one table per video,
+    # under the id that the manifest's records share: the bytes of those tables, rebuilt
+    # here, and less than two pointers a line besides. One table keyed by a tuple and a
+    # decoded video id a line added about 75 bytes a line.
+    m = random_manifest(np.random.default_rng(12), n_videos=400)
+    path = str(tmp_path / "action.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps({"video_id": v, "action_index": i, "tokens": i % 200}) + "\n"
+                      for v, records in m.actions.items() for i in range(len(records)))
+
+    def keys():
+        return ((v, i) for v, records in m.actions.items() for i in range(len(records)))
+
+    def tables():
+        built = {}
+        for video_id, records in m.actions.items():
+            table = built[video_id] = {}
+            for i in range(len(records)):
+                table[i] = i % 200
+        return built
+
+    _read_token_counts("action", path, keys())  # fill the interpreter's free lists first
+    retained, peak = traced_memory(_read_token_counts, "action", path, keys())
+    assert peak - retained - traced_retained(tables) < 2 * struct.calcsize("P") * m.n_actions
 
 
 def test_parse_manifest_frees_its_temporaries(manifest_lines):
