@@ -20,7 +20,7 @@ imported on first use: ``from narrkit import histogram`` loads no numpy.
 
 import importlib.util
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # Library modules whose ``__all__`` makes up the package namespace (``cli``
 # is the driver, not a library). The numpy-free ones come first, so that a

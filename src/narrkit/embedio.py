@@ -6,18 +6,19 @@ optional block of newline-separated UTF-8 ids (one per vector). A JSONL
 alternative with one ``{"id": ..., "values": [...]}`` object per line is
 accepted interchangeably; readers sniff the magic bytes.
 
-Memory: no binary set is read whole unless asked. ``open_embeddings``
-checks an ``EMB1`` file's header, payload size and id block without reading
-the payload; its reader's ``blocks(lo, hi)`` reads rows lo..hi into a fresh
-float32 array of _BLOCK rows at a time, and ``take(index)`` the listed rows,
-by positional reads, so forked workers never share a file offset. A pipe's
-bytes are held in memory. A JSONL set is held in memory too, decoded line
-by line into one float32 array that grows in place by a quarter as it fills
-and is trimmed to the records found.
-``read_embeddings`` reads every row into one array. The writer sends the
-header, each block of rows and the id block (or one JSONL line at a time) to
-the sink without joining them first; ``_write_rows`` writes a set whose rows
-a caller writes into the file itself.
+Memory: no set is read whole unless asked. ``open_embeddings`` yields an
+``EmbeddingFile`` for every source, which checks an ``EMB1`` file's header,
+payload size and id block without reading the payload; its ``blocks(lo, hi)``
+reads rows lo..hi into a fresh float32 array of _BLOCK rows at a time, and
+``take(index)`` the listed rows, by positional reads, so forked workers never
+share a file offset. A stream that is not a file that can seek (a pipe, an
+in-memory or a compressed stream) is first copied into an anonymous file; a
+JSONL set is decoded line by line into one, as ``EMB1`` rows whose header is
+written once the count is known, and its ids are kept apart, since an id may
+hold a newline. ``read_embeddings`` reads every row into one array. The
+writer sends the header, each block of rows and the id block (or one JSONL
+line at a time) to the sink without joining them first; ``_write_rows``
+writes a set whose rows a caller writes into the file itself.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import struct
 import tempfile
 from itertools import chain
@@ -45,23 +47,20 @@ Source = Union[str, os.PathLike, IO[bytes]]
 
 
 class EmbeddingFile:
-    """An open ``EMB1`` set, whose rows are read block by block.
+    """An open ``EMB1`` set in a file that can seek, whose rows are read block by block.
 
     Opening checks the header, the payload size and the id block, which
-    follows the payload, and reads no row. ``blocks(lo, hi)`` reads rows
-    lo..hi, _BLOCK at a time, and checks that each block is finite; a file
-    that has become shorter since it was opened reads as truncated. Errors
-    are InputErrors naming the file.
+    follows the payload, and reads no row; ``ids``, when given, are the set's
+    ids in place of an id block. ``blocks(lo, hi)`` reads rows lo..hi, _BLOCK
+    at a time, and checks that each block is finite; a file that has become
+    shorter since it was opened reads as truncated. Errors are InputErrors
+    naming the file.
     """
 
     dtype = np.dtype("<f4")
 
-    def __init__(self, fh: IO[bytes], name: str):
-        self.name, self._fh = name, fh
-        try:  # a file is read by position; an in-memory stream by seek and readinto
-            self._fd = fh.fileno()
-        except (AttributeError, io.UnsupportedOperation):
-            self._fd = None
+    def __init__(self, fh: IO[bytes], name: str, ids: list[str] | None = None):
+        self.name, self._fh, self._fd, self.ids = name, fh, fh.fileno(), ids
         try:
             self._read_layout()
         except ValueError as exc:  # the layout checks and the id block's
@@ -77,7 +76,7 @@ class EmbeddingFile:
         count, dim = _HEADER.unpack_from(header, len(MAGIC))
         if dim < 1:
             raise ValueError("embedding dimension must be >= 1")
-        self.shape, self.ids = (count, dim), None
+        self.shape = (count, dim)
         self._offset, self._payload = fh.tell(), count * dim * 4
         got = fh.seek(0, io.SEEK_END) - self._offset
         if got < self._payload:
@@ -110,11 +109,7 @@ class EmbeddingFile:
         start = self._offset + lo * self.dim * 4
         got = 0
         while got < len(view):
-            if self._fd is not None:
-                n = os.preadv(self._fd, [view[got:]], start + got)
-            else:
-                self._fh.seek(start + got)
-                n = self._fh.readinto(view[got:])
+            n = os.preadv(self._fd, [view[got:]], start + got)
             if not n:  # the file is shorter now: say by how much, whichever row ran short
                 size = self._fh.seek(0, io.SEEK_END) - self._offset
                 raise InputError(f"embedding file truncated: expected {self._payload} data bytes, "
@@ -154,87 +149,83 @@ _NUMBER_TYPES = frozenset({int, float})
 
 
 @np.errstate(over="ignore")  # a value past float32 becomes inf, rejected by line below
-def _decode_jsonl(lines: Iterable[str], source: str) -> EmbeddingSet:
-    """Decode JSONL records into one float32 array, grown in place by a quarter
-    (at least _BLOCK rows) whenever it is full and trimmed to the records found."""
-    vectors = None
+def _decode_jsonl(lines: Iterable[str], source: str, out: IO[bytes]) -> list[str] | None:
+    """Decode JSONL records into ``out``, an empty file, as an EMB1 set without an
+    id block, whose header is written once the count is known; return the ids,
+    or None when no record carries one."""
+    out.seek(len(MAGIC) + _HEADER.size)
     ids: list[str] = []
     dims: set[int] = set()
-    have_ids = 0
+    count = 0
     for lineno, rec in iter_json_objects(lines, source):
         values = rec.get("values")
         numbers = isinstance(values, list) and _NUMBER_TYPES.issuperset(map(type, values))
         if not numbers or not values:
             raise InputError("field 'values' must be a non-empty array of numbers", lineno, source)
-        try:
-            row = np.asarray(values, dtype=np.float32)
+        try:  # stored as binary rows are, so that every set read is EMB1's dtype
+            row = np.asarray(values, dtype=EmbeddingFile.dtype)
             finite = np.isfinite(row).all()
         except OverflowError:  # an integer literal beyond the float range
             finite = False
         if not finite:
             raise InputError("field 'values' exceeds the float32 range", lineno, source)
-        if vectors is None:  # stored as binary rows are, so that every set read is EMB1's dtype
-            vectors = np.empty((_BLOCK, len(row)), EmbeddingFile.dtype)
+        out.write(row)  # a set of mixed dimensions is rejected once every line is checked
         dims.add(len(row))
-        if len(dims) == 1:  # else the set is rejected once every line is checked
-            if len(ids) == len(vectors):
-                vectors.resize((len(ids) + max(_BLOCK, len(ids) // 4), len(row)), refcheck=False)
-            vectors[len(ids)] = row
+        count += 1
         if rec.get("id") is not None:
             ids.append(want_str(rec, "id", lineno, source))
-            have_ids += 1
-        else:
-            ids.append("")
-    if not ids:
+    if not count:
         raise InputError("no embedding records found", source=source)
     if len(dims) != 1:
         raise InputError(f"inconsistent embedding dimensions: {sorted(dims)}", source=source)
-    if have_ids not in (0, len(ids)):
+    if len(ids) not in (0, count):
         raise InputError("either every record carries an id or none does", source=source)
-    vectors.resize((len(ids), vectors.shape[1]), refcheck=False)  # in place, freeing the rest
-    return EmbeddingSet(vectors, ids if have_ids else None)
-
-
-def _open(fh: IO[bytes], name: str) -> EmbeddingSet | EmbeddingFile:
-    if not fh.seekable():  # a pipe: held whole, so that it can be sniffed and sized
-        fh = io.BytesIO(fh.read())
-    start = fh.tell()
-    binary = fh.read(len(MAGIC)) == MAGIC
-    fh.seek(start)
-    if binary:
-        return EmbeddingFile(fh, name)
-    # Split lines as a text-mode file does, so an id may hold U+2028.
-    text = io.TextIOWrapper(fh, **TEXT)
-    try:
-        return _decode_jsonl(text, name)
-    finally:
-        text.detach()  # leaves a caller's stream open
+    out.seek(0)
+    out.write(MAGIC + _HEADER.pack(count, dims.pop()))
+    out.seek(0)
+    return ids or None
 
 
 @contextlib.contextmanager
-def open_embeddings(source: Source) -> Iterator[EmbeddingSet | EmbeddingFile]:
+def open_embeddings(source: Source) -> Iterator[EmbeddingFile]:
     """Open a binary or JSONL embedding set (auto-detected) for the kernels.
 
-    Yields an EmbeddingFile for a binary file that can seek, whose rows are
-    read as the kernels walk its blocks, and an EmbeddingSet, held in memory,
-    for JSONL and for a pipe. A path is closed on exit; a caller's stream is
-    left open. Both have ``len``, ``dim`` and ``ids``.
+    Yields an EmbeddingFile, whose rows are read as the kernels walk its
+    blocks. A stream that is not a file that can seek is first copied, from
+    its position on, into an anonymous file, and a JSONL set decoded into one.
+    A path is closed on exit; a caller's stream is left open.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            yield _open(fh, os.fspath(source))
-    else:
-        yield _open(source, getattr(source, "name", "<input>"))
+    with contextlib.ExitStack() as stack:
+        if isinstance(source, (str, os.PathLike)):
+            fh, name = stack.enter_context(open(source, "rb")), os.fspath(source)
+        else:
+            fh, name = source, getattr(source, "name", "<input>")
+        raw = getattr(fh, "raw", fh)
+        if not (isinstance(raw, io.FileIO) and raw.seekable()):  # its fileno() may not hold its bytes
+            fh, stream = stack.enter_context(tempfile.TemporaryFile()), fh
+            shutil.copyfileobj(stream, fh)
+            fh.seek(0)
+        start = fh.tell()
+        binary = fh.read(len(MAGIC)) == MAGIC
+        fh.seek(start)
+        if binary:
+            yield EmbeddingFile(fh, name)
+            return
+        out = stack.enter_context(tempfile.TemporaryFile())
+        # Split lines as a text-mode file does, so an id may hold U+2028.
+        text = io.TextIOWrapper(fh, **TEXT)
+        try:
+            ids = _decode_jsonl(text, name, out)
+        finally:
+            text.detach()  # leaves a caller's stream open
+        yield EmbeddingFile(out, name, ids)
 
 
 def read_embeddings(source: Source) -> EmbeddingSet:
-    """Load an embedding set from a binary or JSONL file (auto-detected).
-
-    A binary set's vectors are a writable float32 array that owns the
-    file's payload; no other copy of it is made.
-    """
+    """Load an embedding set from a binary or JSONL file (auto-detected), its
+    vectors in one writable float32 array that no other copy shares."""
     with open_embeddings(source) as es:
-        return es.read() if isinstance(es, EmbeddingFile) else es
+        return es.read()
 
 
 def _check_binary_ids(ids: list[str]) -> None:
@@ -321,9 +312,7 @@ def _write_rows(
         _pwrite(fh.fileno(), head, 0)
         ids = fill(fh.fileno(), len(head))
         if not in_place:
-            rows = EmbeddingFile(fh, getattr(sink, "name", "<output>"))
-            rows.ids = ids
-            return write_embeddings(rows, sink, fmt)
+            return write_embeddings(EmbeddingFile(fh, getattr(sink, "name", "<output>"), ids), sink, fmt)
         tail = _id_block(ids)
         _pwrite(fh.fileno(), tail, len(head) + 4 * shape[0] * shape[1])
         return len(head) + 4 * shape[0] * shape[1] + len(tail)

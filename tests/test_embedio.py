@@ -1,4 +1,7 @@
+import bz2
+import gzip
 import io
+import lzma
 import os
 
 import numpy as np
@@ -55,6 +58,21 @@ class TestBinary:
         with os.fdopen(r, "rb") as fh:
             back = read_embeddings(fh)
         assert np.array_equal(back.vectors, es.vectors)
+        assert back.ids == es.ids
+
+    @pytest.mark.parametrize("fmt", ["binary", "jsonl"])
+    @pytest.mark.parametrize("module", [gzip, bz2, lzma], ids=["gzip", "bz2", "lzma"])
+    def test_reads_a_compressed_stream(self, rng, tmp_path, module, fmt):
+        # the stream's fileno() is the compressed file's, which holds other bytes
+        es = make_set(rng, n=4, dim=3)
+        if fmt == "jsonl":
+            es.ids[1] = "two\nlines"  # a JSONL id may hold a newline; a binary id block's may not
+        path = tmp_path / "x.z"
+        with module.open(path, "wb") as fh:
+            write_embeddings(es, fh, fmt=fmt)
+        with module.open(path, "rb") as fh:
+            back = read_embeddings(fh)
+        assert back.vectors.tobytes() == es.vectors.tobytes()
         assert back.ids == es.ids
 
     def test_byte_count(self, rng):
@@ -144,7 +162,7 @@ class TestJsonl:
 
     @pytest.mark.parametrize("n", [1, embedcore._BLOCK, embedcore._BLOCK + 1, 5 * embedcore._BLOCK + 1])
     def test_round_trip_across_growth(self, rng, n):
-        # the decoded array grows as it fills, and is trimmed to the records read
+        # decoded row by row into a file, and read back in blocks of _BLOCK rows
         es = make_set(rng, n=n, dim=3)
         buf = io.BytesIO()
         write_embeddings(es, buf, fmt="jsonl")

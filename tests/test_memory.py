@@ -26,10 +26,13 @@ not, moves a peak by more than some bounds allow.
 
 import contextlib
 import gc
+import io
 import json
+import os
 import struct
 import sys
 import tempfile
+import threading
 import tracemalloc
 from dataclasses import asdict, fields, make_dataclass, replace
 
@@ -162,26 +165,31 @@ GROWTH_S = GROWTH_N * DIM * 4
 
 @pytest.fixture(scope="module")
 def sized_sets(tmp_path_factory):
-    """Pairs of binary sets of 2 and 8 blocks' rows, by row count."""
+    """Pairs of binary sets of 2 and 8 blocks' rows, by row count, and the same
+    pairs as JSONL without ids at the same paths plus ``.jsonl``."""
     d, rng = tmp_path_factory.mktemp("sized"), np.random.default_rng(9)
     paths = {}
     for n in (GROWTH_N, 4 * GROWTH_N):
         paths[n] = [str(d / f"{name}{n}.emb") for name in "ab"]
         for path in paths[n]:
-            write_embeddings(EmbeddingSet(rng.normal(size=(n, DIM)).astype(np.float32)), path)
+            es = EmbeddingSet(rng.normal(size=(n, DIM)).astype(np.float32))
+            write_embeddings(es, path)
+            write_embeddings(es, path + ".jsonl", fmt="jsonl")
     return paths
 
 
 @pytest.mark.parametrize("argv,output", [
     (["metrics", "regloss", "--pred", "{a}", "--target", "{b}"], 0),
     (["metrics", "frechet", "--a", "{a}", "--b", "{b}"], 0),
+    (["metrics", "clipt", "--text", "{a}.jsonl", "--image", "{b}.jsonl"], 0),
     (["perturb", "--in", "{a}", "--threads", "1"], 0),
-], ids=["regloss", "frechet", "perturb"])
+], ids=["regloss", "frechet", "clipt-jsonl", "perturb"])
 def test_command_peak_does_not_grow_with_its_inputs(sized_sets, tmp_path, argv, output):
-    # Each binary set is read block by block, and perturb writes each output block
-    # into the file as it is made: from N to 4N rows, the traced peak grows by less
-    # than 0.1 S beyond what the output holds in memory (nothing, for every command).
-    # Holding an input set whole would add 3 S, and a float64 copy of one 6 S.
+    # Each set is read block by block, a JSONL set from the binary file it is decoded
+    # into, and perturb writes each output block into the file as it is made: from N
+    # to 4N rows, the traced peak grows by less than 0.1 S beyond what the output holds
+    # in memory (nothing, for every command). Holding an input set whole would add
+    # 3 S, and a float64 copy of one 6 S.
     peaks = []
     for n, (a, b) in sorted(sized_sets.items()):
         command = [arg.format(a=a, b=b) for arg in argv] + ["--out", str(tmp_path / "out")]
@@ -229,6 +237,32 @@ def test_perturb_rows_hold_one_input_block(sized_sets, mode):
     with open_embeddings(sized_sets[4 * GROWTH_N][0]) as x, tempfile.TemporaryFile() as out:
         perturb = embedcore._perturb_into
         assert traced_peak(perturb, out.fileno(), 0, x, np.ones(DIM), PerturbationSpec(seed=3), mode) <= 1.4 * BLOCK64
+
+
+def test_piped_set_is_not_held_in_memory(es):
+    # A pipe is copied into an anonymous file, 64 KiB at a time, and read from there:
+    # opening it and reading its shape traces about 0.04 S. Holding its bytes took 1 S.
+    blob = io.BytesIO()
+    write_embeddings(es, blob)
+    blob = blob.getvalue()
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "wb") as fh:
+            fh.write(blob)
+
+    def shape():
+        with os.fdopen(r, "rb") as fh, open_embeddings(fh) as x:
+            return x.shape
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        peak = traced_peak(shape)
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert peak < 0.25 * S
 
 
 def test_filter_peak_does_not_grow_with_repeated_matches(manifest_lines, tmp_path):
