@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .jsonl import iter_json_objects, want_int, want_str, want_text
+from .jsonl import iter_json_objects, stream_name, want_int, want_str, want_text
 from .params import check_context_length
 
 __all__ = [
@@ -162,7 +162,7 @@ def read_step_sequences(lines: Iterable[str]) -> dict[str, NarrativeSequence]:
     keyframe_id}. Steps may arrive in any order; they are sorted by index
     per sequence and must then be contiguous from 1.
     """
-    source = getattr(lines, "name", "<input>")
+    source = stream_name(lines)
     grouped: dict[str, list[StepRecord]] = {}
     for lineno, rec in iter_json_objects(lines, source):
         step = StepRecord(

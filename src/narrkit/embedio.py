@@ -36,7 +36,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .embedcore import _BLOCK, EmbeddingSet, _as_rows, _blocks, _pwrite
-from .jsonl import TEXT, InputError, iter_json_objects, want_str
+from .jsonl import TEXT, InputError, iter_json_objects, stream_name, want_str
 
 __all__ = ["MAGIC", "EmbeddingFile", "open_embeddings", "read_embeddings", "write_embeddings"]
 
@@ -199,7 +199,7 @@ def open_embeddings(source: Source) -> Iterator[EmbeddingFile]:
         if isinstance(source, (str, os.PathLike)):
             fh, name = stack.enter_context(open(source, "rb")), os.fspath(source)
         else:
-            fh, name = source, getattr(source, "name", "<input>")
+            fh, name = source, stream_name(source)
         raw = getattr(fh, "raw", fh)
         if not (isinstance(raw, io.FileIO) and raw.seekable()):  # its fileno() may not hold its bytes
             fh, stream = stack.enter_context(tempfile.TemporaryFile()), fh
@@ -312,7 +312,7 @@ def _write_rows(
         _pwrite(fh.fileno(), head, 0)
         ids = fill(fh.fileno(), len(head))
         if not in_place:
-            return write_embeddings(EmbeddingFile(fh, getattr(sink, "name", "<output>"), ids), sink, fmt)
+            return write_embeddings(EmbeddingFile(fh, stream_name(sink, "<output>"), ids), sink, fmt)
         tail = _id_block(ids)
         _pwrite(fh.fileno(), tail, len(head) + 4 * shape[0] * shape[1])
         return len(head) + 4 * shape[0] * shape[1] + len(tail)

@@ -1,10 +1,11 @@
 """Strict line-delimited JSON, shared by every narrkit reader.
 
-Each non-blank line must hold one JSON object, decoded in one ``raw_decode``
-call. ``NaN`` and ``Infinity`` are rejected, and the ``want_*`` helpers check
-field types instead of coercing them. Every error is an ``InputError`` naming
-the source and, for line-delimited input, the 1-based line. Readers open text
-with ``TEXT``, so a byte that is not UTF-8 is an ``InputError`` too.
+Each line that holds more than JSON's whitespace must hold one JSON object,
+decoded in one ``raw_decode`` call. ``NaN`` and ``Infinity`` are rejected, and
+the ``want_*`` helpers check field types instead of coercing them. Every error
+is an ``InputError`` naming the source and, for line-delimited input, the
+1-based line. Readers open text with ``TEXT``, so a byte that is not UTF-8 is
+an ``InputError`` too.
 
 ``write_manifest`` and ``format_match_record`` build each line with an
 f-string from ``encode_str`` and ``encode_number``, which write exactly what
@@ -49,6 +50,13 @@ class InputError(ValueError):
         self.line = line
         self.source = source
         super().__init__(message if line is None else f"line {line}: {message}")
+
+
+def stream_name(stream, default: str = "<input>") -> str:
+    """A stream's ``name`` for error messages, or ``default`` when that is not a
+    string: ``os.fdopen(fd).name`` is the descriptor, an int."""
+    name = getattr(stream, "name", None)
+    return name if isinstance(name, str) else default
 
 
 class _NonFinite(ValueError):
@@ -102,9 +110,10 @@ def decode_object(text: str, line: int | None, source: str) -> dict:
 
 
 def iter_json_objects(lines: Iterable[str], source: str) -> Iterator[tuple[int, dict]]:
-    """Yield ``(lineno, record)`` for each non-blank line, numbered from 1."""
+    """Yield ``(lineno, record)`` for each line that holds more than JSON's
+    whitespace, numbered from 1."""
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        line = raw.strip(" \t\n\r")  # JSON's whitespace only
         if line:
             yield lineno, decode_object(line, lineno, source)
 

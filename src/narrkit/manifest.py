@@ -25,8 +25,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Union
 
-from .jsonl import (TEXT, InputError, encode_number, encode_str, iter_json_objects, want_choice,
-                    want_number, want_str, want_text)
+from .jsonl import (TEXT, InputError, encode_number, encode_str, iter_json_objects, stream_name,
+                    want_choice, want_number, want_str, want_text)
 
 __all__ = [
     "ManifestError",
@@ -50,28 +50,42 @@ ManifestSource = Union[str, os.PathLike, IO[str], Iterable[str]]
 ManifestError = InputError
 
 
-@dataclass(frozen=True, slots=True)
-class TimeInterval:
-    """Finite time span in seconds; end must lie strictly after start."""
+class TimeInterval(complex):
+    """Finite time span in seconds; end must lie strictly after start.
 
-    start_s: float
-    end_s: float
+    An immutable value that stores both endpoints as doubles in the object
+    itself: ``start_s`` is the real part and ``end_s`` the imaginary part, so
+    an interval holds no float objects and each read builds one. It compares
+    and hashes as the complex number with those parts; arithmetic inherited
+    from ``complex`` is not part of its API.
+    """
 
-    def __post_init__(self):
-        if not (math.isfinite(self.start_s) and math.isfinite(self.end_s)):
-            raise ValueError(
-                f"interval endpoints must be finite, got [{self.start_s}, {self.end_s}]"
-            )
-        if self.start_s < 0:
-            raise ValueError(f"interval start must be >= 0, got {self.start_s}")
-        if self.end_s <= self.start_s:
-            raise ValueError(
-                f"interval end must exceed start, got [{self.start_s}, {self.end_s}]"
-            )
+    __slots__ = ()
+    __match_args__ = ("start_s", "end_s")
+
+    start_s = complex.real
+    end_s = complex.imag
+
+    def __new__(cls, start_s: float, end_s: float):
+        if isinstance(start_s, complex) or isinstance(end_s, complex):
+            raise TypeError("interval endpoints must be real numbers")
+        self = complex.__new__(cls, start_s, end_s)
+        # Checked as stored: two ints may convert to the same double.
+        start_s, end_s = self.real, self.imag
+        if not (math.isfinite(start_s) and math.isfinite(end_s)):
+            raise ValueError(f"interval endpoints must be finite, got [{start_s}, {end_s}]")
+        if start_s < 0:
+            raise ValueError(f"interval start must be >= 0, got {start_s}")
+        if end_s <= start_s:
+            raise ValueError(f"interval end must exceed start, got [{start_s}, {end_s}]")
+        return self
+
+    def __repr__(self) -> str:
+        return f"TimeInterval(start_s={self.real!r}, end_s={self.imag!r})"
 
     @property
     def length_s(self) -> float:
-        return self.end_s - self.start_s
+        return self.imag - self.real
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,7 +169,7 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
     if isinstance(source, (str, os.PathLike)):
         with open(source, **TEXT) as fh:
             return parse_manifest(fh)
-    name = getattr(source, "name", "<input>")
+    name = stream_name(source)
     videos: dict[str, VideoEntry] = {}
     # Each video's clips by clip_id: the duplicate check and, in line order, the clips.
     clips: defaultdict[str, dict[str, ClipRecord]] = defaultdict(dict)
@@ -205,12 +219,13 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
         entry = manifest.videos[video_id] = videos.get(video_id) or VideoEntry()
         # Each video's dict goes as its list is made; the stable sort keeps line order.
         entry.clips = sorted(clips.pop(video_id, {}).values(), key=lambda c: c.interval.start_s)
-        records = actions.get(video_id)
-        if records is not None:
-            # full-key sort keeps parsing insensitive to input line order even
-            # for actions sharing a start time
-            records.sort(key=lambda a: (a.interval.start_s, a.interval.end_s, a.description))
-            manifest.actions[video_id] = records
+        if video_id in actions:
+            # A new list sized to its records, not the one append over-allocated.
+            # The full-key sort keeps parsing insensitive to input line order even
+            # for actions sharing a start time.
+            manifest.actions[video_id] = sorted(
+                actions.pop(video_id), key=lambda a: (a.interval.start_s, a.interval.end_s, a.description)
+            )
     return manifest
 
 

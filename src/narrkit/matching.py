@@ -35,7 +35,8 @@ from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .jsonl import encode_str, iter_json_objects, want_choice, want_int, want_number, want_str
+from .jsonl import (encode_str, iter_json_objects, stream_name, want_choice, want_int, want_number,
+                    want_str)
 from .manifest import ActionRecord, ClipRecord, DatasetManifest, TimeInterval, VideoEntry
 from .params import MatchThresholds
 
@@ -86,10 +87,14 @@ def interval_iou(a: TimeInterval, b: TimeInterval) -> float:
     both inputs. Symmetric, translation invariant, and exactly 1.0 only for
     identical intervals.
     """
-    intersection = min(a.end_s, b.end_s) - max(a.start_s, b.start_s)
+    return _iou(a.start_s, a.end_s, b.start_s, b.end_s)
+
+
+def _iou(a_start: float, a_end: float, b_start: float, b_end: float) -> float:
+    intersection = min(a_end, b_end) - max(a_start, b_start)
     if intersection <= 0:
         return 0.0
-    hull = max(a.end_s, b.end_s) - min(a.start_s, b.start_s)
+    hull = max(a_end, b_end) - min(a_start, b_start)
     return intersection / hull  # rounding is monotone, so hull >= intersection > 0
 
 
@@ -107,14 +112,13 @@ def match_clip_action(
             f"cannot match across videos: clip '{clip.video_id}' vs "
             f"action '{action.video_id}'"
         )
-    iou = interval_iou(clip.interval, action.interval)
-    start_diff = abs(clip.interval.start_s - action.interval.start_s)
+    # Each endpoint read builds a float, so each is read once.
+    clip_start, clip_end = clip.interval.start_s, clip.interval.end_s
+    action_start, action_end = action.interval.start_s, action.interval.end_s
+    iou = _iou(clip_start, clip_end, action_start, action_end)
+    start_diff = abs(clip_start - action_start)
     rule_b = iou > th.iou_high
-    rule_a = (
-        start_diff < th.max_start_diff_s
-        and clip.interval.end_s > action.interval.end_s
-        and iou > th.iou_low
-    )
+    rule_a = start_diff < th.max_start_diff_s and clip_end > action_end and iou > th.iou_low
     if rule_b:
         return MatchDecision(iou, start_diff, MatchRule.RULE_B)
     if rule_a:
@@ -289,7 +293,7 @@ _RULES = {rule.value: rule for rule in MatchRule}
 
 
 def parse_match_records(lines: Iterable[str]) -> Iterator[MatchRecord]:
-    source = getattr(lines, "name", "<input>")
+    source = stream_name(lines)
     rules = tuple(_RULES)
     for lineno, rec in iter_json_objects(lines, source):
         yield MatchRecord(

@@ -12,12 +12,13 @@ any 0-100 conversion of ratings is left to consumers.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import reduce
 from typing import Iterable
 
-from .jsonl import InputError, iter_json_objects, want_choice, want_int, want_str
+from .jsonl import InputError, iter_json_objects, stream_name, want_choice, want_int, want_str
 
 __all__ = [
     "MatchTier",
@@ -150,13 +151,14 @@ _TIERS = {tier.value: tier for tier in MatchTier}
 
 def read_tier_judgments(lines: Iterable[str]) -> list[TierJudgment]:
     """Read line-delimited {item_id, rater_id, tier} records."""
-    source = getattr(lines, "name", "<input>")
+    source = stream_name(lines)
     tiers = tuple(_TIERS)
     return [
         TierJudgment(
             want_str(rec, "item_id", lineno, source),
             _TIERS[want_choice(rec, "tier", tiers, lineno, source)],
-            want_str(rec, "rater_id", lineno, source),
+            # Interned: a corpus has a few raters with many judgments each.
+            sys.intern(want_str(rec, "rater_id", lineno, source)),
         )
         for lineno, rec in iter_json_objects(lines, source)
     ]
@@ -164,7 +166,7 @@ def read_tier_judgments(lines: Iterable[str]) -> list[TierJudgment]:
 
 def read_vlm_ratings(lines: Iterable[str]) -> list[VLMRating]:
     """Read line-delimited {item_id, rating} records; ratings must be 0..6."""
-    source = getattr(lines, "name", "<input>")
+    source = stream_name(lines)
     out = []
     for lineno, rec in iter_json_objects(lines, source):
         item_id = want_str(rec, "item_id", lineno, source)

@@ -1174,6 +1174,12 @@ class TestStrictInput:
             ("--tiers", '{"item_id": "a", "rater_id": null, "tier": "VeryMatch"}',
              "field 'rater_id' must be a non-empty string"),
             ("--ratings", '{"item_id": "a", "rating": true}', "field 'rating' must be an integer"),
+            # Only JSON's whitespace is blank: str.strip() would also drop these three.
+            ("--tiers", "\x1c", "invalid JSON: Expecting value"),
+            ("--tiers", '\u00a0{"item_id": "a", "rater_id": "r", "tier": "VeryMatch"}',
+             "invalid JSON: Expecting value"),
+            ("--tiers", '{"item_id": "a", "rater_id": "r", "tier": "VeryMatch"}\u2028',
+             "invalid JSON: Extra data"),
             # "\udcff" is written as the raw byte 0xff, which is not UTF-8
             *((flag, '{"x": "\udcff"}', "invalid UTF-8") for flag in (
                 "--manifest", "--matches", "--caption-tokens", "--action-tokens", "--tiers",
@@ -1182,7 +1188,8 @@ class TestStrictInput:
         ids=[
             "steps-array", "steps-string-index", "steps-number-caption", "tokens-array",
             "tokens-string-count", "tokens-negative", "tokens-400-digits", "matches-nan", "matches-minus-infinity",
-            "matches-number-video", "tiers-null-rater", "ratings-bool", "manifest-bad-utf8",
+            "matches-number-video", "tiers-null-rater", "ratings-bool", "tiers-file-separator",
+            "tiers-leading-no-break-space", "tiers-trailing-line-separator", "manifest-bad-utf8",
             "matches-bad-utf8", "caption-tokens-bad-utf8", "action-tokens-bad-utf8",
             "tiers-bad-utf8", "ratings-bad-utf8", "steps-bad-utf8", "embeddings-bad-utf8",
         ],

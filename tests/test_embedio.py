@@ -197,6 +197,15 @@ class TestJsonl:
         read_embeddings(buf)
         assert not buf.closed
 
+    def test_stream_named_by_its_descriptor_is_input(self):
+        # os.fdopen names its file by the descriptor, an int
+        r, w = os.pipe()
+        os.write(w, b'{"values": [1.0]}\n[2.0]\n')
+        os.close(w)
+        with os.fdopen(r, "rb") as fh, pytest.raises(InputError) as err:
+            read_embeddings(fh)
+        assert (err.value.source, str(err.value)) == ("<input>", "line 2: record must be a JSON object")
+
     def test_reads_hand_written_records(self):
         text = '{"id": "a", "values": [1.0, 2.0]}\n{"id": "b", "values": [3.0, 4.0]}\n'
         es = read_embeddings(io.BytesIO(text.encode()))

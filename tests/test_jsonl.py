@@ -6,12 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from narrkit import jsonl
-from narrkit.jsonl import InputError, decode_object, iter_json_objects, want_int, want_number, want_str
+from narrkit.jsonl import (InputError, decode_object, iter_json_objects, stream_name, want_int, want_number,
+                           want_str)
 
 
 def test_yields_objects_with_line_numbers():
     lines = ['{"a": 1}', "", "   ", '{"b": [2, {"c": null}]}\n']
     assert list(iter_json_objects(lines, "f")) == [(1, {"a": 1}), (4, {"b": [2, {"c": None}]})]
+
+
+def test_stream_name_is_a_string(tmp_path):
+    path = tmp_path / "f.jsonl"
+    path.write_text("")
+    with open(path) as fh, open(fh.fileno(), closefd=False) as by_fd:
+        assert (stream_name(fh), stream_name(by_fd), stream_name([]), stream_name([], "<output>")) == (
+            str(path), "<input>", "<input>", "<output>")
 
 
 @pytest.mark.parametrize(

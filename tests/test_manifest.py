@@ -42,6 +42,33 @@ class TestTimeInterval:
         with pytest.raises(ValueError):
             TimeInterval(start, end)
 
+    def test_repr(self):
+        assert repr(TimeInterval(1.5, 2.0)) == "TimeInterval(start_s=1.5, end_s=2.0)"
+
+    def test_endpoints_are_floats(self):
+        interval = TimeInterval(0, 10)
+        assert (type(interval.start_s), interval.start_s) == (float, 0.0)
+        assert (type(interval.end_s), interval.end_s) == (float, 10.0)
+
+    def test_checked_as_stored(self):
+        # Both ints round to the same double, as the parser reads them.
+        with pytest.raises(ValueError, match="interval end must exceed start"):
+            TimeInterval(2**60, 2**60 + 1)
+
+    def test_complex_endpoint_rejected(self):
+        with pytest.raises(TypeError):
+            TimeInterval(1j, 5.0)
+
+    @pytest.mark.parametrize("endpoint", ["start_s", "end_s"])
+    def test_immutable(self, endpoint):
+        with pytest.raises(AttributeError):
+            setattr(TimeInterval(1.0, 2.0), endpoint, 3.0)
+
+    def test_equal_intervals_compare_and_hash_alike(self):
+        a, b = TimeInterval(1.0, 2.5), TimeInterval(1, 2.5)
+        assert a == b and hash(a) == hash(b)
+        assert a != TimeInterval(1.0, 3.0)
+
 
 class TestParse:
     def test_cardinality(self):

@@ -47,8 +47,7 @@ from narrkit.embedcore import (_BLOCK, EmbeddingSet, PerturbationSpec, clip_t_sc
                                perturb_set, population_std, regression_loss)
 from narrkit.embedio import open_embeddings, read_embeddings, write_embeddings
 from narrkit.context import read_step_sequences
-from narrkit.manifest import (ActionRecord, ClipRecord, DatasetManifest, TimeInterval, dumps_manifest,
-                              parse_manifest)
+from narrkit.manifest import ActionRecord, ClipRecord, DatasetManifest, dumps_manifest, parse_manifest
 from narrkit.matching import (FilterPolicy, MatchRecord, _fold_matches, format_match_record, match_dataset,
                               parse_match_records)
 
@@ -422,6 +421,28 @@ def test_parse_manifest_frees_its_temporaries(manifest_lines):
     assert peak - retained <= 0.1 * retained
 
 
+def test_parsed_intervals_hold_no_floats(manifest_lines):
+    # A TimeInterval stores both endpoints as doubles in itself. A slotted pair of
+    # float objects cost 48 more bytes an interval.
+    for records in manifest_lists(parse_manifest(manifest_lines)):
+        for record in records:
+            assert not any(isinstance(o, float) for o in gc.get_referents(record.interval))
+
+
+def test_parse_manifest_retains_little_per_record(manifest_lines):
+    # A clip or action record here keeps 229-245 bytes on Python 3.10-3.13, its text
+    # included. Intervals holding two float objects each, and action lists as append
+    # left them, kept 278-294.
+    n_records = sum(map(len, manifest_lists(parse_manifest(manifest_lines))))  # also fills the free lists
+    assert traced_retained(parse_manifest, manifest_lines) <= 260 * n_records
+
+
+def test_parsed_action_lists_fit_their_records(manifest_lines):
+    # Each is a sorted copy, sized as any copy of it is; the list append grew kept spare slots.
+    for records in parse_manifest(manifest_lines).actions.values():
+        assert sys.getsizeof(records) == sys.getsizeof(list(records))
+
+
 def test_guards_trace_with_the_collector_off():
     # As the CLI runs. With it on, a collection mid-trace once moved
     # test_filter_peak_does_not_grow_with_repeated_matches past its bound.
@@ -459,8 +480,9 @@ def test_windows_peak_grows_by_less_than_its_output(tmp_path):
 
 
 # The record types the readers build, without slots, so each instance carries a dict.
+# A TimeInterval is a complex value with no fields, so it stays as it is.
 _DICT_TWINS = {cls: make_dataclass(cls.__name__, [f.name for f in fields(cls)], frozen=True)
-               for cls in (TimeInterval, ClipRecord, ActionRecord, MatchRecord)}
+               for cls in (ClipRecord, ActionRecord, MatchRecord)}
 
 
 def with_instance_dict(record):

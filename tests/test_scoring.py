@@ -142,6 +142,10 @@ class TestReaders:
         assert out[0].tier is MatchTier.VERY_MATCH
         assert out[1].rater_id == "r2"
 
+    def test_judgments_of_a_rater_share_its_id(self):
+        lines = [f'{{"item_id": "i{k}", "rater_id": "rater-7", "tier": "GoodMatch"}}' for k in range(3)]
+        assert len({id(j.rater_id) for j in read_tier_judgments(lines)}) == 1
+
     def test_unknown_tier_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             read_tier_judgments(['{"item_id": "a", "rater_id": "r", "tier": "Great"}'])
