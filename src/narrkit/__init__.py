@@ -4,13 +4,14 @@ The package splits into small, independently usable modules:
 
 - ``manifest``: corpus data model, line-delimited manifest I/O, validation
 - ``matching``: interval IoU and temporal action-to-clip matching/filtering
-- ``stats``: histograms and summary profiles of a corpus
+- ``stats``: histograms and summary profiles of a corpus, and its token-count files
 - ``scoring``: human tier rubric and 0-6 rating aggregation
 - ``embedcore``: losses, perturbations and distribution metrics over embeddings
 - ``embedio``: binary and JSONL embedding file formats
 - ``jsonl``: strict line-delimited JSON decoding and field checks for every reader
-- ``params``: the settings every command range-checks (matching thresholds,
-  context length, embedding loss and perturbation), with no numpy
+- ``params``: the settings every command range-checks, with their defaults
+  (matching thresholds, context length, worker count, histogram edges,
+  embedding loss and perturbation), with no numpy
 - ``context``: narrative sequences and rolling conditioning windows
 - ``cli``: the ``narrkit`` command-line driver
 
@@ -20,7 +21,7 @@ imported on first use: ``from narrkit import histogram`` loads no numpy.
 
 import importlib.util
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 # Library modules whose ``__all__`` makes up the package namespace (``cli``
 # is the driver, not a library). The numpy-free ones come first, so that a

@@ -24,17 +24,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import io
 import json
 import math
 import os
 import sys
-from collections import defaultdict
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING, Iterator, get_type_hints
+from typing import TYPE_CHECKING, get_type_hints
 
-from .jsonl import TEXT, InputError, decode_object, iter_json_objects, want_int, want_number, want_str
-from .params import (MatchThresholds, PerturbationSpec, RegressionLossParams, check_context_length,
-                     check_threads)
+from .jsonl import TEXT, InputError, decode_object, want_number
+from .params import (DEFAULT_EDGES, MatchThresholds, PerturbationSpec, RegressionLossParams,
+                     check_context_length, check_edges, check_threads)
 
 if TYPE_CHECKING:  # it loads numpy, so the embedding handlers import it as they run
     from . import embedcore
@@ -50,7 +50,7 @@ class RunConfig:
     loss_params: RegressionLossParams
     perturbation: PerturbationSpec
     k: int
-    histogram_edges: dict[str, list[float]]
+    histogram_edges: dict[str, list[float]] | None
     threads: int
     # Each setting given by a flag or the config file, mapped to that flag or the file's path.
     sources: dict[str, str]
@@ -89,14 +89,12 @@ def _load_config(path: str | None) -> dict:
         elif type(value) is not kind:
             raise InputError(f"field '{key}' must be a JSON {kind.__name__}", source=path)
     edges = cfg.get("histogram_edges", {})
-    if edges:  # the one setting whose check lives in a command's module
-        from . import stats
     for name, values in edges.items():
-        if name not in stats.DEFAULT_EDGES or not isinstance(values, list):
+        if name not in DEFAULT_EDGES or not isinstance(values, list):
             raise InputError(f"field 'histogram_edges' has no list for '{name}'", source=path)
         edges[name] = [want_number({name: v}, name, None, path) for v in values]
         try:  # before any input is read, whether or not the command draws histograms
-            stats.check_edges(edges[name])
+            check_edges(edges[name])
         except ValueError as exc:
             raise InputError(f"field 'histogram_edges' for '{name}': {exc}", source=path) from exc
     return cfg
@@ -130,8 +128,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         for name in [name for name in values if sources[name] != path]:
             del values[name]
             try:
-                if values:  # none left: the defaults pass, and a check such as k's has none
-                    make(**values)
+                make(**values)  # none left: the defaults pass
             except ValueError as exc:
                 error = exc
             else:
@@ -139,11 +136,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise InputError(str(error), source=path) from error
 
     sections = [build(cls, [f.name for f in fields(cls)]) for cls in _SECTIONS]  # with defaults
-    for name, check in (("k", check_context_length), ("threads", check_threads)):
-        if name in cfg:  # before any input is read; the defaults pass
-            build(check, [name])
-    return RunConfig(*sections, k=cfg.get("k", 2), histogram_edges=cfg.get("histogram_edges", {}),
-                     threads=cfg.get("threads", 1), sources=sources)
+    return RunConfig(*sections, build(check_context_length, ["k"]), cfg.get("histogram_edges"),
+                     build(check_threads, ["threads"]), sources)
 
 
 def _log(message: str) -> None:
@@ -162,6 +156,28 @@ def _blame(*paths: str):
         raise InputError(str(exc), source=paths[getattr(exc, "side", -1)]) from exc
 
 
+def _named(exc: OSError, name: str) -> OSError:
+    """``exc`` naming ``name``: the path asked for rather than its temp file, or a stream."""
+    return OSError(exc.errno, exc.strerror, name)
+
+
+class _Sink(io.FileIO):
+    """A primary output file whose failed open or write names ``label``, the path asked for."""
+
+    def __init__(self, path: str, mode: str, label: str):
+        try:
+            super().__init__(path, mode)
+        except OSError as exc:
+            raise _named(exc, label) from exc
+        self.label = label
+
+    def write(self, data):
+        try:
+            return super().write(data)
+        except OSError as exc:
+            raise _named(exc, self.label) from exc
+
+
 @contextlib.contextmanager
 def _outputs(*paths: str | None):
     """Yield one text sink per primary output path; None stands for stdout.
@@ -169,7 +185,8 @@ def _outputs(*paths: str | None):
     Each file is written to a temp file beside it, and the temp files replace
     their paths only once the block has returned and all are closed: a failed
     run leaves neither output nor temp file behind. An existing path that is
-    not a regular file, such as /dev/null, is written in place.
+    not a regular file, such as /dev/null, is written in place. A failed write
+    names its output, stdout as ``<stdout>``.
     """
     files, moves = [], []
     try:
@@ -177,24 +194,33 @@ def _outputs(*paths: str | None):
             if path is None:
                 continue
             if os.path.exists(path) and not os.path.isfile(path):
-                files.append(open(path, "w", encoding="utf-8", newline=""))
-                continue
-            target = os.path.realpath(path)
-            tmp = f"{target}.{os.getpid()}.tmp"
-            try:
-                files.append(open(tmp, "x", encoding="utf-8", newline=""))
-            except OSError as exc:  # report the path asked for, not the temp file
-                raise type(exc)(exc.errno, exc.strerror, path) from exc
-            moves.append((tmp, target, path))
+                raw = _Sink(path, "w", path)
+            else:
+                target = os.path.realpath(path)
+                tmp = f"{target}.{os.getpid()}.tmp"
+                raw = _Sink(tmp, "x", path)
+                moves.append((tmp, target, path))
+            files.append(io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", newline=""))
         opened = iter(files)
         yield [sys.stdout if path is None else next(opened) for path in paths]
+        if None in paths:  # while a failure can still name stdout
+            sys.stdout.flush()
         for fh in files:
             fh.close()
         for tmp, target, path in moves:
             try:
                 os.replace(tmp, target)
-            except OSError as exc:  # report the path asked for, not the temp file
-                raise type(exc)(exc.errno, exc.strerror, path) from exc
+            except OSError as exc:
+                raise _named(exc, path) from exc
+    except OSError as exc:
+        if exc.filename is not None or None not in paths:
+            raise
+        # Only stdout's writes name nothing. The bytes it still holds would fail again as the
+        # interpreter exits, so stdout now leads to the null device, as Python's docs advise.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise _named(exc, "<stdout>") from exc
     finally:
         for fh in files:
             fh.close()
@@ -248,7 +274,7 @@ def cmd_filter(args, rc: RunConfig) -> int:
     manifest = parse_manifest(args.manifest)
     policy = matching.FilterPolicy(args.policy)
     with open(args.matches, **TEXT) as fh, _blame(args.matches):
-        folded = matching._fold_matches(manifest, matching.parse_match_records(fh), policy)
+        folded = matching._fold_matches(manifest, matching.parse_match_records(fh), policy, unique=True)
     filtered = DatasetManifest(actions=manifest.actions)
     with _outputs(args.out, args.assignment) as (out, assignment):
         for video_id, entry, indices in matching._kept_clips(manifest, folded, policy):
@@ -264,33 +290,6 @@ def cmd_filter(args, rc: RunConfig) -> int:
     return 0
 
 
-# Per kind of token file: the field that keys each count within its video.
-_TOKEN_KEYS = {"caption": ("clip_id", want_str), "action": ("action_index", want_int)}
-
-
-def _read_token_counts(kind: str, path: str, keys: Iterator[tuple]) -> list[int]:
-    """The ``tokens`` count of each key, in order; there must be keys, and each must be present once."""
-    field, want_key = _TOKEN_KEYS[kind]
-    tables: defaultdict[str, dict] = defaultdict(dict)  # per video id, interned as the manifest's are
-    with open(path, **TEXT) as fh:
-        for lineno, rec in iter_json_objects(fh, path):
-            video_id = sys.intern(want_str(rec, "video_id", lineno, path))
-            key, table = want_key(rec, field, lineno, path), tables[video_id]
-            if key in table:
-                raise InputError(f"duplicate {kind} token count for {(video_id, key)}", lineno, path)
-            count = table[key] = want_int(rec, "tokens", lineno, path)
-            if not 0 <= count <= 2**53:  # a histogram bins each count as an exact float
-                raise InputError("field 'tokens' must be an integer in [0, 2**53]", lineno, path)
-    counts = []
-    for video_id, key in keys:
-        if key not in tables[video_id]:
-            raise InputError(f"missing {kind} token count for {(video_id, key)}", source=path)
-        counts.append(tables[video_id][key])
-    if not counts:
-        raise InputError("no records to profile", source=path)
-    return counts
-
-
 def cmd_stats(args, rc: RunConfig) -> int:
     from . import stats
     from .manifest import parse_manifest
@@ -298,17 +297,10 @@ def cmd_stats(args, rc: RunConfig) -> int:
     manifest = parse_manifest(args.manifest)
     caption_tokens = action_tokens = None
     if args.caption_tokens:
-        clips = ((clip.video_id, clip.clip_id) for clip in manifest.iter_clips())
-        caption_tokens = _read_token_counts("caption", args.caption_tokens, clips)
+        caption_tokens = stats.read_token_counts("caption", args.caption_tokens, manifest)
     if args.action_tokens:
-        actions = ((v, i) for v, records in manifest.actions.items() for i in range(len(records)))
-        action_tokens = _read_token_counts("action", args.action_tokens, actions)
-    report = stats.dataset_report(
-        manifest,
-        edges=rc.histogram_edges or None,
-        caption_tokens=caption_tokens,
-        action_tokens=action_tokens,
-    )
+        action_tokens = stats.read_token_counts("action", args.action_tokens, manifest)
+    report = stats.dataset_report(manifest, rc.histogram_edges, caption_tokens, action_tokens)
     with _outputs(args.out) as (out,):
         out.write(json.dumps(report, indent=2) + "\n")
     _log(f"profiled {manifest.n_videos} videos")

@@ -109,7 +109,10 @@ class EmbeddingFile:
         start = self._offset + lo * self.dim * 4
         got = 0
         while got < len(view):
-            n = os.preadv(self._fd, [view[got:]], start + got)
+            try:
+                n = os.preadv(self._fd, [view[got:]], start + got)
+            except OSError as exc:  # name the set, as a failed write names its output
+                raise OSError(exc.errno, exc.strerror, self.name) from exc
             if not n:  # the file is shorter now: say by how much, whichever row ran short
                 size = self._fh.seek(0, io.SEEK_END) - self._offset
                 raise InputError(f"embedding file truncated: expected {self._payload} data bytes, "

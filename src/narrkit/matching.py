@@ -35,8 +35,8 @@ from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .jsonl import (encode_str, iter_json_objects, stream_name, want_choice, want_int, want_number,
-                    want_str)
+from .jsonl import (InputError, encode_str, iter_json_objects, stream_name, want_choice, want_int,
+                    want_number, want_str)
 from .manifest import ActionRecord, ClipRecord, DatasetManifest, TimeInterval, VideoEntry
 from .params import MatchThresholds
 
@@ -217,10 +217,11 @@ def filter_matched(
 
 
 def _fold_matches(
-    m: DatasetManifest, matches: Iterable[MatchRecord], policy: FilterPolicy
+    m: DatasetManifest, matches: Iterable[MatchRecord], policy: FilterPolicy, unique: bool = False
 ) -> dict[str, list]:
     """filter_matched's fold: per video with a match, one entry or None per clip, in clip order.
-    Under BEST_PER_CLIP an entry is an action index, and each clip's IoU follows the entries."""
+    Under BEST_PER_CLIP an entry is an action index, and each clip's IoU follows the entries.
+    With ``unique``, a KEEP_ALL match whose clip already holds its action index is an error."""
     best = policy is FilterPolicy.BEST_PER_CLIP
     folded: dict[str, list] = {}
     # The video the previous match named: its clips' positions by clip_id, its actions and its
@@ -248,6 +249,9 @@ def _fold_matches(
         if not best:
             if slots[i] is None:
                 slots[i] = []
+            elif unique and rec.action_index in slots[i]:
+                raise ValueError(f"match repeats action index {rec.action_index} for clip "
+                                 f"'{rec.clip_id}' in video '{rec.video_id}'")
             slots[i].append(rec.action_index)
             continue
         # Only a strictly better match by (-iou, action start, action index) wins, as in min().
@@ -293,15 +297,19 @@ _RULES = {rule.value: rule for rule in MatchRule}
 
 
 def parse_match_records(lines: Iterable[str]) -> Iterator[MatchRecord]:
+    """Each match line as a record; an IoU or a start gap that ``match`` cannot write is an error."""
     source = stream_name(lines)
     rules = tuple(_RULES)
     for lineno, rec in iter_json_objects(lines, source):
-        yield MatchRecord(
-            # Interned, so that the records of a video share one string, the manifest's too.
-            sys.intern(want_str(rec, "video_id", lineno, source)),
-            want_str(rec, "clip_id", lineno, source),
-            want_int(rec, "action_index", lineno, source),
-            want_number(rec, "iou", lineno, source),
-            want_number(rec, "start_diff_s", lineno, source),
-            _RULES[want_choice(rec, "rule", rules, lineno, source)],
-        )
+        # Interned, so that the records of a video share one string, the manifest's too.
+        video_id = sys.intern(want_str(rec, "video_id", lineno, source))
+        clip_id = want_str(rec, "clip_id", lineno, source)
+        action_index = want_int(rec, "action_index", lineno, source)
+        iou = want_number(rec, "iou", lineno, source)
+        if not 0.0 <= iou <= 1.0:
+            raise InputError("field 'iou' must be in [0, 1]", lineno, source)
+        start_diff_s = want_number(rec, "start_diff_s", lineno, source)
+        if start_diff_s < 0.0:
+            raise InputError("field 'start_diff_s' must be >= 0", lineno, source)
+        yield MatchRecord(video_id, clip_id, action_index, iou, start_diff_s,
+                          _RULES[want_choice(rec, "rule", rules, lineno, source)])

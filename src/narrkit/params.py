@@ -1,16 +1,18 @@
 """Settings that the CLI range-checks for every command before it reads any
-input: the matching thresholds, the context length and the embedding kernels'
-settings. They import nothing but the standard library, so checking them loads
-no command's module; ``matching``, ``context`` and ``embedcore`` re-export
-their own under the same names."""
+input: the matching thresholds, the context length, the worker count, the
+histogram edges and the embedding kernels' settings, each with its default.
+They import nothing but the standard library, so checking them loads no
+command's module; ``matching``, ``context``, ``stats`` and ``embedcore``
+re-export their own under the same names."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-__all__ = ["MatchThresholds", "check_context_length", "check_threads", "RegressionLossParams",
-           "PerturbationSpec"]
+__all__ = ["MatchThresholds", "check_context_length", "check_threads", "check_edges", "DEFAULT_EDGES",
+           "RegressionLossParams", "PerturbationSpec"]
 
 
 @dataclass(frozen=True)
@@ -31,16 +33,38 @@ class MatchThresholds:
             raise ValueError(f"max_start_diff_s must be >= 0, got {self.max_start_diff_s}")
 
 
-def check_context_length(k: int) -> None:
-    """Raise ValueError unless k is a context length build_windows accepts."""
+def check_context_length(k: int = 2) -> int:
+    """Return k, or raise ValueError unless it is a context length build_windows accepts."""
     if not 1 <= k <= 3:
         raise ValueError(f"context length k must be in 1..3, got {k}")
+    return k
 
 
-def check_threads(threads: int) -> None:
-    """Raise ValueError unless threads is a worker count perturb_set accepts."""
+def check_threads(threads: int = 1) -> int:
+    """Return threads, or raise ValueError unless it is a worker count perturb_set accepts."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    return threads
+
+
+def check_edges(edges: Sequence[float]) -> None:
+    """Raise ValueError unless edges are at least two strictly increasing numbers."""
+    if len(edges) < 2:
+        raise ValueError("need at least two bin edges")
+    if not all(hi > lo for lo, hi in zip(edges, edges[1:])):  # a NaN edge fails too
+        raise ValueError("bin edges must be strictly increasing")
+
+
+# The bin edges of each histogram that ``stats`` reports.
+DEFAULT_EDGES: dict[str, list[float]] = {
+    "video_length_s": [float(e) for e in range(0, 630, 30)],
+    "clip_length_s": [float(e) for e in range(0, 65, 5)],
+    "clips_per_video": [float(e) for e in range(0, 32, 2)],
+    "action_words": [float(e) for e in range(0, 105, 5)],
+    "caption_words": [float(e) for e in range(0, 160, 10)],
+    "action_tokens": [float(e) for e in range(0, 170, 10)],
+    "caption_tokens": [float(e) for e in range(0, 210, 10)],
+}
 
 
 @dataclass(frozen=True)

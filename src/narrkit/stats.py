@@ -1,4 +1,4 @@
-"""Corpus profiling: histograms and summary aggregates.
+"""Corpus profiling: histograms, summary aggregates and token-count files.
 
 Histogram bins are half-open [lo, hi); values below the first edge land in
 ``underflow`` and values at or above the last edge in ``overflow``, so the
@@ -8,12 +8,17 @@ even sample sizes, keeping summaries deterministic without interpolation.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from math import fsum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-if TYPE_CHECKING:  # a config's histogram_edges are checked without loading the manifest model
+from .jsonl import TEXT, InputError, iter_json_objects, want_int, want_str
+from .params import DEFAULT_EDGES, check_edges
+
+if TYPE_CHECKING:  # for annotations only: ``from narrkit import histogram`` loads no manifest model
     from .manifest import DatasetManifest
 
 __all__ = [
@@ -25,6 +30,7 @@ __all__ = [
     "clip_length_summary",
     "clips_per_video_summary",
     "word_count",
+    "read_token_counts",
     "dataset_report",
     "DEFAULT_EDGES",
 ]
@@ -55,14 +61,6 @@ class SummaryStats:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def check_edges(edges: Sequence[float]) -> None:
-    """Raise ValueError unless edges are at least two strictly increasing numbers."""
-    if len(edges) < 2:
-        raise ValueError("need at least two bin edges")
-    if not all(hi > lo for lo, hi in zip(edges, edges[1:])):  # a NaN edge fails too
-        raise ValueError("bin edges must be strictly increasing")
 
 
 def histogram(values: Iterable[float], bin_edges: Sequence[float]) -> Histogram:
@@ -118,15 +116,35 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-DEFAULT_EDGES: dict[str, list[float]] = {
-    "video_length_s": [float(e) for e in range(0, 630, 30)],
-    "clip_length_s": [float(e) for e in range(0, 65, 5)],
-    "clips_per_video": [float(e) for e in range(0, 32, 2)],
-    "action_words": [float(e) for e in range(0, 105, 5)],
-    "caption_words": [float(e) for e in range(0, 160, 10)],
-    "action_tokens": [float(e) for e in range(0, 170, 10)],
-    "caption_tokens": [float(e) for e in range(0, 210, 10)],
-}
+# Per kind of token file: the field that keys each count within its video.
+_TOKEN_KEYS = {"caption": ("clip_id", want_str), "action": ("action_index", want_int)}
+
+
+def read_token_counts(kind: str, path: str, m: DatasetManifest) -> list[int]:
+    """The ``tokens`` count of each of ``m``'s clips (``kind`` "caption", keyed by ``clip_id``)
+    or actions ("action", keyed by ``action_index``), in the manifest's order, from the JSONL
+    file at ``path``; there must be some, and each must be present once."""
+    field, want_key = _TOKEN_KEYS[kind]
+    tables: defaultdict[str, dict] = defaultdict(dict)  # per video id, interned as the manifest's are
+    with open(path, **TEXT) as fh:
+        for lineno, rec in iter_json_objects(fh, path):
+            video_id = sys.intern(want_str(rec, "video_id", lineno, path))
+            key, table = want_key(rec, field, lineno, path), tables[video_id]
+            if key in table:
+                raise InputError(f"duplicate {kind} token count for {(video_id, key)}", lineno, path)
+            count = table[key] = want_int(rec, "tokens", lineno, path)
+            if not 0 <= count <= 2**53:  # a histogram bins each count as an exact float
+                raise InputError("field 'tokens' must be an integer in [0, 2**53]", lineno, path)
+    keys = (((clip.video_id, clip.clip_id) for clip in m.iter_clips()) if kind == "caption" else
+            ((video_id, i) for video_id, records in m.actions.items() for i in range(len(records))))
+    counts = []
+    for video_id, key in keys:
+        if key not in tables[video_id]:
+            raise InputError(f"missing {kind} token count for {(video_id, key)}", source=path)
+        counts.append(tables[video_id][key])
+    if not counts:
+        raise InputError("no records to profile", source=path)
+    return counts
 
 
 def _entry(values, edges) -> dict:
@@ -147,9 +165,7 @@ def dataset_report(
     sections plus corpus-level counts. Token sections appear only when the
     corresponding precomputed counts are supplied.
     """
-    cfg = dict(DEFAULT_EDGES)
-    if edges:
-        cfg.update(edges)
+    cfg = {**DEFAULT_EDGES, **(edges or {})}
 
     durations = [
         e.duration_s for e in m.videos.values() if e.duration_s is not None

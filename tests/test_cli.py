@@ -244,6 +244,38 @@ class TestFilter:
         assert sorted(p.name for p in tmp_path.iterdir()) == left
         assert not existing or out.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("field,value,reason", [
+        ("iou", 5.0, "field 'iou' must be in [0, 1]"),
+        ("start_diff_s", -3.0, "field 'start_diff_s' must be >= 0"),
+    ], ids=["iou", "start-diff"])
+    def test_match_line_that_match_cannot_write(self, capsys, manifest_path, tmp_path, field, value, reason):
+        # An IoU of 5 would win --policy best over every match that match wrote.
+        matches = tmp_path / "matches.jsonl"
+        invoke(capsys, "match", "--manifest", manifest_path, "--out", str(matches))
+        lines = matches.read_text().splitlines(keepends=True)
+        lines[1] = json.dumps({**json.loads(lines[1]), field: value}) + "\n"
+        matches.write_text("".join(lines))
+        code, out, err = invoke(capsys, "filter", "--manifest", manifest_path, "--matches", str(matches))
+        assert (code, out, err) == (1, "", f"error: {matches}: line 2: {reason}\n")
+
+    def test_repeated_match_line_under_policy_all(self, capsys, manifest_path, tmp_path):
+        # The file twice over would give each clip its action indices twice, as [0, 0].
+        matches = tmp_path / "matches.jsonl"
+        invoke(capsys, "match", "--manifest", manifest_path, "--out", str(matches))
+        once = matches.read_text()
+        code, best_once, _ = invoke(capsys, "filter", "--manifest", manifest_path, "--matches", str(matches))
+        assert code == 0
+        matches.write_text(once + once)
+        first = json.loads(once.splitlines()[0])
+        code, out, err = invoke(capsys, "filter", "--manifest", manifest_path, "--matches", str(matches),
+                                "--policy", "all")
+        assert (code, out) == (1, "")
+        assert err == (f"error: {matches}: match repeats action index {first['action_index']} for clip "
+                       f"'{first['clip_id']}' in video '{first['video_id']}'\n")
+        # Under best a repeated line cannot change the output, so it is read as it is.
+        code, out, _ = invoke(capsys, "filter", "--manifest", manifest_path, "--matches", str(matches))
+        assert (code, out) == (0, best_once)
+
     def test_both_outputs_on_dev_null(self, capsys, manifest_path, tmp_path):
         matches = tmp_path / "matches.jsonl"
         invoke(capsys, "match", "--manifest", manifest_path, "--out", str(matches))
@@ -1034,6 +1066,9 @@ _EMPTY_PATHS = [
 ]
 
 
+_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
 class TestUsageAndConfig:
     def test_unknown_flag_exits_2(self, capsys, manifest_path):
         code, _, err = invoke(capsys, "match", "--manifest", manifest_path, "--bogus")
@@ -1093,6 +1128,65 @@ class TestUsageAndConfig:
         code, _, err = invoke(capsys, "match", "--manifest", manifest_path, "--out", str(out))
         assert code == 1
         assert err == f"error: {out}: No such file or directory\n"
+
+    @_FULL
+    @pytest.mark.parametrize("where", ["at-close", "in-a-write"])
+    def test_write_error_names_out(self, capsys, manifest_path, tmp_path, where):
+        # /dev/full takes every open and fails every write: a small output fails as its file
+        # closes, and one past the write buffer in a write.
+        if where == "at-close":
+            manifest_path = tmp_path / "one.jsonl"
+            manifest_path.write_text(
+                '{"kind": "video", "video_id": "v", "duration_s": 10}\n'
+                '{"kind": "clip", "video_id": "v", "clip_id": "c", "start_s": 0, "end_s": 5, "caption": "x"}\n'
+                '{"kind": "action", "video_id": "v", "start_s": 0, "end_s": 4, "description": "y"}\n')
+        size = len(invoke(capsys, "match", "--manifest", str(manifest_path))[1])
+        assert (0 < size < io.DEFAULT_BUFFER_SIZE) == (where == "at-close")
+        code, out, err = invoke(capsys, "match", "--manifest", str(manifest_path), "--out", "/dev/full")
+        assert (code, out, err) == (1, "", "error: /dev/full: No space left on device\n")
+
+    @_FULL
+    def test_write_error_names_assignment(self, capsys, manifest_path, tmp_path):
+        matches, out = tmp_path / "matches.jsonl", tmp_path / "out" / "f.jsonl"
+        invoke(capsys, "match", "--manifest", manifest_path, "--out", str(matches))
+        out.parent.mkdir()
+        code, _, err = invoke(capsys, "filter", "--manifest", manifest_path, "--matches", str(matches),
+                              "--out", str(out), "--assignment", "/dev/full")
+        assert (code, err) == (1, "error: /dev/full: No space left on device\n")
+        assert os.listdir(out.parent) == []  # neither --out nor its temp file
+
+    @_FULL
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["match", "stats"])
+    def test_write_error_names_stdout(self, manifest_path, command, buffered):
+        # Buffered, the bytes fail as stdout is flushed; they must not fail again as Python exits.
+        import subprocess
+        import sys
+
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "narrkit.cli", command, "--manifest", manifest_path],
+                                  stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (1, "error: <stdout>: No space left on device\n")
+
+    def test_read_error_names_its_set_while_out_is_open(self, capsys, monkeypatch, emb_paths, tmp_path):
+        # --in's rows are first read once perturb's output is open; the failed read names --in.
+        preadv, ino = os.preadv, os.stat(emb_paths[0]).st_ino
+
+        def failing_on_in(fd, buffers, offset):
+            if os.fstat(fd).st_ino == ino:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", failing_on_in)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, _, err = invoke(capsys, "perturb", "--in", emb_paths[0], "--population", emb_paths[1],
+                              "--out", str(out_dir / "o.emb"))
+        assert (code, err) == (1, f"error: {emb_paths[0]}: {os.strerror(errno.EIO)}\n")
+        assert os.listdir(out_dir) == []
 
     @pytest.mark.parametrize("argv,flag", _EMPTY_PATHS, ids=[flag for _, flag in _EMPTY_PATHS])
     def test_empty_path_is_a_usage_error(self, capsys, monkeypatch, manifest_path, emb_paths, tmp_path,

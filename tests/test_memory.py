@@ -42,7 +42,7 @@ import pytest
 from conftest import random_manifest, random_sequence
 from narrkit import embedcore
 from narrkit import manifest as manifest_module
-from narrkit.cli import _read_token_counts, run
+from narrkit.cli import run
 from narrkit.embedcore import (_BLOCK, EmbeddingSet, PerturbationSpec, clip_t_score, fit_moments, flow_loss,
                                perturb_set, population_std, regression_loss)
 from narrkit.embedio import open_embeddings, read_embeddings, write_embeddings
@@ -50,6 +50,7 @@ from narrkit.context import read_step_sequences
 from narrkit.manifest import ActionRecord, ClipRecord, DatasetManifest, dumps_manifest, parse_manifest
 from narrkit.matching import (FilterPolicy, MatchRecord, _fold_matches, format_match_record, match_dataset,
                               parse_match_records)
+from narrkit.stats import read_token_counts
 
 N, DIM = 4000, 256
 S = N * DIM * 4
@@ -396,9 +397,6 @@ def test_token_tables_hold_one_entry_a_line(tmp_path):
         fh.writelines(json.dumps({"video_id": v, "action_index": i, "tokens": i % 200}) + "\n"
                       for v, records in m.actions.items() for i in range(len(records)))
 
-    def keys():
-        return ((v, i) for v, records in m.actions.items() for i in range(len(records)))
-
     def tables():
         built = {}
         for video_id, records in m.actions.items():
@@ -407,8 +405,8 @@ def test_token_tables_hold_one_entry_a_line(tmp_path):
                 table[i] = i % 200
         return built
 
-    _read_token_counts("action", path, keys())  # fill the interpreter's free lists first
-    retained, peak = traced_memory(_read_token_counts, "action", path, keys())
+    read_token_counts("action", path, m)  # fill the interpreter's free lists first
+    retained, peak = traced_memory(read_token_counts, "action", path, m)
     assert peak - retained - traced_retained(tables) < 2 * struct.calcsize("P") * m.n_actions
 
 

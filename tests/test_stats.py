@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_manifest
-from narrkit.manifest import ClipRecord, DatasetManifest, TimeInterval, VideoEntry
+from narrkit import params, stats
+from narrkit.jsonl import InputError
+from narrkit.manifest import ClipRecord, DatasetManifest, TimeInterval, VideoEntry, parse_manifest
 from narrkit.stats import (
     clip_length_summary,
     clips_per_video_summary,
     dataset_report,
     histogram,
+    read_token_counts,
     summarize,
     word_count,
 )
@@ -221,3 +224,68 @@ class TestReport:
         m = random_manifest(rng, n_videos=5)
         report = dataset_report(m, edges={"clip_length_s": [0.0, 50.0]})
         assert report["clip_length_s"]["histogram"]["bin_edges"] == [0.0, 50.0]
+
+
+_ACTION = '{"kind": "action", "video_id": "v", "start_s": 0, "end_s": 4, "description": "y"}\n'
+_TWO_CLIPS = (
+    '{"kind": "video", "video_id": "v", "duration_s": 20}\n'
+    '{"kind": "clip", "video_id": "v", "clip_id": "c2", "start_s": 5, "end_s": 9, "caption": "x"}\n'
+    '{"kind": "clip", "video_id": "v", "clip_id": "c1", "start_s": 0, "end_s": 5, "caption": "x"}\n'
+    + _ACTION + '{"kind": "video", "video_id": "w", "duration_s": 20}\n'
+)
+
+
+class TestReadTokenCounts:
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text(_TWO_CLIPS)
+        return parse_manifest(str(path))
+
+    def read(self, tmp_path, manifest, kind, *records):
+        path = tmp_path / "tokens.jsonl"
+        path.write_text("".join(f"{r}\n" for r in records))
+        return read_token_counts(kind, str(path), manifest)
+
+    def test_counts_in_manifest_order(self, tmp_path, manifest):
+        # clips in start order, whatever the file's order; blank lines are skipped
+        assert self.read(tmp_path, manifest, "caption", '{"video_id": "v", "clip_id": "c2", "tokens": 7}', "",
+                         '{"video_id": "v", "clip_id": "c1", "tokens": 3}') == [3, 7]
+        assert self.read(tmp_path, manifest, "action", f'{{"video_id": "v", "action_index": 0, "tokens": {2**53}}}'
+                         ) == [2**53]
+
+    @pytest.mark.parametrize("records,message", [
+        (['{"video_id": "v", "clip_id": "c1", "tokens": 1}', '{"video_id": "v", "clip_id": "c1", "tokens": 1}'],
+         "line 2: duplicate caption token count for ('v', 'c1')"),
+        (['{"video_id": "v", "clip_id": "c1", "tokens": 1}'], "missing caption token count for ('v', 'c2')"),
+        (['{"video_id": "v", "clip_id": "c1", "tokens": -1}'],
+         "line 1: field 'tokens' must be an integer in [0, 2**53]"),
+        # every line is read before any key is looked up, and each line's checks run in field order
+        (['{"video_id": "v", "clip_id": "c9", "tokens": 1}', '{"video_id": "v", "clip_id": "c8", "tokens": 1.5}'],
+         "line 2: field 'tokens' must be an integer"),
+        (['{"video_id": "v", "clip_id": "c1", "tokens": 1}', '{"video_id": "v", "clip_id": "c1", "tokens": -1}'],
+         "line 2: duplicate caption token count for ('v', 'c1')"),
+        (['{"clip_id": "c1", "tokens": -1}'], "line 1: field 'video_id' must be a non-empty string"),
+    ], ids=["duplicate", "missing", "range", "line-before-missing", "duplicate-before-range", "video-id-first"])
+    def test_messages(self, tmp_path, manifest, records, message):
+        with pytest.raises(InputError) as exc:
+            self.read(tmp_path, manifest, "caption", *records)
+        assert (str(exc.value), exc.value.source) == (message, str(tmp_path / "tokens.jsonl"))
+
+    def test_action_keys(self, tmp_path, manifest):
+        with pytest.raises(InputError, match=r"^missing action token count for \('v', 0\)$"):
+            self.read(tmp_path, manifest, "action", '{"video_id": "v", "action_index": 1, "tokens": 1}')
+
+    def test_nothing_to_profile(self, tmp_path):
+        # a manifest with no actions has no action counts to profile, even from an empty file
+        path = tmp_path / "m.jsonl"
+        path.write_text(_TWO_CLIPS.replace(_ACTION, ""))
+        with pytest.raises(InputError, match=r"^no records to profile$"):
+            self.read(tmp_path, parse_manifest(str(path)), "action")
+
+
+def test_settings_take_their_defaults():
+    assert (params.check_context_length(), params.check_threads()) == (2, 1)
+    assert (params.check_context_length(3), params.check_threads(4)) == (3, 4)
+    # stats re-exports the edges that params owns
+    assert (stats.check_edges, stats.DEFAULT_EDGES) == (params.check_edges, params.DEFAULT_EDGES)
