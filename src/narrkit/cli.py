@@ -162,20 +162,22 @@ def _named(exc: OSError, name: str) -> OSError:
 
 
 class _Sink(io.FileIO):
-    """A primary output file whose failed open or write names ``label``, the path asked for."""
+    """A primary output file whose ``name`` is ``label``, the path asked for, not its
+    temp file: a failed open or write names it, as does a positional write into it
+    (see embedio._write_rows)."""
 
     def __init__(self, path: str, mode: str, label: str):
         try:
             super().__init__(path, mode)
         except OSError as exc:
             raise _named(exc, label) from exc
-        self.label = label
+        self.name = label
 
     def write(self, data):
         try:
             return super().write(data)
         except OSError as exc:
-            raise _named(exc, self.label) from exc
+            raise _named(exc, self.name) from exc
 
 
 @contextlib.contextmanager

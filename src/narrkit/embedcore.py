@@ -25,8 +25,11 @@ needed. ``population_std`` and ``fit_moments`` make two passes (the mean,
 then the deviations from it); the pair metrics walk the blocks of their two
 sets in step; each process of a perturbation reads its own rows and writes
 each finished block into a file by a positional write (see _perturb_into).
-The Fréchet body adds its jitter to the fitted covariances in place and
-drops each d×d temporary after its last use.
+``fit_moments`` adds each block's gram into its scatter in place. The Fréchet
+body adds its jitter to the fitted covariances in place, takes the trace term
+from a Cholesky factor and eigenvalues alone, with no eigenvectors unless a
+covariance is not positive definite, and drops each d×d temporary after its
+last use.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ def _as_vector(x: ArrayLike, name: str) -> np.ndarray:
 
 
 # Rows per block in the row-blocked kernels and readers; bounds their temporaries.
-_BLOCK = 1024
+_BLOCK = 512
 
 
 def _blocks(rows, lo: int = 0, hi: int | None = None) -> Iterable[np.ndarray]:
@@ -393,11 +396,20 @@ def _run_forked(fill: Callable[[int, int], None], bounds: list[int]) -> None:
             raise ChildProcessError(f"perturb worker for rows {lo}..{hi - 1} exited with status {code}")
 
 
+class _WriteError(OSError):
+    """A failed positional write. It names no file: the caller that owns the
+    descriptor names it, once it is back in the parent process."""
+
+
 def _pwrite(fd: int, data, position: int) -> None:
-    """Write all of ``data`` at ``position`` of file descriptor ``fd``."""
+    """Write all of ``data`` at ``position`` of file descriptor ``fd``; a failure
+    raises _WriteError."""
     view = memoryview(data).cast("B")
     while view:
-        written = os.pwrite(fd, view, position)
+        try:
+            written = os.pwrite(fd, view, position)
+        except OSError as exc:
+            raise _WriteError(exc.errno, exc.strerror) from exc
         view, position = view[written:], position + written
 
 
@@ -527,27 +539,34 @@ class GaussianMoments:
         return self.mean.shape[0]
 
 
-def _gram(b: np.ndarray) -> np.ndarray:
-    return np.dot(b.T, b)
-
-
 def fit_moments(embeddings: Rows) -> GaussianMoments:
     """Sample mean and unbiased covariance of an embedding population.
 
     Two passes over blocks of _BLOCK rows. The first sums the rows (see
     _row_sum), so the mean has the bits of ``np.mean(x, axis=0,
-    dtype=np.float64)``. The second sums ``b.T @ b`` over the centred float64
-    blocks ``b``, each released before the next is made, and scales the sum
-    by 1 / (n - 1). A set of at most _BLOCK rows is one block, so its
-    covariance has the bits of ``np.cov(rowvar=False, ddof=1)``; more blocks
-    round differently, by about 1e-16 relative.
+    dtype=np.float64)``. The second centres each block into one float64
+    buffer, writes its gram ``b.T @ b`` into one d×d matrix and adds that to
+    the scatter in place, which gives the bits of builtin ``sum`` over the
+    grams; the scatter is scaled by 1 / (n - 1). A set of at most _BLOCK rows
+    is one block, so its covariance has the bits of ``np.cov(rowvar=False,
+    ddof=1)``; more blocks round differently, by about 1e-16 relative.
     """
     x = _as_rows(embeddings)
     if x.shape[0] < 2:
         raise ValueError("fit_moments needs at least 2 vectors")
     mean = _row_sum(x) / x.shape[0]
-    scatter = sum(_gram(np.subtract(b, mean, dtype=np.float64)) for b in _blocks(x))
-    return GaussianMoments(mean, scatter * np.true_divide(1, x.shape[0] - 1))
+    # The scatter first: made after the buffers, it would sit above them in the
+    # heap, and their freed space would stay beneath the Fréchet body's matrices.
+    scatter = np.zeros((x.shape[1], x.shape[1]))
+    gram = np.empty_like(scatter)
+    buf = np.empty((min(_BLOCK, x.shape[0]), x.shape[1]))
+    for block in _blocks(x):
+        b = np.subtract(block, mean, out=buf[: len(block)])
+        del block  # so that no stored block is alive while the next is read
+        scatter += np.dot(b.T, b, out=gram)
+    del gram, buf, b
+    scatter *= np.true_divide(1, x.shape[0] - 1)
+    return GaussianMoments(mean, scatter)
 
 
 def check_jitter(jitter: float) -> None:
@@ -565,11 +584,14 @@ def frechet_distance(
 ) -> float:
     """Squared 2-Wasserstein distance between two Gaussians.
 
-    |mu_a - mu_b|^2 + Tr(C_a + C_b - 2 (C_a C_b)^{1/2}), with the matrix
-    square root taken through the symmetric form C_a^{1/2} C_b C_a^{1/2}
-    and negative eigenvalues clamped to zero. ``jitter`` is added to both
-    covariance diagonals to stabilise near-singular inputs; pass 0.0 when
-    the moments are exact. The result is clamped to be non-negative.
+    |mu_a - mu_b|^2 + Tr(C_a + C_b - 2 (C_a C_b)^{1/2}). The trace of the
+    square root is the sum of the square roots of the eigenvalues of the
+    symmetric F^T C_b F, where C_a = F F^T: F is C_a's Cholesky factor, or,
+    when C_a is not positive definite, C_a^{1/2}, whose negative eigenvalues
+    are clamped to zero; negative eigenvalues of F^T C_b F are clamped too.
+    ``jitter`` is added to both covariance diagonals to stabilise
+    near-singular inputs; pass 0.0 when the moments are exact. The result is
+    clamped to be non-negative.
 
     Raises ValueError naming the stage whose values are not finite, or, when
     every stage is finite, when the jitter swamps the sets, so that the
@@ -611,18 +633,23 @@ def _frechet(moments: list[GaussianMoments], jitter: float) -> float:
     if not np.isfinite(mean_term):
         raise ValueError("non-finite value in the mean term")
 
-    try:  # C_a^{1/2}, with negative eigenvalues clamped to zero
-        w, v = np.linalg.eigh(ca)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("eigendecomposition failed during covariance square root") from exc
+    try:  # C_a = F F^T, so F^T C_b F has the eigenvalues of C_a C_b
+        f = np.linalg.cholesky(ca)
+    except np.linalg.LinAlgError:  # C_a is not positive definite
+        f = None  # set outside the handler, whose traceback would keep C_a alive
+    if f is None:  # F = C_a^{1/2}, with negative eigenvalues clamped to zero, written over C_a
+        try:
+            w, v = np.linalg.eigh(ca)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("eigendecomposition failed during covariance square root") from exc
+        f = np.matmul(v * np.sqrt(np.clip(w, 0.0, None)), v.T, out=ca)
+        del v
     del ca
-    sqrt_ca = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    del v
-    if not np.all(np.isfinite(sqrt_ca)):
+    if not np.all(np.isfinite(f)):
         raise ValueError("non-finite value in the covariance square root")
 
-    inner = sqrt_ca @ cb @ sqrt_ca
-    del sqrt_ca, cb
+    inner = f.T @ cb @ f
+    del f, cb
     inner = (inner + inner.T) / 2.0
     if not np.all(np.isfinite(inner)):
         raise ValueError("non-finite value in the trace term")

@@ -35,7 +35,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .embedcore import _BLOCK, EmbeddingSet, _as_rows, _blocks, _pwrite
+from .embedcore import _BLOCK, EmbeddingSet, _as_rows, _blocks, _pwrite, _WriteError
 from .jsonl import TEXT, InputError, iter_json_objects, stream_name, want_str
 
 __all__ = ["MAGIC", "EmbeddingFile", "open_embeddings", "read_embeddings", "write_embeddings"]
@@ -305,17 +305,22 @@ def _write_rows(
 
     Binary output to a sink that can seek is written in place, all of it by
     positional writes at the sink's start: the header, fill's rows, then the id
-    block. Any other output goes through an anonymous temporary file that fill
-    writes as binary, which is then copied, or encoded as JSONL, into ``sink``
-    by its own writes.
+    block. A failed positional write, in this process or in one that fill
+    forks, names the sink, as a failed write of its own does. Any other output
+    goes through an anonymous temporary file that fill writes as binary, which
+    is then copied, or encoded as JSONL, into ``sink`` by its own writes.
     """
-    in_place = fmt == "binary" and sink.seekable()
-    with contextlib.nullcontext(sink) if in_place else tempfile.TemporaryFile() as fh:
-        head = MAGIC + _HEADER.pack(*shape)
-        _pwrite(fh.fileno(), head, 0)
-        ids = fill(fh.fileno(), len(head))
-        if not in_place:
-            return write_embeddings(EmbeddingFile(fh, stream_name(sink, "<output>"), ids), sink, fmt)
-        tail = _id_block(ids)
-        _pwrite(fh.fileno(), tail, len(head) + 4 * shape[0] * shape[1])
-        return len(head) + 4 * shape[0] * shape[1] + len(tail)
+    head, name = MAGIC + _HEADER.pack(*shape), stream_name(sink, "<output>")
+    if fmt != "binary" or not sink.seekable():
+        with tempfile.TemporaryFile() as fh:
+            _pwrite(fh.fileno(), head, 0)
+            ids = fill(fh.fileno(), len(head))
+            return write_embeddings(EmbeddingFile(fh, name, ids), sink, fmt)
+    size = 4 * shape[0] * shape[1]
+    try:
+        _pwrite(sink.fileno(), head, 0)
+        tail = _id_block(fill(sink.fileno(), len(head)))
+        _pwrite(sink.fileno(), tail, len(head) + size)
+    except _WriteError as exc:
+        raise OSError(exc.errno, exc.strerror, name) from exc
+    return len(head) + size + len(tail)

@@ -67,9 +67,31 @@ def _reject_constant(name: str):
     raise _NonFinite(name)
 
 
+class _DuplicateKey(ValueError):
+    pass
+
+
+def _unique_keys(pairs: list) -> dict:
+    rec = dict(pairs)
+    if len(rec) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _DuplicateKey(key)
+            seen.add(key)
+    return rec
+
+
 # One shared decoder: json.loads(text, parse_constant=...) builds a new
 # decoder on every call, which doubles the cost of decoding a short line.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+# The same, rejecting a repeated key in any object. It costs about twice as much,
+# so it decodes only a line that the screen below cannot clear.
+_STRICT_DECODER = json.JSONDecoder(parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
+# Every key's closing quote is followed by optional whitespace and a colon, so a
+# line with no more colons, or no more matches, than its decoded object has keys
+# repeats none. Counting colons is the cheap first test.
+_KEY_END = re.compile(r'"[ \t\n\r]*:')
 
 
 def _non_finite_reason(text: str, constant: str) -> str:
@@ -106,6 +128,11 @@ def decode_object(text: str, line: int | None, source: str) -> dict:
         raise InputError("invalid JSON: Extra data", line, source)
     if type(rec) is not dict:
         raise InputError("record must be a JSON object", line, source)
+    if text.count(":") > len(rec) and len(_KEY_END.findall(text)) > len(rec):
+        try:
+            _STRICT_DECODER.raw_decode(text)
+        except _DuplicateKey as exc:
+            raise InputError(f"duplicate key '{exc}'", line, source) from exc
     return rec
 
 

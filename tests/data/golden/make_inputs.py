@@ -15,7 +15,11 @@ videos break ``validate``'s rules, so ``validate`` writes violations.
 The two embedding sets feed the ``perturb`` cases: ``set.emb``, an ``EMB1``
 file without ids, and ``set.jsonl``, whose records carry ids, some of them
 non-ASCII. Their values are Gaussian draws rounded to float32 (the binary
-set) or to six decimals (the JSONL set).
+set) or to six decimals (the JSONL set). ``pair-a.emb`` and ``pair-b.emb``
+feed the pair metric cases: 1100 index-paired rows of 12 float32 values,
+more than two blocks of the kernels' 512 rows and more than one of 1024, the
+second set correlated with the first. They are drawn after every other file,
+so adding them moved no earlier byte.
 """
 
 from __future__ import annotations
@@ -162,6 +166,14 @@ def main() -> None:
     with open(os.path.join(HERE, "config.json"), "w", encoding="utf-8") as fh:
         json.dump(config, fh)
         fh.write("\n")
+
+    rows, dim = 1100, 12
+    first = [rnd.gauss(0, 1) for _ in range(rows * dim)]
+    second = [0.6 * x + rnd.gauss(0.1, 0.8) for x in first]
+    for name, values in (("pair-a.emb", first), ("pair-b.emb", second)):
+        with open(os.path.join(HERE, name), "wb") as fh:
+            fh.write(b"EMB1" + struct.pack("<II", rows, dim))
+            fh.write(struct.pack(f"<{rows * dim}f", *values))
 
 
 if __name__ == "__main__":

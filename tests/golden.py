@@ -1,5 +1,5 @@
-"""Byte digests of the corpus commands and of ``perturb`` on the committed inputs
-in data/golden.
+"""Byte digests of the corpus commands, of ``perturb`` and of the pair metrics on
+the committed inputs in data/golden.
 
 Each case runs ``narrkit.cli.run`` in process, in a scratch directory that
 holds a copy of the inputs, and records the exit code and the sha256 of
@@ -15,9 +15,14 @@ ids, with JSONL output, each at ``--threads 1`` and ``2``; test_golden.py also
 requires each ``--threads 2`` case to match its twin. ``data/golden/digests-perturb.json``
 keeps their digests and the numpy release that wrote them, printed beside the
 running one: NEP 19 lets a release change a ``Generator``'s stream, and so
-move a digest. The metric commands are left out: their last digits pass
-through BLAS (the matmul of the pair kernels and ``frechet``'s ``eigh``),
-and whether another machine's BLAS reproduces those bits is unverified.
+move a digest.
+
+The ``metric-*`` cases need numpy too. They run ``regloss``, ``flowloss`` and
+``clipt`` on ``set.emb`` and on ``set.jsonl``, each paired with itself, and on
+``pair-a.emb`` against ``pair-b.emb``, whose 1100 rows cross the kernels'
+block boundaries. ``data/golden/digests-metrics.json`` keeps their digests
+and the numpy release that wrote them. ``frechet`` is left out: its last
+digits follow the BLAS thread count (see README, "``frechet`` digits").
 
     PYTHONPATH=src python tests/golden.py            # check; exit 1 on a mismatch
     PYTHONPATH=src python tests/golden.py --rewrite  # record the current digests
@@ -45,9 +50,10 @@ import tempfile
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
 DIGESTS = os.path.join(DATA, "digests.json")
 PERTURB_DIGESTS = os.path.join(DATA, "digests-perturb.json")
+METRIC_DIGESTS = os.path.join(DATA, "digests-metrics.json")
 INPUTS = ("manifest.jsonl", "caption_tokens.jsonl", "action_tokens.jsonl", "steps.jsonl",
           "tiers.jsonl", "ratings.jsonl", "tiers-item-means.jsonl", "config.json",
-          "matches-interleaved.jsonl", "set.emb", "set.jsonl")
+          "matches-interleaved.jsonl", "set.emb", "set.jsonl", "pair-a.emb", "pair-b.emb")
 
 _M = ("--manifest", "manifest.jsonl")
 # (case name, argv, output files), run in this order: filter reads match's output.
@@ -86,6 +92,15 @@ PERTURB_CASES = [
       "--threads", str(threads), "--out", f"perturbed-{mode}.{fmt}"], [f"perturbed-{mode}.{fmt}"])
     for mode in ("coords", "sequence") for fmt, source in (("binary", "set.emb"), ("jsonl", "set.jsonl"))
     for threads in (1, 2)
+]
+
+# Run only where numpy imports; the output is stdout.
+METRIC_CASES = [
+    (f"metric-{metric}-{name}", ["metrics", metric, first, a, second, b], [])
+    for metric, first, second in (("regloss", "--pred", "--target"), ("flowloss", "--pred", "--target"),
+                                  ("clipt", "--text", "--image"))
+    for name, a, b in (("emb", "set.emb", "set.emb"), ("jsonl", "set.jsonl", "set.jsonl"),
+                       ("pair", "pair-a.emb", "pair-b.emb"))
 ]
 
 
@@ -150,26 +165,29 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     numpy_release = numpy_version()
+    # the lists that need numpy: (kind, cases, digest file)
+    numpy_lists = [("perturb", PERTURB_CASES, PERTURB_DIGESTS), ("metric", METRIC_CASES, METRIC_DIGESTS)]
     with tempfile.TemporaryDirectory() as workdir:
         results = run_cases(workdir)
-        perturbed = run_cases(workdir, PERTURB_CASES) if numpy_release else None
-    if perturbed is None:
-        print(f"skipped {len(PERTURB_CASES)} perturb cases: numpy does not import")
+        numpy_results = [run_cases(workdir, cases) for _, cases, _ in numpy_lists] if numpy_release else None
+    if numpy_results is None:
+        for kind, cases, _ in numpy_lists:
+            print(f"skipped {len(cases)} {kind} cases: numpy does not import")
     if argv:
         _dump(DIGESTS, results)
         print(f"wrote {len(results)} cases to {DIGESTS}")
-        if perturbed is not None:
-            _dump(PERTURB_DIGESTS, {"numpy": numpy_release, "cases": perturbed})
-            print(f"wrote {len(perturbed)} cases to {PERTURB_DIGESTS}")
+        for (_, _, path), got in zip(numpy_lists, numpy_results or []):
+            _dump(path, {"numpy": numpy_release, "cases": got})
+            print(f"wrote {len(got)} cases to {path}")
         return 0
     bad = _mismatches(load_digests(), results)
     print(f"{len(results) - len(bad)} of {len(results)} cases match on Python {sys.version.split()[0]}")
-    if perturbed is not None:
-        recorded = load_digests(PERTURB_DIGESTS)
-        bad_perturb = _mismatches(recorded["cases"], perturbed)
-        print(f"{len(perturbed) - len(bad_perturb)} of {len(perturbed)} perturb cases match on numpy "
+    for (kind, _, path), got in zip(numpy_lists, numpy_results or []):
+        recorded = load_digests(path)
+        bad_numpy = _mismatches(recorded["cases"], got)
+        print(f"{len(got) - len(bad_numpy)} of {len(got)} {kind} cases match on numpy "
               f"{numpy_release} (digests written by numpy {recorded['numpy']})")
-        bad += bad_perturb
+        bad += bad_numpy
     return 1 if bad else 0
 
 

@@ -576,6 +576,20 @@ class TestMetrics:
         assert invoke(capsys, *argv) == (1, "", "error: --jitter: non-finite value in the trace term\n")
         assert not out.exists()
 
+    def test_rank_deficient_set_at_jitter_0_takes_the_eigh_route(self, capsys, monkeypatch, tmp_path):
+        # Three rows in four dimensions: C_a = diag(1, 0.75, 0, 0) has no Cholesky factor,
+        # so its square root comes from eigh. C_b = diag(27, 0, 1, 0). Both are diagonal,
+        # so the distance is |mu_a - mu_b|^2 + sum((sqrt(var_a) - sqrt(var_b))^2).
+        a, b = tmp_path / "a.emb", tmp_path / "b.emb"
+        write_embeddings(EmbeddingSet(np.array([[1, 0.5, 3, 0], [-1, 0.5, 3, 0], [0, -1, 3, 0]], np.float32)), a)
+        write_embeddings(EmbeddingSet(np.array([[3, 0, 1, 0], [3, 0, -1, 0], [-6, 0, 0, 0]], np.float32)), b)
+        expected = 3**2 + (1 - np.sqrt(27)) ** 2 + 0.75 + 1
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(1) or eigh(*args))
+        code, out, err = invoke(capsys, "metrics", "frechet", "--a", str(a), "--b", str(b), "--jitter", "0")
+        assert (code, err, calls) == (0, "", [1])
+        assert float(out) == pytest.approx(expected, rel=1e-9, abs=0)
+
     @pytest.mark.parametrize("jitter", ["1e20", "1e150"])
     def test_swamping_jitter_rejected(self, capsys, tmp_path, rng, jitter):
         a, b, out = tmp_path / "a.emb", tmp_path / "b.emb", tmp_path / "fd.txt"
@@ -590,7 +604,7 @@ class TestMetrics:
         "sets,jitter,expected",
         [("samples", "1e16", (1, "", "error: --jitter: jitter 1e+16 swamps the mean term\n")),
          ("constant", "1e150", (1, "", "error: --jitter: jitter 1e+150 swamps the mean term\n")),
-         ("samples", "1e10", (0, "0.0867919921875\n", "")),
+         ("samples", "1e10", (0, "0.08673095703125\n", "")),
          ("constant", "1e10", (0, "3.0\n", ""))],
         ids=["samples-1e16", "constant-1e150", "samples-1e10", "constant-1e10"],
     )
@@ -825,19 +839,30 @@ class TestPerturbThreads:
 
     def test_write_failure_in_a_worker_is_an_error(self, capsys, monkeypatch, emb_paths, tmp_path):
         allow_cpus(monkeypatch, 2)
-        pwrite, parent = embedcore._pwrite, os.getpid()
+        pwrite, parent = os.pwrite, os.getpid()
 
         def full_disk_in_the_worker(fd, data, position):
             if os.getpid() != parent:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            pwrite(fd, data, position)
+            return pwrite(fd, data, position)
 
-        monkeypatch.setattr(embedcore, "_pwrite", full_disk_in_the_worker)
+        monkeypatch.setattr(os, "pwrite", full_disk_in_the_worker)
         out_path = tmp_path / "o.emb"
         code, out, err = invoke(capsys, "perturb", "--in", emb_paths[0], "--out", str(out_path),
                                 "--threads", "2")
-        assert (code, out, err) == (1, "", f"error: [Errno 28] {os.strerror(errno.ENOSPC)}\n")
+        # the path asked for, not its temp file
+        assert (code, out, err) == (1, "", f"error: {out_path}: {os.strerror(errno.ENOSPC)}\n")
         assert sorted(os.listdir(tmp_path)) == ["a.emb", "b.emb"]  # no output, no temp file
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_write_failure_in_the_parent_names_the_output(self, capsys, monkeypatch, emb_paths, threads):
+        # The binary output is written in place: the header's positional write fails first.
+        allow_cpus(monkeypatch, 2)
+        code, out, err = invoke(capsys, "perturb", "--in", emb_paths[0], "--out", "/dev/full",
+                                "--threads", threads)
+        assert (code, out, err) == (1, "", f"error: /dev/full: {os.strerror(errno.ENOSPC)}\n")
         assert_no_child_left()
 
     @pytest.mark.parametrize("fmt", ["binary", "jsonl"])
@@ -939,14 +964,15 @@ class TestStreamedInputs:
     def test_truncated_after_open(self, capsys, monkeypatch, tmp_path, sets, argv):
         allow_cpus(monkeypatch, 2)
         layout = embedio.EmbeddingFile._read_layout
+        keep = 3 * embedcore._BLOCK // 2  # rows: in the second block, and in the forked worker's range
 
         def shrink_once_open(self):
             layout(self)
-            if self.name == sets[1]:  # keep 1500 rows: the forked worker's range runs short
-                os.truncate(self.name, 12 + 1500 * 16)
+            if self.name == sets[1]:
+                os.truncate(self.name, 12 + keep * 16)
 
         monkeypatch.setattr(embedio.EmbeddingFile, "_read_layout", shrink_once_open)
-        reason = f"embedding file truncated: expected {self.N * 16} data bytes, got {1500 * 16}"
+        reason = f"embedding file truncated: expected {self.N * 16} data bytes, got {keep * 16}"
         self.check_named(capsys, tmp_path, argv, sets, reason)
 
     @pytest.mark.parametrize("fmt", ["binary", "jsonl"])
@@ -1241,6 +1267,23 @@ STEP = {"sequence_id": "s", "index": 1, "action": "a", "caption": "c",
         "embedding_id": "e", "keyframe_id": "k"}
 MATCH = {"video_id": "v", "clip_id": "c", "action_index": 0, "iou": 0.5,
          "start_diff_s": 0.0, "rule": "RuleB"}
+# One valid record per reader, with a field that the repeated-key cases set twice.
+REPEATED = [
+    ("--manifest", {"kind": "clip", "video_id": "v", "clip_id": "c", "start_s": 50.0, "end_s": 60.0,
+                    "caption": "x"}, "start_s", 1.0),
+    ("--matches", MATCH, "iou", 0.9),
+    ("--caption-tokens", {"video_id": "v", "clip_id": "c", "tokens": 4}, "tokens", 5),
+    ("--action-tokens", {"video_id": "v", "action_index": 0, "tokens": 1}, "tokens", 2),
+    ("--tiers", {"item_id": "a", "rater_id": "r", "tier": "VeryMatch"}, "tier", "NotMatch"),
+    ("--ratings", {"item_id": "a", "rating": 3}, "rating", 4),
+    ("--steps", STEP, "caption", "d"),
+    ("--text", {"values": [1.0, 2.0]}, "values", [3.0, 4.0]),
+]
+
+
+def repeated(rec: dict, key: str, value) -> str:
+    """``rec`` as one JSON line that sets ``key`` again, to ``value``, in a last field."""
+    return json.dumps(rec)[:-1] + f", {json.dumps(key)}: {json.dumps(value)}}}"
 
 
 class TestStrictInput:
@@ -1278,6 +1321,8 @@ class TestStrictInput:
             *((flag, '{"x": "\udcff"}', "invalid UTF-8") for flag in (
                 "--manifest", "--matches", "--caption-tokens", "--action-tokens", "--tiers",
                 "--ratings", "--steps", "--text")),
+            # json would keep the last value; every reader rejects the line instead
+            *((flag, repeated(rec, key, value), f"duplicate key '{key}'") for flag, rec, key, value in REPEATED),
         ],
         ids=[
             "steps-array", "steps-string-index", "steps-number-caption", "tokens-array",
@@ -1286,6 +1331,7 @@ class TestStrictInput:
             "tiers-leading-no-break-space", "tiers-trailing-line-separator", "manifest-bad-utf8",
             "matches-bad-utf8", "caption-tokens-bad-utf8", "action-tokens-bad-utf8",
             "tiers-bad-utf8", "ratings-bad-utf8", "steps-bad-utf8", "embeddings-bad-utf8",
+            *(flag[2:] + "-repeated-key" for flag, *_ in REPEATED),
         ],
     )
     def test_bad_line(self, capsys, tmp_path, flag, line, reason):
@@ -1519,6 +1565,7 @@ class TestConfig:
             ('{"histogram_edges": {"caption_words": [5]}}',
              "field 'histogram_edges' for 'caption_words': need at least two bin edges"),
             ('{"k": 1,\n "x": "\udcff"}', "invalid UTF-8"),  # the raw byte 0xff
+            ('{"k": 3, "k": 1}', "duplicate key 'k'"),
             ('{"iou_low": 0.9}', "need 0 <= iou_low <= iou_high <= 1, got 0.9/0.5"),
             ('{"beta": -1}', "alpha and beta must be non-negative"),
             ('{"noise_scale": -1}', "noise_scale must be >= 0, got -1.0"),
@@ -1532,7 +1579,7 @@ class TestConfig:
             "shuffle-string", "shuffle-int", "unknown-keys", "array", "string",
             "invalid-json", "k-float", "seed-bool", "float-string", "float-nan",
             "edges-array", "edges-unknown-name", "edges-string-value", "edges-decreasing",
-            "edges-one", "bad-utf8",
+            "edges-one", "bad-utf8", "repeated-key",
             "thresholds-range", "loss-range", "perturbation-range", "k-range", "threads-range",
             "threads-float", "seed-negative", "seed-2-64",
         ],

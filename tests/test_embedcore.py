@@ -604,7 +604,7 @@ class TestFrechet:
         with pytest.raises(ValueError, match=r"^jitter 1e\+150 swamps the mean term$"):
             frechet_distance(ones, zeros, jitter=1e150)  # no variance at all to swamp
         # A jitter that leaves the mean term its digits is a jittered distance, not an error.
-        assert frechet_distance(a, b, jitter=1e10) == 0.0867919921875
+        assert frechet_distance(a, b, jitter=1e10) == 0.08673095703125
         assert frechet_distance(ones, zeros, jitter=1e10) == 3.0
         assert frechet_distance(ones, zeros, jitter=0.0) == 3.0
 
@@ -632,6 +632,17 @@ class TestFrechet:
         moments = [a, b]
         assert embedcore._frechet(moments, 1e-3) == value
         assert moments == []
+
+    def test_positive_definite_covariance_takes_no_eigenvectors(self, rng, monkeypatch):
+        # The jittered C_a has a Cholesky factor, and the trace term needs only eigvalsh.
+        a, b = (fit_moments(rng.normal(size=(60, 12))) for _ in range(2))
+        expected = eye_frechet(a, b, 1e-6)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        assert embedcore._frechet([a, b], 1e-6) == expected
 
     def test_never_negative(self, rng):
         # nearly identical sampled populations push the value toward zero
@@ -731,9 +742,12 @@ def eye_frechet(a, b, jitter):
     eye = np.eye(a.dim)
     ca, cb = a.covariance + jitter * eye, b.covariance + jitter * eye
     diff = a.mean - b.mean
-    w, v = np.linalg.eigh(ca)
-    sqrt_ca = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    inner = sqrt_ca @ cb @ sqrt_ca
+    try:
+        f = np.linalg.cholesky(ca)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(ca)
+        f = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    inner = f.T @ cb @ f
     eigvals = np.linalg.eigvalsh((inner + inner.T) / 2.0)
     trace_cross = 2.0 * float(np.sum(np.sqrt(np.clip(eigvals, 0.0, None))))
     return max(0.0, float(diff @ diff) + float(np.trace(ca) + np.trace(cb)) - trace_cross)

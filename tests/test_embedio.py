@@ -174,7 +174,7 @@ class TestJsonl:
 
     def test_ragged_dims_after_growth_rejected(self):
         lines = ['{"values": [1.0, 2.0]}'] * (embedcore._BLOCK + 1) + ['{"values": [3.0]}', '{"values": []}']
-        with pytest.raises(InputError, match=r"^line 1027: field 'values' must be a non-empty array"):
+        with pytest.raises(InputError, match=f"^line {embedcore._BLOCK + 3}: field 'values' must be a non-empty array"):
             read_embeddings(io.BytesIO("\n".join(lines).encode()))
         with pytest.raises(InputError, match=r"^inconsistent embedding dimensions: \[1, 2\]$"):
             read_embeddings(io.BytesIO("\n".join(lines[:-1]).encode()))

@@ -1,4 +1,5 @@
-"""The corpus commands and perturb reproduce the committed digests of their outputs (see golden.py)."""
+"""The corpus commands, perturb and the pair metrics reproduce the committed digests of their
+outputs (see golden.py)."""
 
 import json
 import os
@@ -33,3 +34,11 @@ def test_perturb_matches_golden_digests(tmp_path):
     for name, result in results.items():
         if name.endswith("-threads2"):
             assert result == results[name.replace("-threads2", "-threads1")]
+
+
+def test_pair_metrics_match_golden_digests(tmp_path):
+    results = golden.run_cases(str(tmp_path), golden.METRIC_CASES)
+    recorded = golden.load_digests(golden.METRIC_DIGESTS)
+    assert results == recorded["cases"], (
+        f"digests written by numpy {recorded['numpy']}, running {golden.numpy_version()}")
+    assert all(result["exit"] == 0 for result in results.values())

@@ -144,6 +144,30 @@ def test_decode_fast_path_matches_decode_only(text):
     assert outcome(decode_object, text, 4, "in.jsonl") == outcome(decode_only, text, 4, "in.jsonl")
 
 
+# Objects whose keys often repeat, at any depth, around strings that hold '":'.
+def json_object(values):
+    fields = st.tuples(st.sampled_from(["a", "b", 'c":']), st.sampled_from(["", " ", "\n\t"]), values)
+    return st.lists(fields, max_size=4).map(
+        lambda fields: "{" + ", ".join(f"{json.dumps(key)}{space}: {value}" for key, space, value in fields) + "}")
+
+
+objects = json_object(st.recursive(st.sampled_from(["1", '"x"', '"y\\":"', "[]"]), json_object, max_leaves=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(objects)
+def test_repeated_key_screen_is_exact(text):
+    # decode_object decodes a second time, rejecting repeated keys, only the lines
+    # that its screen cannot clear; it must reject every line that repeats a key
+    try:
+        jsonl._STRICT_DECODER.decode(text)
+    except jsonl._DuplicateKey as exc:
+        expected = ("raised", f"line 4: duplicate key '{exc}'", 4, "in.jsonl")
+    else:
+        expected = outcome(decode_only, text, 4, "in.jsonl")
+    assert outcome(decode_object, text, 4, "in.jsonl") == expected
+
+
 class Real(float):
     pass
 
