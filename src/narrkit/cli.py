@@ -13,7 +13,8 @@ ignore it. Flag values override the optional JSON config file, which
 overrides built-in defaults. Primary output files are written whole or not
 at all.
 
-Exit codes: 0 success, 1 validation or data error, 2 usage error.
+Exit codes: 0 success, 1 validation or data error, 2 usage error, 128 plus
+the signal's number for a run stopped by SIGINT (130) or SIGTERM (143).
 
 Only ``jsonl`` and ``params`` load with this module: each handler imports the
 modules its command needs when it runs, so a command pays for no other's.
@@ -21,6 +22,7 @@ modules its command needs when it runs, so a command pays for no other's.
 
 from __future__ import annotations
 
+import _signal  # not signal, whose enums would raise every command's peak memory
 import argparse
 import contextlib
 import gc
@@ -163,8 +165,8 @@ def _named(exc: OSError, name: str) -> OSError:
 
 class _Sink(io.FileIO):
     """A primary output file whose ``name`` is ``label``, the path asked for, not its
-    temp file: a failed open or write names it, as does a positional write into it
-    (see embedio._write_rows)."""
+    temp file: a failed open or write names it, as does a failed embedio._pwrite of
+    perturb's rows into it, in whichever process made them (see embedio._write_rows)."""
 
     def __init__(self, path: str, mode: str, label: str):
         try:
@@ -276,7 +278,7 @@ def cmd_filter(args, rc: RunConfig) -> int:
     manifest = parse_manifest(args.manifest)
     policy = matching.FilterPolicy(args.policy)
     with open(args.matches, **TEXT) as fh, _blame(args.matches):
-        folded = matching._fold_matches(manifest, matching.parse_match_records(fh), policy, unique=True)
+        folded = matching._fold_matches(manifest, matching.parse_match_records(fh), policy)
     filtered = DatasetManifest(actions=manifest.actions)
     with _outputs(args.out, args.assignment) as (out, assignment):
         for video_id, entry, indices in matching._kept_clips(manifest, folded, policy):
@@ -407,8 +409,8 @@ def cmd_perturb(args, rc: RunConfig) -> int:
                 raise InputError(f"{exc}; use --format jsonl", source=args.input) from exc
         basis = _population_std(args, source)
 
-        def fill(fd: int, offset: int) -> list[str] | None:
-            return embedcore._perturb_into(fd, offset, source, basis, rc.perturbation, args.shuffle_mode,
+        def fill(write) -> list[str] | None:
+            return embedcore._perturb_into(write, source, basis, rc.perturbation, args.shuffle_mode,
                                            rc.threads)
 
         # Every input but the rows of --in is checked by now: a bad row names --in. What
@@ -572,6 +574,20 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _log(f"error: {exc}")
         return 1
+    except KeyboardInterrupt as exc:
+        return _interrupted(exc)
+
+
+def _stop(signum, frame):
+    """SIGTERM unwinds as Ctrl-C does, so that _outputs removes its temp files."""
+    raise KeyboardInterrupt(signum)
+
+
+def _interrupted(exc: KeyboardInterrupt) -> int:
+    """Report a run stopped by SIGINT or by SIGTERM (see _stop); return 128 + its number."""
+    signum = exc.args[0] if exc.args else _signal.SIGINT
+    _log(f"error: interrupted ({'SIGTERM' if signum == _signal.SIGTERM else 'SIGINT'})")
+    return 128 + signum
 
 
 def main() -> None:
@@ -579,6 +595,7 @@ def main() -> None:
     # the cyclic collector would only rescan them; reference counting frees
     # everything a command drops.
     gc.disable()
+    _signal.signal(_signal.SIGTERM, _stop)
     sys.exit(run())
 
 

@@ -23,8 +23,8 @@ is an array, an ``EmbeddingSet`` or a reader that ``embedio.open_embeddings``
 returns, whose ``blocks(lo, hi)`` reads each block from the file as it is
 needed. ``population_std`` and ``fit_moments`` make two passes (the mean,
 then the deviations from it); the pair metrics walk the blocks of their two
-sets in step; each process of a perturbation reads its own rows and writes
-each finished block into a file by a positional write (see _perturb_into).
+sets in step; each process of a perturbation reads its own rows and hands
+each finished block to its caller's writer (see _perturb_into).
 ``fit_moments`` adds each block's gram into its scatter in place. The Fréchet
 body adds its jitter to the fitted covariances in place, takes the trace term
 from a Cholesky factor and eigenvalues alone, with no eigenvectors unless a
@@ -35,7 +35,6 @@ last use.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence, Union
 
@@ -108,15 +107,23 @@ Rows = Union[EmbeddingSet, ArrayLike]
 
 
 def _as_rows(x: Rows, name: str = "embeddings"):
-    """Rows of a set, 2-D array or vector (one row), in their stored dtype; a
-    reader as it is."""
+    """Rows of a set, 2-D array or vector (one row), in their stored dtype, or in
+    float64 for an array of another kind, as a set stores it; a reader as it is.
+    An array that holds a non-finite value is rejected, as a reader rejects a
+    block that does."""
     if hasattr(x, "blocks"):
         return x
-    m = x.vectors if isinstance(x, EmbeddingSet) else np.asarray(x)
+    if isinstance(x, EmbeddingSet):  # checked as it was made
+        return x.vectors
+    m = np.asarray(x)
     if m.ndim == 1 and m.size:
-        return m[None, :]
+        m = m[None, :]
     if m.ndim != 2:
         raise ValueError(f"{name} must be a non-empty vector or 2-D, got shape {m.shape}")
+    if not np.issubdtype(m.dtype, np.floating):
+        m = m.astype(np.float64)
+    if not _finite(m):
+        raise ValueError("embeddings must be finite")
     return m
 
 
@@ -313,6 +320,8 @@ def _std_basis(std_basis: ArrayLike, dim: int) -> np.ndarray:
         raise ValueError(
             f"std_basis dimension {basis.shape[0]} does not match embedding dimension {dim}"
         )
+    if not np.isfinite(basis).all():
+        raise ValueError("std_basis must be finite")
     return basis
 
 
@@ -354,63 +363,67 @@ def _run_forked(fill: Callable[[int, int], None], bounds: list[int]) -> None:
     would have raised it; a worker that fails otherwise prints ``Process
     ForkProcess-N:`` and its traceback, and raises ChildProcessError here.
 
+    A worker dies by SIGINT or SIGTERM as a process with no handler does,
+    quietly: both are blocked from before its fork until it has restored their
+    default actions. When this process leaves by an exception, its own range's
+    error or an interruption, it terminates its workers, whose rows are no
+    longer wanted, before it joins them.
+
     Fork copies only the calling thread. OpenBLAS's idle threads stay behind,
     which is safe because the row loop calls no BLAS: it reads rows, draws
     random numbers, does elementwise arithmetic and indexing, and writes.
     """
 
     def work(lo: int, hi: int, send) -> None:
+        for signum in stops:
+            signal.signal(signum, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, stops)
         try:
             fill(lo, hi)
         except (ValueError, OSError) as exc:
             send.send(exc)
 
-    workers = []
+    workers, ends = [], []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            import multiprocessing  # loaded only here: --threads 1 and the other commands never need it
+            # Loaded only here: --threads 1 and the other commands never need them.
+            import multiprocessing
+            import signal
 
+            stops = {signal.SIGINT, signal.SIGTERM}
             context = multiprocessing.get_context("fork")  # not the platform's default start method
             reply, send = context.Pipe(duplex=False)
             worker = context.Process(target=work, args=(lo, hi, send))
-            worker.start()
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, stops)
+            try:  # a signal that arrives meanwhile waits until the worker is on the list
+                worker.start()
+                workers.append((worker, reply, lo, hi))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             send.close()
-            workers.append((worker, reply, lo, hi))
         fill(bounds[0], bounds[1])
-    finally:
-        ends = []
         for worker, reply, lo, hi in workers:
             # Read before the join: a worker that sends an error larger than the pipe
             # buffer blocks until it is read.
-            with reply:
-                try:
-                    sent = reply.recv()  # until the worker sends an error or exits
-                except EOFError:
-                    sent = None
+            try:
+                sent = reply.recv()  # until the worker sends an error or exits
+            except EOFError:
+                sent = None
             worker.join()
             ends.append((worker.exitcode, sent, lo, hi))
+    except BaseException:
+        for worker, *_ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, reply, *_ in workers:
+            reply.close()
+            worker.join()
     for code, sent, lo, hi in ends:
         if sent is not None:
             raise sent
         if code:
             raise ChildProcessError(f"perturb worker for rows {lo}..{hi - 1} exited with status {code}")
-
-
-class _WriteError(OSError):
-    """A failed positional write. It names no file: the caller that owns the
-    descriptor names it, once it is back in the parent process."""
-
-
-def _pwrite(fd: int, data, position: int) -> None:
-    """Write all of ``data`` at ``position`` of file descriptor ``fd``; a failure
-    raises _WriteError."""
-    view = memoryview(data).cast("B")
-    while view:
-        try:
-            written = os.pwrite(fd, view, position)
-        except OSError as exc:
-            raise _WriteError(exc.errno, exc.strerror) from exc
-        view, position = view[written:], position + written
 
 
 def _rows_at(rows, index: Union[range, list]) -> np.ndarray:
@@ -422,23 +435,21 @@ def _rows_at(rows, index: Union[range, list]) -> np.ndarray:
 
 
 def _perturb_into(
-    fd: int,
-    offset: int,
-    embeddings: EmbeddingSet,
+    write: Callable[[np.ndarray, int], None],
+    embeddings: Rows,
     std_basis: ArrayLike,
     spec: PerturbationSpec,
     shuffle_mode: str = "coords",
     threads: int = 1,
 ) -> list[str] | None:
-    """Write the rows of ``perturb_set(embeddings, std_basis, spec, shuffle_mode,
-    threads)``, in the set's dtype, into file descriptor ``fd``: output row k,
-    which is input row src[k] perturbed with that row's own random stream, at
-    byte ``offset + k * dim * itemsize``; src is the sequence-shuffle order, or
-    the identity. Return the output's ids.
+    """Hand the rows of ``perturb_set(embeddings, std_basis, spec, shuffle_mode,
+    threads)``, in the set's dtype, to ``write(block, k)``, row 0 of ``block``
+    being output row k, input row src[k] perturbed (src is the sequence-shuffle
+    order, or the identity); return the output's ids, None for an array.
 
     Each process walks its range of output rows (see perturb_set) in blocks of
-    _BLOCK rows, checks that each finished block is finite and writes it by one
-    positional write, so processes share no buffer and no file offset.
+    _BLOCK rows, checks each is finite and calls ``write`` on it there, once per
+    row in all; write must copy what it keeps, as the next block reuses the buffer.
     """
     if shuffle_mode not in ("coords", "sequence"):
         raise ValueError(f"shuffle_mode must be 'coords' or 'sequence', got {shuffle_mode!r}")
@@ -449,7 +460,9 @@ def _perturb_into(
     src = range(n)
     if spec.shuffle and not coord_shuffle:
         src = _order_rng(spec.seed).permutation(n).tolist()
-    ids = None if embeddings.ids is None else [embeddings.ids[i] for i in src]
+    ids = getattr(embeddings, "ids", None)  # an array is a set without ids
+    if ids is not None:
+        ids = [ids[i] for i in src]
 
     def fill(lo: int, hi: int) -> None:
         out = np.empty((min(_BLOCK, hi - lo), dim), rows.dtype)
@@ -461,7 +474,7 @@ def _perturb_into(
             del row  # a view that keeps its input block alive while the next is read
             if not np.isfinite(block).all():
                 raise ValueError(f"the noise takes perturbed values past the {rows.dtype} range")
-            _pwrite(fd, block, offset + first * block.itemsize * dim)
+            write(block, first)
 
     # A cast past the dtype's range leaves an infinity, reported once by the
     # check above instead of one warning per process.
@@ -472,13 +485,13 @@ def _perturb_into(
 
 
 def perturb_set(
-    embeddings: EmbeddingSet,
+    embeddings: Rows,
     std_basis: ArrayLike,
     spec: PerturbationSpec,
     shuffle_mode: str = "coords",
     threads: int = 1,
 ) -> EmbeddingSet:
-    """Apply perturb to every vector of a set, or of a reader's set.
+    """Apply perturb to every vector of a set, an array or a reader's set.
 
     ``shuffle_mode`` selects what the shuffle stage permutes: "coords"
     shuffles coordinates within each vector, "sequence" permutes the order
@@ -489,21 +502,23 @@ def perturb_set(
     contiguous ranges, capped by the rows and by the CPUs this process may
     run on. This process perturbs the first range and a ``multiprocessing``
     fork-context worker each other range; each reads only the input rows its
-    range needs, _BLOCK at a time, and writes each finished block into one
-    anonymous temporary file, which is read back whole as the result's vectors
-    (see _perturb_into). Fork copies only the calling thread, so pass
-    ``threads`` above 1 only from a process that runs no other Python thread.
-    A reader's error in a worker's rows is raised here; a worker that fails
-    otherwise prints ``Process ForkProcess-N:`` and its traceback, and raises
-    ChildProcessError here, once every worker has exited.
+    range needs, _BLOCK at a time, and stores each finished block into one
+    anonymous shared memory map that the workers inherit and that backs the
+    result's vectors (see _perturb_into). Fork copies only the calling thread,
+    so pass ``threads`` above 1 only from a process that runs no other Python
+    thread. A reader's error in a worker's rows is raised here; a worker that
+    fails otherwise prints ``Process ForkProcess-N:`` and its traceback, and
+    raises ChildProcessError here, once every worker has exited.
 
     Raises ValueError when the noise takes a value past the range of the
     set's dtype.
     """
+    import mmap  # loaded only here: no command calls perturb_set
     rows = _as_rows(embeddings)
-    with tempfile.TemporaryFile() as scratch:
-        ids = _perturb_into(scratch.fileno(), 0, embeddings, std_basis, spec, shuffle_mode, threads)
-        vectors = np.fromfile(scratch, rows.dtype).reshape(rows.shape)
+    size = len(rows) * rows.shape[1] * np.dtype(rows.dtype).itemsize
+    vectors = np.ndarray(rows.shape, rows.dtype, mmap.mmap(-1, max(1, size)))  # a map of 0 bytes is refused
+    ids = _perturb_into(lambda block, k: np.copyto(vectors[k : k + len(block)], block), embeddings, std_basis,
+                        spec, shuffle_mode, threads)
     return EmbeddingSet(vectors, ids)
 
 

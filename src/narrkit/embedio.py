@@ -18,7 +18,7 @@ written once the count is known, and its ids are kept apart, since an id may
 hold a newline. ``read_embeddings`` reads every row into one array. The
 writer sends the header, each block of rows and the id block (or one JSONL
 line at a time) to the sink without joining them first; ``_write_rows``
-writes a set whose rows a caller writes into the file itself.
+writes a set whose rows a caller makes, each put in place by ``_pwrite``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .embedcore import _BLOCK, EmbeddingSet, _as_rows, _blocks, _pwrite, _WriteError
+from .embedcore import _BLOCK, EmbeddingSet, _as_rows, _blocks
 from .jsonl import TEXT, InputError, iter_json_objects, stream_name, want_str
 
 __all__ = ["MAGIC", "EmbeddingFile", "open_embeddings", "read_embeddings", "write_embeddings"]
@@ -296,31 +296,37 @@ def write_embeddings(
     return _write_parts(sink, parts)
 
 
-def _write_rows(
-    sink: IO[bytes], fmt: str, shape: tuple[int, int], fill: Callable[[int, int], list[str] | None]
-) -> int:
-    """Write a set of ``shape`` whose rows ``fill(fd, offset)`` writes itself, in
-    EmbeddingFile.dtype, row k at byte ``offset + 4 * k * dim`` of file
-    descriptor fd, returning the set's ids; return the bytes written to ``sink``.
+def _pwrite(fd: int, data, position: int, name: str) -> None:
+    """Write all of ``data`` at ``position`` of file descriptor ``fd``; a failure,
+    in this process or a forked one, raises OSError naming ``name``."""
+    view = memoryview(data).cast("B")
+    while view:
+        try:
+            written = os.pwrite(fd, view, position)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, name) from exc
+        view, position = view[written:], position + written
+
+
+def _write_rows(sink: IO[bytes], fmt: str, shape: tuple[int, int], fill: Callable) -> int:
+    """Write a set of ``shape`` whose rows ``fill(write)`` makes, returning the
+    set's ids; return the bytes written to ``sink``. fill hands ``write(block,
+    k)`` EmbeddingFile.dtype rows, row 0 being the set's row k, in whichever
+    process made them; write puts them in place by _pwrite, which names the sink.
 
     Binary output to a sink that can seek is written in place, all of it by
     positional writes at the sink's start: the header, fill's rows, then the id
-    block. A failed positional write, in this process or in one that fill
-    forks, names the sink, as a failed write of its own does. Any other output
-    goes through an anonymous temporary file that fill writes as binary, which
-    is then copied, or encoded as JSONL, into ``sink`` by its own writes.
+    block. Any other output goes through an anonymous temporary file that fill
+    writes as binary, which is then copied, or encoded as JSONL, into ``sink``
+    by its own writes.
     """
     head, name = MAGIC + _HEADER.pack(*shape), stream_name(sink, "<output>")
-    if fmt != "binary" or not sink.seekable():
-        with tempfile.TemporaryFile() as fh:
-            _pwrite(fh.fileno(), head, 0)
-            ids = fill(fh.fileno(), len(head))
+    in_place = fmt == "binary" and sink.seekable()
+    with contextlib.nullcontext(sink) if in_place else tempfile.TemporaryFile() as fh:
+        _pwrite(fh.fileno(), head, 0, name)
+        ids = fill(lambda block, k: _pwrite(fh.fileno(), block, len(head) + 4 * k * shape[1], name))
+        if not in_place:
             return write_embeddings(EmbeddingFile(fh, name, ids), sink, fmt)
-    size = 4 * shape[0] * shape[1]
-    try:
-        _pwrite(sink.fileno(), head, 0)
-        tail = _id_block(fill(sink.fileno(), len(head)))
-        _pwrite(sink.fileno(), tail, len(head) + size)
-    except _WriteError as exc:
-        raise OSError(exc.errno, exc.strerror, name) from exc
-    return len(head) + size + len(tail)
+    tail, size = _id_block(ids), len(head) + 4 * shape[0] * shape[1]
+    _pwrite(sink.fileno(), tail, size, name)
+    return size + len(tail)

@@ -206,7 +206,8 @@ def filter_matched(
     ``matches`` is read once, in any order, and each match is folded into its
     clip's entry as it arrives: under BEST_PER_CLIP the action index and IoU of
     the clip's best match so far, else one action index per match. A match that
-    the manifest lacks fails before the next is read.
+    the manifest lacks, or under KEEP_ALL one that repeats its clip's action
+    index, raises ValueError before the next is read.
     """
     filtered = DatasetManifest(actions=dict(m.actions))
     assignment: dict[tuple[str, str], list[int]] = {}
@@ -216,12 +217,10 @@ def filter_matched(
     return FilterResult(filtered, assignment)
 
 
-def _fold_matches(
-    m: DatasetManifest, matches: Iterable[MatchRecord], policy: FilterPolicy, unique: bool = False
-) -> dict[str, list]:
+def _fold_matches(m: DatasetManifest, matches: Iterable[MatchRecord], policy: FilterPolicy) -> dict[str, list]:
     """filter_matched's fold: per video with a match, one entry or None per clip, in clip order.
     Under BEST_PER_CLIP an entry is an action index, and each clip's IoU follows the entries.
-    With ``unique``, a KEEP_ALL match whose clip already holds its action index is an error."""
+    A KEEP_ALL match whose clip already holds its action index is an error."""
     best = policy is FilterPolicy.BEST_PER_CLIP
     folded: dict[str, list] = {}
     # The video the previous match named: its clips' positions by clip_id, its actions and its
@@ -249,7 +248,7 @@ def _fold_matches(
         if not best:
             if slots[i] is None:
                 slots[i] = []
-            elif unique and rec.action_index in slots[i]:
+            elif rec.action_index in slots[i]:
                 raise ValueError(f"match repeats action index {rec.action_index} for clip "
                                  f"'{rec.clip_id}' in video '{rec.video_id}'")
             slots[i].append(rec.action_index)

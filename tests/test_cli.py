@@ -1,9 +1,15 @@
+import contextlib
 import errno
 import gc
 import io
 import json
 import os
+import select
+import signal
 import stat
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -915,6 +921,101 @@ class TestPerturbThreads:
                                 "--threads", "2")
         assert (code, out, err) == (1, "", "error: [Errno 11] Resource temporarily unavailable\n")
         assert not out_path.exists()
+
+
+# Run as `python -c _BLOCKING <fd> perturb ...`: each process of perturb writes its pid to
+# file descriptor <fd> as it reaches its first row, then sleeps there until a signal comes.
+_BLOCKING = """
+import os, sys, time
+from narrkit import cli, embedcore
+os.sched_getaffinity = lambda pid: {0, 1}
+row, ready, seen = embedcore._perturb_row, int(sys.argv.pop(1)), set()
+
+def blocking(*args):
+    if os.getpid() not in seen:
+        seen.add(os.getpid())
+        os.write(ready, b"%d\\n" % os.getpid())
+        time.sleep(60)
+    return row(*args)
+
+embedcore._perturb_row = blocking
+cli.main()
+"""
+
+
+class TestInterrupt:
+    """A run stopped by SIGINT or SIGTERM ends as a failed run does: exit 128 + the signal's
+    number, one line on stderr and no output or temp file. Each command runs in its own
+    session, so that a signal sent to its process group reaches no other process, and every
+    wait on it is bounded."""
+
+    @staticmethod
+    def start(argv, **kwargs):
+        return subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                text=True, start_new_session=True, **kwargs)
+
+    @staticmethod
+    def end(proc):
+        """Kill whatever is left of ``proc``'s process group, and reap ``proc``."""
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=60)
+
+    @pytest.mark.parametrize("stop", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_match_blocked_in_its_read(self, tmp_path, stop):
+        # The manifest comes through a FIFO that this test holds open, so the command is
+        # still reading it when the signal arrives.
+        fifo = tmp_path / "manifest.fifo"
+        os.mkfifo(fifo)
+        proc = self.start(["-m", "narrkit.cli", "match", "--manifest", str(fifo), "--out", str(tmp_path / "m.jsonl")])
+        try:
+            deadline = time.monotonic() + 60
+            while True:  # a FIFO opens for writing, without blocking, once its reader has opened it
+                try:
+                    feed = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                    break
+                except OSError as exc:
+                    if exc.errno != errno.ENXIO or proc.poll() is not None or time.monotonic() > deadline:
+                        raise
+                time.sleep(0.01)
+            try:
+                os.write(feed, b'{"kind": "video", "video_id": "v1", "duration_s": 10.0}\n')
+                os.killpg(proc.pid, stop)
+                _, err = proc.communicate(timeout=60)
+            finally:
+                os.close(feed)
+        finally:
+            self.end(proc)
+        assert (proc.returncode, err) == (128 + stop, f"error: interrupted ({stop.name})\n")
+        assert os.listdir(tmp_path) == ["manifest.fifo"]
+
+    @pytest.mark.parametrize("stop,group", [(signal.SIGINT, True), (signal.SIGTERM, False)],
+                             ids=["SIGINT-to-the-group", "SIGTERM-to-the-parent"])
+    def test_perturb_with_a_worker(self, emb_paths, tmp_path, stop, group):
+        # Ctrl-C signals the parent and its worker; kill, the parent alone. Either way the
+        # worker is gone when the parent exits, and the output's temp file too.
+        ready, ready_w = os.pipe()
+        proc = self.start(["-c", _BLOCKING, str(ready_w), "perturb", "--in", emb_paths[0], "--threads", "2",
+                           "--out", str(tmp_path / "o.emb")], pass_fds=[ready_w])
+        os.close(ready_w)
+        try:
+            pids, text = set(), b""
+            while len(pids) < 2:  # the parent's pid and its worker's
+                assert select.select([ready], [], [], 60)[0], "perturb's processes never reached a row"
+                data = os.read(ready, 64)
+                assert data, "perturb exited before its processes reached a row"
+                text += data
+                pids = {int(pid) for pid in text.split()}
+            (os.killpg if group else os.kill)(proc.pid, stop)
+            _, err = proc.communicate(timeout=60)
+            (worker,) = pids - {proc.pid}
+            with pytest.raises(ProcessLookupError):  # reaped by the parent, not left to run on
+                os.kill(worker, 0)
+        finally:
+            os.close(ready)
+            self.end(proc)
+        assert (proc.returncode, err) == (128 + stop, f"error: interrupted ({stop.name})\n")
+        assert sorted(os.listdir(tmp_path)) == ["a.emb", "b.emb"]
 
 
 class TestStreamedInputs:

@@ -1,7 +1,9 @@
 import math
+import mmap
 import os
 import re
 import signal
+import tempfile
 
 import numpy as np
 import pytest
@@ -442,6 +444,47 @@ class TestForkedWorkers:
             perturb_set(es, np.ones(8), PerturbationSpec(), threads=2)
         assert_no_child_left()
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_opens_no_temporary_file(self, rng, monkeypatch, threads):
+        # Every process stores its rows into shared memory that backs the result.
+        allow_cpus(monkeypatch, 3)
+
+        def no_file(*args, **kwargs):
+            raise AssertionError("perturb_set opened a temporary file")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+        es = EmbeddingSet(rng.normal(size=(2 * embedcore._BLOCK + 5, 6)).astype(np.float32))
+        spec = PerturbationSpec(seed=9)
+        out = perturb_set(es, np.ones(6), spec, threads=threads)
+        rows = np.stack([perturb(v, np.ones(6), spec, item_index=i) for i, v in enumerate(es.vectors)])
+        assert out.vectors.tobytes() == rows.tobytes()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["coords", "sequence"])
+    def test_writer_gets_every_row_once(self, rng, monkeypatch, mode, processes):
+        # Each process calls the writer on its own blocks; it records them in shared memory.
+        allow_cpus(monkeypatch, 3)
+        n, dim = 2 * embedcore._BLOCK + 5, 6
+        es = EmbeddingSet(rng.normal(size=(n, dim)).astype(np.float32), [f"e{i}" for i in range(n)])
+        spec = PerturbationSpec(seed=13)
+        shared = mmap.mmap(-1, n * (4 * dim + 16))
+        rows = np.ndarray((n, dim), np.float32, shared)
+        calls, pids = np.ndarray((2, n), np.int64, shared, rows.nbytes)
+
+        def record(block, k):
+            rows[k : k + len(block)] = block
+            calls[k : k + len(block)] += 1
+            pids[k : k + len(block)] = os.getpid()
+
+        ids = embedcore._perturb_into(record, es, np.ones(dim), spec, mode, processes)
+        expected = perturb_set(es, np.ones(dim), spec, mode)
+        assert calls.tolist() == [1] * n
+        assert len(set(pids.tolist())) == processes
+        assert rows.tobytes() == expected.vectors.tobytes()
+        assert ids == expected.ids
+        assert_no_child_left()
+
     def test_worker_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
@@ -461,6 +504,38 @@ class TestForkedWorkers:
         es = EmbeddingSet(rng.normal(size=(4, 3)))
         with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
             perturb_set(es, np.ones(3), PerturbationSpec(), threads=threads)
+
+
+class TestArrayInputs:
+    """A plain array is checked as a file's rows are, and perturb_set takes one."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("kernel", [regression_loss, flow_loss, clip_t_score, lambda x, y: population_std(x),
+                                        lambda x, y: fit_moments(x)],
+                             ids=["regression_loss", "flow_loss", "clip_t_score", "population_std", "fit_moments"])
+    def test_non_finite_array_rejected(self, rng, kernel, value):
+        x, y = rng.normal(size=(2, embedcore._BLOCK + 40, 4)).astype(np.float32)
+        x[embedcore._BLOCK + 20, 2] = value  # in the second block
+        with pytest.raises(ValueError, match="^embeddings must be finite$"):
+            kernel(x, y)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_perturb_set_takes_an_array(self, dtype):
+        # as a set without ids, whose vectors are a float array
+        x = np.arange(12, dtype=dtype).reshape(4, 3)
+        out = perturb_set(x, np.ones(3), PerturbationSpec(seed=2))
+        expected = perturb_set(EmbeddingSet(x), np.ones(3), PerturbationSpec(seed=2))
+        assert out.ids is None
+        assert out.vectors.dtype == expected.vectors.dtype == np.dtype(np.float32 if dtype is np.float32 else np.float64)
+        assert out.vectors.tobytes() == expected.vectors.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_std_basis_rejected(self, value):
+        basis = np.array([1.0, value, 1.0])
+        with pytest.raises(ValueError, match="^std_basis must be finite$"):
+            perturb_set(EmbeddingSet(np.ones((4, 3), np.float32)), basis, PerturbationSpec())
+        with pytest.raises(ValueError, match="^std_basis must be finite$"):
+            perturb(np.ones(3), basis, PerturbationSpec())
 
 
 class TestMoments:

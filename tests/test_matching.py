@@ -458,6 +458,10 @@ class TestFilterFold:
         m = random_manifest(rng, n_videos=40)
         matches = reorder(match_dataset(m), rng)
         assert len({r.video_id for r in matches[:20]}) > 1  # not grouped by video
+        if policy is FilterPolicy.KEEP_ALL and reorder is _duplicated:  # would list an index twice
+            with pytest.raises(ValueError, match="^match repeats action index"):
+                filter_matched(m, matches, policy)
+            return
         result = filter_matched(m, matches, policy)
         expected = collect_then_min(m, matches, policy)
         assert list(result.assignment.items()) == list(expected.items())
@@ -481,6 +485,10 @@ class TestFilterFold:
         matches = [MatchRecord("v", "c1", i, iou, 0.0, MatchRule.RULE_A) for i, iou in self._TIES[tie]]
         if reverse:
             matches.reverse()
+        if policy is FilterPolicy.KEEP_ALL and tie == "duplicate":  # would list index 1 twice
+            with pytest.raises(ValueError, match="^match repeats action index 1 for clip 'c1' in video 'v'$"):
+                filter_matched(m, matches, policy)
+            return
         expected = collect_then_min(m, matches, policy)
         assert filter_matched(m, matches, policy).assignment == expected
         if policy is FilterPolicy.BEST_PER_CLIP:
