@@ -21,7 +21,7 @@ imported on first use: ``from narrkit import histogram`` loads no numpy.
 
 import importlib.util
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 # Library modules whose ``__all__`` makes up the package namespace (``cli``
 # is the driver, not a library). The numpy-free ones come first, so that a

@@ -19,15 +19,17 @@ depend on scheduling or thread count.
 Memory: every kernel walks its input in blocks of _BLOCK rows, one block
 (and its float64 working copy) alive at a time, so it never needs a whole
 set in memory; a one-column set is the exception (see _row_sum). An input
-is an array, an ``EmbeddingSet`` or a reader that ``embedio.open_embeddings``
-returns, whose ``blocks(lo, hi)`` reads each block from the file as it is
-needed. ``population_std`` and ``fit_moments`` make two passes (the mean,
-then the deviations from it); the pair metrics walk the blocks of their two
-sets in step; each process of a perturbation reads its own rows and hands
-each finished block to its caller's writer (see _perturb_into).
-``fit_moments`` adds each block's gram into its scatter in place. The Fréchet
-body adds its jitter to the fitted covariances in place, takes the trace term
-from a Cholesky factor and eigenvalues alone, with no eigenvectors unless a
+is an ``EmbeddingSet``, an array, which becomes a set (see _as_rows), or a
+reader that ``embedio.open_embeddings`` returns; every kernel walks it by
+``blocks(lo, hi)`` and ``take(index)``, which give views of a set's vectors
+and read a reader's rows from its file as they are needed.
+``population_std`` and ``fit_moments`` make two passes (the mean, then the
+deviations from it); the pair metrics walk the blocks of their two sets in
+step; each process of a perturbation reads its own rows and hands each
+finished block to its caller's writer (see _perturb_into). ``fit_moments``
+adds each block's gram into its scatter in place. The Fréchet body adds its
+jitter to the fitted covariances in place, takes the trace term from a
+Cholesky factor and eigenvalues alone, with no eigenvectors unless a
 covariance is not positive definite, and drops each d×d temporary after its
 last use.
 """
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -62,99 +64,96 @@ __all__ = [
     "flow_matching_loss",
 ]
 
+# Rows per block in the row-blocked kernels and readers; bounds their temporaries.
+_BLOCK = 512
+
+
+def _real(x, name: str) -> np.ndarray:
+    """x as an array; a complex one, whose imaginary part a cast to float drops, is rejected."""
+    a = np.asarray(x)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} must be real numbers")
+    return a
+
+
 @dataclass
 class EmbeddingSet:
     """A stack of equal-dimension embedding vectors with optional ids.
 
-    ``vectors`` is an (n, dim) float array; binary storage is single
-    precision, so sets read from disk arrive as float32. Kernels upcast to
-    float64 internally.
+    ``vectors`` is an (n, dim) finite float array, dim >= 1 (an integer array
+    is stored as float64, a complex one rejected); ``ids`` are strings, none
+    empty. Binary storage is single precision, so sets read from disk arrive
+    as float32. Kernels upcast to float64 internally. A set reads as an open
+    ``embedio.EmbeddingFile`` does, by ``blocks(lo, hi)`` (views) and
+    ``take(index)``.
     """
 
     vectors: np.ndarray
     ids: list[str] | None = None
 
     def __post_init__(self):
-        self.vectors = np.asarray(self.vectors)
+        self.vectors = _real(self.vectors, "embeddings")
         if self.vectors.ndim != 2:
             raise ValueError(f"vectors must be 2-D, got shape {self.vectors.shape}")
         if self.vectors.shape[1] < 1:
             raise ValueError("embedding dimension must be >= 1")
         if not np.issubdtype(self.vectors.dtype, np.floating):
             self.vectors = self.vectors.astype(np.float64)
-        if not _finite(self.vectors):
+        # Block by block, so that the bool temporary is one block's.
+        if not all(np.isfinite(block).all() for block in self.blocks()):
             raise ValueError("embeddings must be finite")
         if self.ids is not None:
-            if len(self.ids) != len(self.vectors):
-                raise ValueError(
-                    f"{len(self.ids)} ids for {len(self.vectors)} vectors"
-                )
-            if any(not i for i in self.ids):
+            if isinstance(self.ids, str) or not all(isinstance(i, str) and i for i in self.ids):
                 raise ValueError("embedding ids must be non-empty strings")
+            if len(self.ids) != len(self.vectors):
+                raise ValueError(f"{len(self.ids)} ids for {len(self.vectors)} vectors")
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
+    dim = property(lambda self: self.vectors.shape[1])
+    shape = property(lambda self: self.vectors.shape)
+    dtype = property(lambda self: self.vectors.dtype)
+
+    def blocks(self, lo: int = 0, hi: int | None = None) -> Iterator[np.ndarray]:
+        """Views of rows lo..hi (default: all), _BLOCK rows cut at lo, lo + _BLOCK, ..."""
+        hi = len(self) if hi is None else hi
+        return (self.vectors[i : min(i + _BLOCK, hi)] for i in range(lo, hi, _BLOCK))
+
+    def take(self, index: Sequence[int]) -> np.ndarray:
+        """Rows index[0], index[1], ..., in that order, in one fresh array."""
+        return self.vectors[index]
 
 
 ArrayLike = Union[np.ndarray, Sequence[float]]
-# Kernels also take a reader: anything with ``shape``, ``dtype``, ``ids`` and
-# ``blocks(lo, hi)``, as embedio.EmbeddingFile has.
+# Kernels also take a reader with a set's ``shape``, ``dtype``, ``ids``,
+# ``blocks(lo, hi)`` and ``take(index)``, as embedio.EmbeddingFile has.
 Rows = Union[EmbeddingSet, ArrayLike]
 
 
 def _as_rows(x: Rows, name: str = "embeddings"):
-    """Rows of a set, 2-D array or vector (one row), in their stored dtype, or in
-    float64 for an array of another kind, as a set stores it; a reader as it is.
-    An array that holds a non-finite value is rejected, as a reader rejects a
-    block that does."""
+    """A set or a reader as it is; a vector as a set of one row and a 2-D array
+    as a set, which checks it."""
     if hasattr(x, "blocks"):
         return x
-    if isinstance(x, EmbeddingSet):  # checked as it was made
-        return x.vectors
     m = np.asarray(x)
     if m.ndim == 1 and m.size:
         m = m[None, :]
     if m.ndim != 2:
         raise ValueError(f"{name} must be a non-empty vector or 2-D, got shape {m.shape}")
-    if not np.issubdtype(m.dtype, np.floating):
-        m = m.astype(np.float64)
-    if not _finite(m):
-        raise ValueError("embeddings must be finite")
-    return m
+    return EmbeddingSet(m)
 
 
 def _as_vector(x: ArrayLike, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
+    v = np.asarray(_real(x, name), dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"{name} must be a non-empty 1-D vector")
     return v
 
 
-# Rows per block in the row-blocked kernels and readers; bounds their temporaries.
-_BLOCK = 512
-
-
-def _blocks(rows, lo: int = 0, hi: int | None = None) -> Iterable[np.ndarray]:
-    """Rows lo..hi (default: all) of an array or a reader, in blocks of _BLOCK
-    rows cut at lo, lo + _BLOCK, ...: views of an array, a reader's own blocks."""
-    if not isinstance(rows, np.ndarray):
-        return rows.blocks(lo, hi)
-    hi = len(rows) if hi is None else hi
-    return (rows[i : min(i + _BLOCK, hi)] for i in range(lo, hi, _BLOCK))
-
-
-def _finite(rows: np.ndarray) -> bool:
-    # Block by block, so that the bool temporary is one block's.
-    return all(np.isfinite(block).all() for block in _blocks(rows))
-
-
-def _check_pairs(a: Rows, b: Rows, names=("pred", "target")) -> tuple[np.ndarray, np.ndarray]:
+def _check_pairs(a: Rows, b: Rows, names=("pred", "target")) -> tuple[EmbeddingSet, EmbeddingSet]:
     """Raise ValueError unless two inputs hold as many rows as each other, at
-    least one, of one dimension; return them as rows (see _as_rows)."""
+    least one, of one dimension; return them as sets or readers (see _as_rows)."""
     x, y = _as_rows(a, names[0]), _as_rows(b, names[1])
     if len(x) != len(y):
         raise ValueError(f"pair count mismatch: {len(x)} vs {len(y)}")
@@ -167,13 +166,13 @@ def _check_pairs(a: Rows, b: Rows, names=("pred", "target")) -> tuple[np.ndarray
 
 def _pair_rows(x, y, row_fn: Callable) -> np.ndarray:
     """Concatenate the per-row results of ``row_fn(a, b, first)`` over the float64
-    copies of the blocks of _BLOCK paired rows of x and y (see _blocks), whose row
-    0 is pair ``first``. Every block pair is copied into the same two buffers:
+    copies of the blocks of _BLOCK paired rows of x and y, whose row 0 is pair
+    ``first``. Every block pair is copied into the same two buffers:
     a fresh pair of float64 blocks each time would cost its page faults anew.
     Each stored block is copied straight from its iterator, so none is still
     alive while the next is read."""
     a64, b64 = np.empty((2, min(_BLOCK, len(x)), x.shape[1]))
-    xs, ys = _blocks(x), _blocks(y)
+    xs, ys = x.blocks(), y.blocks()
     results = []
     for first in range(0, len(x), _BLOCK):
         n = min(_BLOCK, len(x) - first)
@@ -241,8 +240,8 @@ def regression_loss_grad(
     """
     p = p or RegressionLossParams()
     x, y = _check_pairs(_as_vector(pred, "pred"), _as_vector(target, "target"))
-    (cos,), (np_norm,), (nt_norm,) = _row_cosines(x, y)
-    vp, vt = x[0], y[0]
+    (cos,), (np_norm,), (nt_norm,) = _row_cosines(x.vectors, y.vectors)
+    vp, vt = x.vectors[0], y.vectors[0]
     grad_cos = p.alpha * (cos * vp / np_norm**2 - vt / (np_norm * nt_norm))
     grad_mse = (2.0 * p.beta / vp.size) * (vp - vt)
     return grad_cos + grad_mse
@@ -258,12 +257,12 @@ def _row_sum(rows, mean: np.ndarray | None = None) -> np.ndarray:
     so a one-column set is gathered into one array and summed whole.
     """
     if rows.shape[1] == 1:
-        x = np.concatenate(list(_blocks(rows)))
+        x = np.concatenate(list(rows.blocks()))
         if mean is not None:
             x = np.square(np.subtract(x, mean, dtype=np.float64))
         return np.sum(x, axis=0, dtype=np.float64)
     buf = np.zeros((min(_BLOCK, len(rows)) + 1, rows.shape[1]))
-    for block in _blocks(rows):
+    for block in rows.blocks():
         part = buf[1 : len(block) + 1]
         if mean is None:
             part[...] = block
@@ -335,7 +334,7 @@ def perturb(
     at most double precision. Output dtype matches the input when it is a
     float array, otherwise float64.
     """
-    v = np.asarray(z)
+    v = _real(z, "embedding")
     out_dtype = v.dtype if np.issubdtype(v.dtype, np.floating) else np.float64
     if v.ndim != 1 or v.size < 1:
         raise ValueError("embedding must be a non-empty 1-D vector")
@@ -426,14 +425,6 @@ def _run_forked(fill: Callable[[int, int], None], bounds: list[int]) -> None:
             raise ChildProcessError(f"perturb worker for rows {lo}..{hi - 1} exited with status {code}")
 
 
-def _rows_at(rows, index: Union[range, list]) -> np.ndarray:
-    """Rows ``index`` (at most _BLOCK) of an array or a reader: a range as one
-    slice or block read, a list of row numbers by a gather."""
-    if isinstance(index, range):
-        return next(_blocks(rows, index.start, index.stop))
-    return rows[index] if isinstance(rows, np.ndarray) else rows.take(index)
-
-
 def _perturb_into(
     write: Callable[[np.ndarray, int], None],
     embeddings: Rows,
@@ -460,17 +451,18 @@ def _perturb_into(
     src = range(n)
     if spec.shuffle and not coord_shuffle:
         src = _order_rng(spec.seed).permutation(n).tolist()
-    ids = getattr(embeddings, "ids", None)  # an array is a set without ids
-    if ids is not None:
-        ids = [ids[i] for i in src]
+    ids = None if rows.ids is None else [rows.ids[i] for i in src]
 
     def fill(lo: int, hi: int) -> None:
         out = np.empty((min(_BLOCK, hi - lo), dim), rows.dtype)
+        if isinstance(src, range):  # the rows in order, a block at a time
+            stored = rows.blocks(lo, hi)
+        else:  # each block's rows gathered from the sequence-shuffle order
+            stored = (rows.take(src[i : min(i + _BLOCK, hi)]) for i in range(lo, hi, _BLOCK))
         for first in range(lo, hi, _BLOCK):
-            index = src[first : min(first + _BLOCK, hi)]
-            block = out[: len(index)]
-            for k, (i, row) in enumerate(zip(index, _rows_at(rows, index))):
-                block[k] = _perturb_row(row, basis, spec, i, coord_shuffle)
+            block = out[: min(_BLOCK, hi - first)]
+            for k, row in enumerate(next(stored)):
+                block[k] = _perturb_row(row, basis, spec, src[first + k], coord_shuffle)
             del row  # a view that keeps its input block alive while the next is read
             if not np.isfinite(block).all():
                 raise ValueError(f"the noise takes perturbed values past the {rows.dtype} range")
@@ -515,9 +507,9 @@ def perturb_set(
     """
     import mmap  # loaded only here: no command calls perturb_set
     rows = _as_rows(embeddings)
-    size = len(rows) * rows.shape[1] * np.dtype(rows.dtype).itemsize
+    size = len(rows) * rows.shape[1] * rows.dtype.itemsize
     vectors = np.ndarray(rows.shape, rows.dtype, mmap.mmap(-1, max(1, size)))  # a map of 0 bytes is refused
-    ids = _perturb_into(lambda block, k: np.copyto(vectors[k : k + len(block)], block), embeddings, std_basis,
+    ids = _perturb_into(lambda block, k: np.copyto(vectors[k : k + len(block)], block), rows, std_basis,
                         spec, shuffle_mode, threads)
     return EmbeddingSet(vectors, ids)
 
@@ -575,7 +567,7 @@ def fit_moments(embeddings: Rows) -> GaussianMoments:
     scatter = np.zeros((x.shape[1], x.shape[1]))
     gram = np.empty_like(scatter)
     buf = np.empty((min(_BLOCK, x.shape[0]), x.shape[1]))
-    for block in _blocks(x):
+    for block in x.blocks():
         b = np.subtract(block, mean, out=buf[: len(block)])
         del block  # so that no stored block is alive while the next is read
         scatter += np.dot(b.T, b, out=gram)
@@ -713,8 +705,8 @@ class FlowSample:
             _as_vector(self.predicted_drift, "predicted_drift"),
             _as_vector(self.target_drift, "target_drift"),
         )
-        object.__setattr__(self, "predicted_drift", pred[0])
-        object.__setattr__(self, "target_drift", target[0])
+        object.__setattr__(self, "predicted_drift", pred.vectors[0])
+        object.__setattr__(self, "target_drift", target.vectors[0])
 
 
 def flow_loss(pred: Rows, target: Rows) -> float:

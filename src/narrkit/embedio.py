@@ -35,7 +35,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .embedcore import _BLOCK, EmbeddingSet, _as_rows, _blocks
+from .embedcore import _BLOCK, EmbeddingSet
 from .jsonl import TEXT, InputError, iter_json_objects, stream_name, want_str
 
 __all__ = ["MAGIC", "EmbeddingFile", "open_embeddings", "read_embeddings", "write_embeddings"]
@@ -245,17 +245,14 @@ def _id_block(ids: list[str] | None) -> bytes:
     return "\n".join(ids).encode("utf-8")
 
 
-Rows = Union[EmbeddingSet, EmbeddingFile]
-
-
-def _encode_binary(es: Rows) -> Iterable:
+def _encode_binary(es: EmbeddingSet | EmbeddingFile) -> Iterable:
     tail = _id_block(es.ids)  # checked before anything is written
     head = MAGIC + _HEADER.pack(len(es), es.dim)
-    return chain([head], (np.ascontiguousarray(b, dtype="<f4") for b in _blocks(_as_rows(es))), [tail])
+    return chain([head], (np.ascontiguousarray(b, dtype="<f4") for b in es.blocks()), [tail])
 
 
-def _encode_jsonl(es: Rows) -> Iterable[bytes]:
-    for first, block in zip(range(0, len(es), _BLOCK), _blocks(_as_rows(es))):
+def _encode_jsonl(es: EmbeddingSet | EmbeddingFile) -> Iterable[bytes]:
+    for first, block in zip(range(0, len(es), _BLOCK), es.blocks()):
         for i, row in enumerate(np.asarray(block, dtype=np.float32), first):
             rec = {}
             if es.ids is not None:
@@ -274,9 +271,7 @@ def _write_parts(fh: IO[bytes], parts: Iterable) -> int:
     return written
 
 
-def write_embeddings(
-    es: Rows, sink: Source, fmt: str = "binary"
-) -> int:
+def write_embeddings(es: EmbeddingSet | EmbeddingFile, sink: Source, fmt: str = "binary") -> int:
     """Write an embedding set, or a reader's set, in the given format; returns
     bytes written.
 

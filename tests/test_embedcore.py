@@ -519,6 +519,30 @@ class TestArrayInputs:
         with pytest.raises(ValueError, match="^embeddings must be finite$"):
             kernel(x, y)
 
+    @pytest.mark.parametrize("kernel", [regression_loss, flow_loss, clip_t_score, lambda x, y: population_std(x),
+                                        lambda x, y: fit_moments(x)],
+                             ids=["regression_loss", "flow_loss", "clip_t_score", "population_std", "fit_moments"])
+    def test_zero_width_array_rejected(self, kernel):
+        # as EmbeddingSet and a file's header reject one
+        with pytest.raises(ValueError, match="^embedding dimension must be >= 1$"):
+            kernel(np.ones((3, 0)), np.ones((3, 0)))
+
+    @pytest.mark.parametrize("call, err", [
+        (lambda: regression_loss(np.array([1 + 5j, 2]), np.array([1, 2.0])), "embeddings"),
+        (lambda: flow_loss(np.ones((2, 2)), np.full((2, 2), 1j)), "embeddings"),
+        (lambda: population_std(np.ones((3, 2), complex)), "embeddings"),
+        (lambda: regression_loss_grad(np.array([1j, 2]), np.ones(2)), "pred"),
+        (lambda: FlowSample(np.ones(2), np.array([1, 2j])), "target_drift"),
+        (lambda: perturb(np.array([1j, 2]), np.ones(2), PerturbationSpec()), "embedding"),
+        (lambda: perturb(np.ones(2), np.array([1j, 2]), PerturbationSpec()), "std_basis"),
+        (lambda: perturb_set(np.ones((2, 2)), np.array([1j, 2]), PerturbationSpec()), "std_basis"),
+    ], ids=["regression_loss", "flow_loss", "population_std", "grad", "FlowSample", "perturb", "perturb-basis",
+            "perturb_set-basis"])
+    def test_complex_rejected(self, call, err):
+        # a cast to float would keep only the real part
+        with pytest.raises(ValueError, match=f"^{err} must be real numbers$"):
+            call()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.int64])
     def test_perturb_set_takes_an_array(self, dtype):
         # as a set without ids, whose vectors are a float array
@@ -877,8 +901,9 @@ class TestStreamed:
             assert flow_loss(fx, fy) == embedcore._mean(
                 sliced_pair_rows(x, y, lambda a, b, first: embedcore._rowdot(a - b, a - b)))
             assert clip_t_score(fx, fy) == embedcore._mean(sliced_pair_rows(x, y, embedcore._row_cosines)[0])
-            for threads in (1, 2):
-                out = perturb_set(fx, np.ones(x.shape[1]), PerturbationSpec(seed=5), threads=threads)
-                assert out.vectors.tobytes() == perturb_set(EmbeddingSet(x), np.ones(x.shape[1]),
-                                                            PerturbationSpec(seed=5)).vectors.tobytes()
+            for mode in ("coords", "sequence"):  # blocks() and take() of a file and of a set
+                expected = perturb_set(EmbeddingSet(x), np.ones(x.shape[1]), PerturbationSpec(seed=5), mode)
+                for threads in (1, 2):
+                    out = perturb_set(fx, np.ones(x.shape[1]), PerturbationSpec(seed=5), mode, threads)
+                    assert out.vectors.tobytes() == expected.vectors.tobytes()
         assert_no_child_left()

@@ -270,6 +270,17 @@ class TestEmbeddingSetValidation:
         with pytest.raises(ValueError, match="ids"):
             EmbeddingSet(np.ones((2, 2)), ids=["only-one"])
 
+    @pytest.mark.parametrize("ids", [[1, 2], ["a", 2], [b"a", b"b"], "ab"], ids=["ints", "mixed", "bytes", "one-str"])
+    def test_ids_must_be_non_empty_strings(self, ids):
+        # a writer would fail on or write what no reader accepts
+        with pytest.raises(ValueError, match="^embedding ids must be non-empty strings$"):
+            EmbeddingSet(np.ones((2, 3)), ids=ids)
+
+    def test_complex_rejected(self):
+        # a cast to float would keep only the real part
+        with pytest.raises(ValueError, match="^embeddings must be real numbers$"):
+            EmbeddingSet(np.array([[1 + 2j, 3], [4, 5j]]))
+
 
 def write_raw(path, rows, tail=b""):
     """An EMB1 file of float32 rows, NaN allowed (EmbeddingSet refuses one)."""
@@ -305,6 +316,20 @@ class TestOpen:
             first, second = fx.blocks(), fx.blocks(self.BLOCK)
             assert np.array_equal(next(second), rows[self.BLOCK : 2 * self.BLOCK])
             assert np.array_equal(next(first), rows[: self.BLOCK])
+
+    def test_a_set_reads_as_its_file_does(self, rng, tmp_path):
+        rows = rng.normal(size=(2 * self.BLOCK + 3, 4)).astype(np.float32)
+        path = tmp_path / "x.emb"
+        write_raw(path, rows)
+        es = EmbeddingSet(rows)
+        with open_embeddings(path) as fx:
+            assert (es.shape, es.dtype) == (fx.shape, fx.dtype)
+            for lo, hi in [(0, None), (5, 2 * self.BLOCK + 1), (self.BLOCK, self.BLOCK + 1)]:
+                pairs = list(zip(es.blocks(lo, hi), fx.blocks(lo, hi), strict=True))
+                assert pairs and all(np.array_equal(a, b) for a, b in pairs)
+            index = [2 * self.BLOCK + 2, 0, 7, 7]
+            assert np.array_equal(es.take(index), fx.take(index))
+            assert np.array_equal(es.take(index), rows[index])
 
     def test_nan_in_the_last_block_found_when_read(self, rng, tmp_path):
         rows = rng.normal(size=(2 * self.BLOCK + 3, 4)).astype(np.float32)
