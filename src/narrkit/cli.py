@@ -79,26 +79,26 @@ class _FlagError(InputError):
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, **TEXT) as fh:
-        cfg = decode_object(fh.read(), None, path)
-    unknown = sorted(set(cfg) - set(_CONFIG_TYPES))
-    if unknown:
-        raise InputError(f"unknown config key(s): {', '.join(unknown)}", source=path)
-    for key, value in cfg.items():
-        kind = _CONFIG_TYPES[key]
-        if kind is float:
-            cfg[key] = want_number(cfg, key, None, path)
-        elif type(value) is not kind:
-            raise InputError(f"field '{key}' must be a JSON {kind.__name__}", source=path)
-    edges = cfg.get("histogram_edges", {})
-    for name, values in edges.items():
-        if name not in DEFAULT_EDGES or not isinstance(values, list):
-            raise InputError(f"field 'histogram_edges' has no list for '{name}'", source=path)
-        edges[name] = [want_number({name: v}, name, None, path) for v in values]
-        try:  # before any input is read, whether or not the command draws histograms
-            check_edges(edges[name])
-        except ValueError as exc:
-            raise InputError(f"field 'histogram_edges' for '{name}': {exc}", source=path) from exc
+    with open(path, **TEXT) as fh, _blame(path):
+        cfg = decode_object(fh.read())
+        unknown = sorted(set(cfg) - set(_CONFIG_TYPES))
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        for key, value in cfg.items():
+            kind = _CONFIG_TYPES[key]
+            if kind is float:
+                cfg[key] = want_number(cfg, key)
+            elif type(value) is not kind:
+                raise ValueError(f"field '{key}' must be a JSON {kind.__name__}")
+        edges = cfg.get("histogram_edges", {})
+        for name, values in edges.items():
+            if name not in DEFAULT_EDGES or not isinstance(values, list):
+                raise ValueError(f"field 'histogram_edges' has no list for '{name}'")
+            edges[name] = [want_number({name: v}, name) for v in values]
+            try:  # before any input is read, whether or not the command draws histograms
+                check_edges(edges[name])
+            except ValueError as exc:
+                raise ValueError(f"field 'histogram_edges' for '{name}': {exc}") from exc
     return cfg
 
 

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .jsonl import iter_json_objects, stream_name, want_int, want_str, want_text
+from .jsonl import records, want_int, want_str, want_text
 from .params import check_context_length
 
 __all__ = [
@@ -162,17 +162,17 @@ def read_step_sequences(lines: Iterable[str]) -> dict[str, NarrativeSequence]:
     keyframe_id}. Steps may arrive in any order; they are sorted by index
     per sequence and must then be contiguous from 1.
     """
-    source = stream_name(lines)
     grouped: dict[str, list[StepRecord]] = {}
-    for lineno, rec in iter_json_objects(lines, source):
-        step = StepRecord(
-            want_int(rec, "index", lineno, source),
-            want_text(rec, "action", lineno, source),
-            want_text(rec, "caption", lineno, source),
-            want_str(rec, "embedding_id", lineno, source),
-            want_str(rec, "keyframe_id", lineno, source),
-        )
-        grouped.setdefault(want_str(rec, "sequence_id", lineno, source), []).append(step)
+    with records(lines) as recs:
+        for rec in recs:
+            step = StepRecord(
+                want_int(rec, "index"),
+                want_text(rec, "action"),
+                want_text(rec, "caption"),
+                want_str(rec, "embedding_id"),
+                want_str(rec, "keyframe_id"),
+            )
+            grouped.setdefault(want_str(rec, "sequence_id"), []).append(step)
     sequences: dict[str, NarrativeSequence] = {}
     for sequence_id in sorted(grouped):
         steps = sorted(grouped[sequence_id], key=lambda s: s.index)

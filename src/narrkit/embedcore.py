@@ -324,6 +324,13 @@ def _std_basis(std_basis: ArrayLike, dim: int) -> np.ndarray:
     return basis
 
 
+def _in_range(rows: np.ndarray) -> np.ndarray:
+    """``rows``, unless a cast to their dtype has left an infinity."""
+    if not np.isfinite(rows).all():
+        raise ValueError(f"the noise takes perturbed values past the {rows.dtype} range")
+    return rows
+
+
 def perturb(
     z: ArrayLike, std_basis: ArrayLike, spec: PerturbationSpec, item_index: int = 0
 ) -> np.ndarray:
@@ -335,11 +342,13 @@ def perturb(
     float array, otherwise float64.
     """
     v = _real(z, "embedding")
-    out_dtype = v.dtype if np.issubdtype(v.dtype, np.floating) else np.float64
     if v.ndim != 1 or v.size < 1:
         raise ValueError("embedding must be a non-empty 1-D vector")
-    basis = _std_basis(std_basis, v.shape[0])
-    return _perturb_row(v, basis, spec, item_index, coord_shuffle=True).astype(out_dtype)
+    row = EmbeddingSet(v[None, :])  # checked as a set's rows are
+    basis = _std_basis(std_basis, row.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _perturb_row(row.vectors[0], basis, spec, item_index, coord_shuffle=True).astype(row.dtype)
+    return _in_range(out)
 
 
 def _worker_count(threads: int, rows: int) -> int:
@@ -464,9 +473,7 @@ def _perturb_into(
             for k, row in enumerate(next(stored)):
                 block[k] = _perturb_row(row, basis, spec, src[first + k], coord_shuffle)
             del row  # a view that keeps its input block alive while the next is read
-            if not np.isfinite(block).all():
-                raise ValueError(f"the noise takes perturbed values past the {rows.dtype} range")
-            write(block, first)
+            write(_in_range(block), first)
 
     # A cast past the dtype's range leaves an infinity, reported once by the
     # check above instead of one warning per process.

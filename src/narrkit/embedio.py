@@ -36,7 +36,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .embedcore import _BLOCK, EmbeddingSet
-from .jsonl import TEXT, InputError, iter_json_objects, stream_name, want_str
+from .jsonl import TEXT, InputError, records, stream_name, want_str
 
 __all__ = ["MAGIC", "EmbeddingFile", "open_embeddings", "read_embeddings", "write_embeddings"]
 
@@ -160,23 +160,24 @@ def _decode_jsonl(lines: Iterable[str], source: str, out: IO[bytes]) -> list[str
     ids: list[str] = []
     dims: set[int] = set()
     count = 0
-    for lineno, rec in iter_json_objects(lines, source):
-        values = rec.get("values")
-        numbers = isinstance(values, list) and _NUMBER_TYPES.issuperset(map(type, values))
-        if not numbers or not values:
-            raise InputError("field 'values' must be a non-empty array of numbers", lineno, source)
-        try:  # stored as binary rows are, so that every set read is EMB1's dtype
-            row = np.asarray(values, dtype=EmbeddingFile.dtype)
-            finite = np.isfinite(row).all()
-        except OverflowError:  # an integer literal beyond the float range
-            finite = False
-        if not finite:
-            raise InputError("field 'values' exceeds the float32 range", lineno, source)
-        out.write(row)  # a set of mixed dimensions is rejected once every line is checked
-        dims.add(len(row))
-        count += 1
-        if rec.get("id") is not None:
-            ids.append(want_str(rec, "id", lineno, source))
+    with records(lines, source) as recs:
+        for rec in recs:
+            values = rec.get("values")
+            numbers = isinstance(values, list) and _NUMBER_TYPES.issuperset(map(type, values))
+            if not numbers or not values:
+                raise ValueError("field 'values' must be a non-empty array of numbers")
+            try:  # stored as binary rows are, so that every set read is EMB1's dtype
+                row = np.asarray(values, dtype=EmbeddingFile.dtype)
+                finite = np.isfinite(row).all()
+            except OverflowError:  # an integer literal beyond the float range
+                finite = False
+            if not finite:
+                raise ValueError("field 'values' exceeds the float32 range")
+            out.write(row)  # a set of mixed dimensions is rejected once every line is checked
+            dims.add(len(row))
+            count += 1
+            if rec.get("id") is not None:
+                ids.append(want_str(rec, "id"))
     if not count:
         raise InputError("no embedding records found", source=source)
     if len(dims) != 1:
@@ -252,13 +253,16 @@ def _encode_binary(es: EmbeddingSet | EmbeddingFile) -> Iterable:
 
 
 def _encode_jsonl(es: EmbeddingSet | EmbeddingFile) -> Iterable[bytes]:
-    for first, block in zip(range(0, len(es), _BLOCK), es.blocks()):
-        for i, row in enumerate(np.asarray(block, dtype=np.float32), first):
+    i = 0
+    for block in es.blocks():
+        for row in np.asarray(block, dtype=np.float32):
             rec = {}
             if es.ids is not None:
                 rec["id"] = es.ids[i]
             rec["values"] = row.tolist()
+            i += 1
             yield (json.dumps(rec) + "\n").encode("utf-8")
+        del block, row  # which would keep this block alive while the next is read
     if not len(es):
         yield b"\n"  # an empty set is one blank line
 

@@ -2,10 +2,10 @@
 
 Each line that holds more than JSON's whitespace must hold one JSON object,
 decoded in one ``raw_decode`` call. ``NaN`` and ``Infinity`` are rejected, and
-the ``want_*`` helpers check field types instead of coercing them. Every error
-is an ``InputError`` naming the source and, for line-delimited input, the
-1-based line. Readers open text with ``TEXT``, so a byte that is not UTF-8 is
-an ``InputError`` too.
+the ``want_*`` helpers check field types instead of coercing them; both raise a
+plain ValueError. Every reader reads through ``records``, the one owner of where
+a record is, which turns it into an InputError naming the source and 1-based
+line. Readers open text with ``TEXT``, so a byte that is not UTF-8 is one too.
 
 ``write_manifest`` and ``format_match_record`` build each line with an
 f-string from ``encode_str`` and ``encode_number``, which write exactly what
@@ -20,8 +20,8 @@ import re
 from json.encoder import encode_basestring_ascii as encode_str
 from typing import Iterable, Iterator
 
-__all__ = ["InputError", "decode_object", "iter_json_objects", "want_choice", "want_int",
-           "want_number", "want_str", "want_text"]
+__all__ = ["InputError", "decode_object", "records", "want_choice", "want_int", "want_number", "want_str",
+           "want_text"]
 
 
 # How every reader opens text, so that decode_object sees each byte that is not UTF-8.
@@ -111,62 +111,77 @@ def _non_finite_reason(text: str, constant: str) -> str:
 _RAW_BYTE = re.compile("[\udc80-\udcff]")
 
 
-def decode_object(text: str, line: int | None, source: str) -> dict:
-    """Decode one JSON object; anything else raises InputError."""
+def decode_object(text: str) -> dict:
+    """Decode one JSON object; anything else raises ValueError."""
     if not text.isascii() and _RAW_BYTE.search(text):
-        raise InputError("invalid UTF-8", line, source)
+        raise ValueError("invalid UTF-8")
     text = text.lstrip(" \t\n\r")  # JSON's whitespace, which raw_decode does not skip
     try:
         rec, end = _DECODER.raw_decode(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc.msg}", line, source) from exc
+        raise ValueError(f"invalid JSON: {exc.msg}") from exc
     except _NonFinite as exc:
-        raise InputError(_non_finite_reason(text, str(exc)), line, source) from exc
+        raise ValueError(_non_finite_reason(text, str(exc))) from exc
     except (RecursionError, ValueError) as exc:  # nested too deep, or an overlong integer
-        raise InputError(f"invalid JSON: {exc}", line, source) from exc
+        raise ValueError(f"invalid JSON: {exc}") from exc
     if end != len(text) and text[end:].strip(" \t\n\r"):
-        raise InputError("invalid JSON: Extra data", line, source)
+        raise ValueError("invalid JSON: Extra data")
     if type(rec) is not dict:
-        raise InputError("record must be a JSON object", line, source)
+        raise ValueError("record must be a JSON object")
     if text.count(":") > len(rec) and len(_KEY_END.findall(text)) > len(rec):
         try:
             _STRICT_DECODER.raw_decode(text)
         except _DuplicateKey as exc:
-            raise InputError(f"duplicate key '{exc}'", line, source) from exc
+            raise ValueError(f"duplicate key '{exc}'") from exc
     return rec
 
 
-def iter_json_objects(lines: Iterable[str], source: str) -> Iterator[tuple[int, dict]]:
-    """Yield ``(lineno, record)`` for each line that holds more than JSON's
-    whitespace, numbered from 1."""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip(" \t\n\r")  # JSON's whitespace only
-        if line:
-            yield lineno, decode_object(line, lineno, source)
+class records:
+    """``with records(lines) as recs: for rec in recs: ...`` yields each record line's object,
+    its number in ``line`` (None once the lines run out); a ValueError raised in the block
+    leaves as ``InputError(reason, line, source)``, and an InputError as it is."""
+
+    def __init__(self, lines: Iterable[str], source: str | None = None):
+        self.lines, self.line = lines, None
+        self.source = stream_name(lines) if source is None else source
+
+    def __enter__(self) -> records:
+        return self
+
+    def __iter__(self) -> Iterator[dict]:
+        for self.line, raw in enumerate(self.lines, start=1):
+            text = raw.strip(" \t\n\r")  # JSON's whitespace only
+            if text:
+                yield decode_object(text)
+        self.line = None
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, ValueError) and not isinstance(exc, InputError):
+            raise InputError(str(exc), self.line, self.source) from exc
 
 
-def want_str(rec: dict, key: str, line: int | None, source: str) -> str:
+def want_str(rec: dict, key: str) -> str:
     value = rec.get(key)
     if not isinstance(value, str) or not value:
-        raise InputError(f"field '{key}' must be a non-empty string", line, source)
+        raise ValueError(f"field '{key}' must be a non-empty string")
     return value
 
 
-def want_text(rec: dict, key: str, line: int | None, source: str) -> str:
+def want_text(rec: dict, key: str) -> str:
     value = rec.get(key)
     if not isinstance(value, str):
-        raise InputError(f"field '{key}' must be a string", line, source)
+        raise ValueError(f"field '{key}' must be a string")
     return value
 
 
-def want_int(rec: dict, key: str, line: int | None, source: str) -> int:
+def want_int(rec: dict, key: str) -> int:
     value = rec.get(key)
     if type(value) is int or (isinstance(value, int) and not isinstance(value, bool)):
         return value
-    raise InputError(f"field '{key}' must be an integer", line, source)
+    raise ValueError(f"field '{key}' must be an integer")
 
 
-def want_number(rec: dict, key: str, line: int | None, source: str) -> float:
+def want_number(rec: dict, key: str) -> float:
     value = rec.get(key)
     if type(value) is not float and isinstance(value, (int, float)) and not isinstance(value, bool):
         try:  # an int or a float subclass becomes a plain float
@@ -175,11 +190,11 @@ def want_number(rec: dict, key: str, line: int | None, source: str) -> float:
             value = math.inf
     if type(value) is float and math.isfinite(value):
         return value
-    raise InputError(f"field '{key}' must be a finite number", line, source)
+    raise ValueError(f"field '{key}' must be a finite number")
 
 
-def want_choice(rec: dict, key: str, choices: tuple, line: int | None, source: str):
+def want_choice(rec: dict, key: str, choices: tuple):
     value = rec.get(key)
     if value not in choices:
-        raise InputError(f"field '{key}' must be one of {choices}, got {value!r}", line, source)
+        raise ValueError(f"field '{key}' must be one of {choices}, got {value!r}")
     return value

@@ -25,8 +25,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Union
 
-from .jsonl import (TEXT, InputError, encode_number, encode_str, iter_json_objects, stream_name,
-                    want_choice, want_number, want_str, want_text)
+from .jsonl import (TEXT, InputError, encode_number, encode_str, records, want_choice, want_number, want_str,
+                    want_text)
 
 __all__ = [
     "ManifestError",
@@ -139,8 +139,8 @@ class DatasetManifest:
             yield from entry.clips
 
     def iter_actions(self) -> Iterator[ActionRecord]:
-        for records in self.actions.values():
-            yield from records
+        for actions in self.actions.values():
+            yield from actions
 
 
 @dataclass(frozen=True)
@@ -169,50 +169,48 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
     if isinstance(source, (str, os.PathLike)):
         with open(source, **TEXT) as fh:
             return parse_manifest(fh)
-    name = stream_name(source)
     videos: dict[str, VideoEntry] = {}
     # Each video's clips by clip_id: the duplicate check and, in line order, the clips.
     clips: defaultdict[str, dict[str, ClipRecord]] = defaultdict(dict)
     actions: defaultdict[str, list[ActionRecord]] = defaultdict(list)
 
-    for lineno, rec in iter_json_objects(source, name):
-        kind = want_choice(rec, "kind", RECORD_KINDS, lineno, name)
-        # Interned, so that all the records of a video share one string.
-        video_id = sys.intern(want_str(rec, "video_id", lineno, name))
+    with records(source) as recs:
+        for rec in recs:
+            kind = want_choice(rec, "kind", RECORD_KINDS)
+            # Interned, so that all the records of a video share one string.
+            video_id = sys.intern(want_str(rec, "video_id"))
 
-        if kind == "video":
-            if video_id in videos:
-                raise ManifestError(f"duplicate video record '{video_id}'", lineno, name)
-            entry = videos[video_id] = VideoEntry()
-            if rec.get("duration_s") is not None:
-                duration = want_number(rec, "duration_s", lineno, name)
-                if duration <= 0:
-                    raise ManifestError("field 'duration_s' must be > 0", lineno, name)
-                entry.duration_s = duration
-        elif kind == "clip":
-            clip_id = want_str(rec, "clip_id", lineno, name)
-            start = want_number(rec, "start_s", lineno, name)
-            end = want_number(rec, "end_s", lineno, name)
-            caption = want_text(rec, "caption", lineno, name)
-            try:
-                interval = TimeInterval(start, end)
-            except ValueError as exc:
-                raise ManifestError(f"clip '{clip_id}': {exc}", lineno, name) from exc
-            by_id = clips[video_id]
-            if clip_id in by_id:
-                raise ManifestError(
-                    f"duplicate clip_id '{clip_id}' in video '{video_id}'", lineno, name
-                )
-            by_id[clip_id] = ClipRecord(video_id, clip_id, interval, caption)
-        else:
-            start = want_number(rec, "start_s", lineno, name)
-            end = want_number(rec, "end_s", lineno, name)
-            description = want_text(rec, "description", lineno, name)
-            try:
-                interval = TimeInterval(start, end)
-            except ValueError as exc:
-                raise ManifestError(f"action in video '{video_id}': {exc}", lineno, name) from exc
-            actions[video_id].append(ActionRecord(video_id, interval, description))
+            if kind == "video":
+                if video_id in videos:
+                    raise ValueError(f"duplicate video record '{video_id}'")
+                entry = videos[video_id] = VideoEntry()
+                if rec.get("duration_s") is not None:
+                    duration = want_number(rec, "duration_s")
+                    if duration <= 0:
+                        raise ValueError("field 'duration_s' must be > 0")
+                    entry.duration_s = duration
+            elif kind == "clip":
+                clip_id = want_str(rec, "clip_id")
+                start = want_number(rec, "start_s")
+                end = want_number(rec, "end_s")
+                caption = want_text(rec, "caption")
+                try:
+                    interval = TimeInterval(start, end)
+                except ValueError as exc:
+                    raise ValueError(f"clip '{clip_id}': {exc}") from exc
+                by_id = clips[video_id]
+                if clip_id in by_id:
+                    raise ValueError(f"duplicate clip_id '{clip_id}' in video '{video_id}'")
+                by_id[clip_id] = ClipRecord(video_id, clip_id, interval, caption)
+            else:
+                start = want_number(rec, "start_s")
+                end = want_number(rec, "end_s")
+                description = want_text(rec, "description")
+                try:
+                    interval = TimeInterval(start, end)
+                except ValueError as exc:
+                    raise ValueError(f"action in video '{video_id}': {exc}") from exc
+                actions[video_id].append(ActionRecord(video_id, interval, description))
 
     manifest = DatasetManifest()
     for video_id in sorted(videos.keys() | clips.keys() | actions.keys()):
@@ -247,8 +245,8 @@ def validate_manifest(m: DatasetManifest) -> list[Violation]:
             if duration is not None and clip.interval.end_s > duration:
                 message = f"clip ends at {clip.interval.end_s}s but video lasts {duration}s"
                 out.append(Violation("clip-exceeds-duration", video_id, clip.clip_id, message))
-    for video_id, records in m.actions.items():
-        for idx, action in enumerate(records):
+    for video_id, actions in m.actions.items():
+        for idx, action in enumerate(actions):
             if not action.description.strip():
                 message = f"action {idx} description is blank"
                 out.append(Violation("empty-description", video_id, None, message))

@@ -35,8 +35,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .jsonl import (InputError, encode_str, iter_json_objects, stream_name, want_choice, want_int,
-                    want_number, want_str)
+from .jsonl import encode_str, records, want_choice, want_int, want_number, want_str
 from .manifest import ActionRecord, ClipRecord, DatasetManifest, TimeInterval, VideoEntry
 from .params import MatchThresholds
 
@@ -297,18 +296,18 @@ _RULES = {rule.value: rule for rule in MatchRule}
 
 def parse_match_records(lines: Iterable[str]) -> Iterator[MatchRecord]:
     """Each match line as a record; an IoU or a start gap that ``match`` cannot write is an error."""
-    source = stream_name(lines)
     rules = tuple(_RULES)
-    for lineno, rec in iter_json_objects(lines, source):
-        # Interned, so that the records of a video share one string, the manifest's too.
-        video_id = sys.intern(want_str(rec, "video_id", lineno, source))
-        clip_id = want_str(rec, "clip_id", lineno, source)
-        action_index = want_int(rec, "action_index", lineno, source)
-        iou = want_number(rec, "iou", lineno, source)
-        if not 0.0 <= iou <= 1.0:
-            raise InputError("field 'iou' must be in [0, 1]", lineno, source)
-        start_diff_s = want_number(rec, "start_diff_s", lineno, source)
-        if start_diff_s < 0.0:
-            raise InputError("field 'start_diff_s' must be >= 0", lineno, source)
-        yield MatchRecord(video_id, clip_id, action_index, iou, start_diff_s,
-                          _RULES[want_choice(rec, "rule", rules, lineno, source)])
+    with records(lines) as recs:
+        for rec in recs:
+            # Interned, so that the records of a video share one string, the manifest's too.
+            video_id = sys.intern(want_str(rec, "video_id"))
+            clip_id = want_str(rec, "clip_id")
+            action_index = want_int(rec, "action_index")
+            iou = want_number(rec, "iou")
+            if not 0.0 <= iou <= 1.0:
+                raise ValueError("field 'iou' must be in [0, 1]")
+            start_diff_s = want_number(rec, "start_diff_s")
+            if start_diff_s < 0.0:
+                raise ValueError("field 'start_diff_s' must be >= 0")
+            yield MatchRecord(video_id, clip_id, action_index, iou, start_diff_s,
+                              _RULES[want_choice(rec, "rule", rules)])

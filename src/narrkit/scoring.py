@@ -18,7 +18,7 @@ from enum import Enum
 from functools import reduce
 from typing import Iterable
 
-from .jsonl import InputError, iter_json_objects, stream_name, want_choice, want_int, want_str
+from .jsonl import records, want_choice, want_int, want_str
 
 __all__ = [
     "MatchTier",
@@ -151,28 +151,14 @@ _TIERS = {tier.value: tier for tier in MatchTier}
 
 def read_tier_judgments(lines: Iterable[str]) -> list[TierJudgment]:
     """Read line-delimited {item_id, rater_id, tier} records."""
-    source = stream_name(lines)
     tiers = tuple(_TIERS)
-    return [
-        TierJudgment(
-            want_str(rec, "item_id", lineno, source),
-            _TIERS[want_choice(rec, "tier", tiers, lineno, source)],
-            # Interned: a corpus has a few raters with many judgments each.
-            sys.intern(want_str(rec, "rater_id", lineno, source)),
-        )
-        for lineno, rec in iter_json_objects(lines, source)
-    ]
+    with records(lines) as recs:
+        # The rater interned: a corpus has a few raters with many judgments each.
+        return [TierJudgment(want_str(rec, "item_id"), _TIERS[want_choice(rec, "tier", tiers)],
+                             sys.intern(want_str(rec, "rater_id"))) for rec in recs]
 
 
 def read_vlm_ratings(lines: Iterable[str]) -> list[VLMRating]:
     """Read line-delimited {item_id, rating} records; ratings must be 0..6."""
-    source = stream_name(lines)
-    out = []
-    for lineno, rec in iter_json_objects(lines, source):
-        item_id = want_str(rec, "item_id", lineno, source)
-        rating = want_int(rec, "rating", lineno, source)
-        try:
-            out.append(VLMRating(item_id, rating))
-        except ValueError as exc:
-            raise InputError(str(exc), lineno, source) from exc
-    return out
+    with records(lines) as recs:
+        return [VLMRating(want_str(rec, "item_id"), want_int(rec, "rating")) for rec in recs]

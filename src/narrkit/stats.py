@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from math import fsum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .jsonl import TEXT, InputError, iter_json_objects, want_int, want_str
+from .jsonl import TEXT, InputError, records, want_int, want_str
 from .params import DEFAULT_EDGES, check_edges
 
 if TYPE_CHECKING:  # for annotations only: ``from narrkit import histogram`` loads no manifest model
@@ -126,17 +126,17 @@ def read_token_counts(kind: str, path: str, m: DatasetManifest) -> list[int]:
     file at ``path``; there must be some, and each must be present once."""
     field, want_key = _TOKEN_KEYS[kind]
     tables: defaultdict[str, dict] = defaultdict(dict)  # per video id, interned as the manifest's are
-    with open(path, **TEXT) as fh:
-        for lineno, rec in iter_json_objects(fh, path):
-            video_id = sys.intern(want_str(rec, "video_id", lineno, path))
-            key, table = want_key(rec, field, lineno, path), tables[video_id]
+    with open(path, **TEXT) as fh, records(fh) as recs:
+        for rec in recs:
+            video_id = sys.intern(want_str(rec, "video_id"))
+            key, table = want_key(rec, field), tables[video_id]
             if key in table:
-                raise InputError(f"duplicate {kind} token count for {(video_id, key)}", lineno, path)
-            count = table[key] = want_int(rec, "tokens", lineno, path)
+                raise ValueError(f"duplicate {kind} token count for {(video_id, key)}")
+            count = table[key] = want_int(rec, "tokens")
             if not 0 <= count <= 2**53:  # a histogram bins each count as an exact float
-                raise InputError("field 'tokens' must be an integer in [0, 2**53]", lineno, path)
+                raise ValueError("field 'tokens' must be an integer in [0, 2**53]")
     keys = (((clip.video_id, clip.clip_id) for clip in m.iter_clips()) if kind == "caption" else
-            ((video_id, i) for video_id, records in m.actions.items() for i in range(len(records))))
+            ((video_id, i) for video_id, actions in m.actions.items() for i in range(len(actions))))
     counts = []
     for video_id, key in keys:
         if key not in tables[video_id]:

@@ -20,6 +20,12 @@ feed the pair metric cases: 1100 index-paired rows of 12 float32 values,
 more than two blocks of the kernels' 512 rows and more than one of 1024, the
 second set correlated with the first. They are drawn after every other file,
 so adding them moved no earlier byte.
+
+The ``bad-*`` files each hold one bad line, or for the config one bad value,
+that a reader must reject: a reversed clip interval, an IoU past 1, a repeated
+key, a rating past 6, a step index given as a string, a repeated caption token
+count, a negative action token count and decreasing histogram edges. They are
+written verbatim from ``BAD``, after the drawn files.
 """
 
 from __future__ import annotations
@@ -94,6 +100,45 @@ def _video(rnd: random.Random, n: int) -> tuple[str, list[dict]]:
         lines.append({"kind": "action", "video_id": video_id, "start_s": start, "end_s": end,
                       "description": _text(rnd)})
     return video_id, lines
+
+
+BAD = {
+    "bad-manifest.jsonl": (
+        '{"kind": "video", "video_id": "v1", "duration_s": 30.0}\n'
+        "\n"
+        '{"kind": "clip", "video_id": "v1", "clip_id": "c01", "start_s": 1.0, "end_s": 4.0, '
+        '"caption": "chop"}\n'
+        '{"kind": "clip", "video_id": "v1", "clip_id": "c02", "start_s": 5.0, "end_s": 2.0, '
+        '"caption": "stir"}\n'
+    ),
+    "bad-matches.jsonl": (
+        '{"video_id": "v002", "clip_id": "c00", "action_index": 10, "iou": 0.694302136, '
+        '"start_diff_s": 7.940939136, "rule": "RuleB"}\n'
+        '{"video_id": "v002", "clip_id": "c00", "action_index": 11, "iou": 1.5, '
+        '"start_diff_s": 4.995074738, "rule": "RuleA"}\n'
+    ),
+    "bad-tiers.jsonl": (
+        '{"item_id": "item-000", "rater_id": "r0", "tier": "GoodMatch"}\n'
+        '{"item_id": "item-000", "rater_id": "r1", "tier": "NotMatch", "tier": "VeryMatch"}\n'
+    ),
+    "bad-ratings.jsonl": '{"item_id": "item-000", "rating": 6}\n{"item_id": "item-001", "rating": 7}\n',
+    "bad-steps.jsonl": (
+        '{"sequence_id": "s1", "index": 1, "action": "chop", "caption": "chop onions", '
+        '"embedding_id": "e1", "keyframe_id": "k1"}\n'
+        "   \n"
+        '{"sequence_id": "s1", "index": "2", "action": "stir", "caption": "stir the sauce", '
+        '"embedding_id": "e2", "keyframe_id": "k2"}\n'
+    ),
+    "bad-caption-tokens.jsonl": (
+        '{"video_id": "v076", "clip_id": "c08", "tokens": 199}\n'
+        '{"video_id": "v076", "clip_id": "c08", "tokens": 12}\n'
+    ),
+    "bad-action-tokens.jsonl": (
+        '{"video_id": "v000-\u00e9", "action_index": 0, "tokens": 1}\n'
+        '{"video_id": "v000-\u00e9", "action_index": 1, "tokens": -1}\n'
+    ),
+    "bad-config.json": '{"histogram_edges": {"clip_length_s": [0, 5, 2.5]}}\n',
+}
 
 
 def _write(name: str, records: list[dict]) -> None:
@@ -174,6 +219,10 @@ def main() -> None:
         with open(os.path.join(HERE, name), "wb") as fh:
             fh.write(b"EMB1" + struct.pack("<II", rows, dim))
             fh.write(struct.pack(f"<{rows * dim}f", *values))
+
+    for name, text in BAD.items():
+        with open(os.path.join(HERE, name), "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 if __name__ == "__main__":

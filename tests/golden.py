@@ -33,6 +33,12 @@ A change that moves a digest names the case in CHANGES.md and says why.
 ``filter-*-interleaved`` cases read it and write the same bytes, under the
 same names, as ``filter-best`` and ``filter-all``. The ``filter-*-no-assignment``
 cases leave out ``--assignment`` and write the same filtered manifest.
+
+The ``error-*`` cases feed one ``bad-*`` input each to the manifest, match,
+tier, rating, step, token count and config readers; each must exit 1 and print
+``error: <source>: line N: <reason>``, without ``line N: `` for the config,
+with a reason that narrkit writes itself, so that no Python release moves it.
+``error-validate`` also writes its ``parse-error`` line.
 """
 
 from __future__ import annotations
@@ -53,7 +59,9 @@ PERTURB_DIGESTS = os.path.join(DATA, "digests-perturb.json")
 METRIC_DIGESTS = os.path.join(DATA, "digests-metrics.json")
 INPUTS = ("manifest.jsonl", "caption_tokens.jsonl", "action_tokens.jsonl", "steps.jsonl",
           "tiers.jsonl", "ratings.jsonl", "tiers-item-means.jsonl", "config.json",
-          "matches-interleaved.jsonl", "set.emb", "set.jsonl", "pair-a.emb", "pair-b.emb")
+          "matches-interleaved.jsonl", "set.emb", "set.jsonl", "pair-a.emb", "pair-b.emb",
+          "bad-manifest.jsonl", "bad-matches.jsonl", "bad-tiers.jsonl", "bad-ratings.jsonl",
+          "bad-steps.jsonl", "bad-caption-tokens.jsonl", "bad-action-tokens.jsonl", "bad-config.json")
 
 _M = ("--manifest", "manifest.jsonl")
 # (case name, argv, output files), run in this order: filter reads match's output.
@@ -83,6 +91,17 @@ CASES = [
                          "--out", f"windows-k{k}.jsonl"], [f"windows-k{k}.jsonl"]) for k in (1, 2, 3)],
     ("score", ["score", "--tiers", "tiers.jsonl", "--ratings", "ratings.jsonl"], []),
     ("score-item-means", ["score", "--tiers", "tiers-item-means.jsonl"], []),
+    # Each reader rejects one bad input: exit 1 and one stderr line, error: <source>: line N: <reason>.
+    ("error-validate", ["validate", "--manifest", "bad-manifest.jsonl", "--out", "violations-bad.jsonl"],
+     ["violations-bad.jsonl"]),
+    ("error-filter-matches",
+     ["filter", *_M, "--matches", "bad-matches.jsonl", "--out", "filtered-bad.jsonl"], []),
+    ("error-score-tiers", ["score", "--tiers", "bad-tiers.jsonl"], []),
+    ("error-score-ratings", ["score", "--ratings", "bad-ratings.jsonl"], []),
+    ("error-windows-steps", ["windows", "--steps", "bad-steps.jsonl", "--out", "windows-bad.jsonl"], []),
+    ("error-stats-caption-tokens", ["stats", *_M, "--caption-tokens", "bad-caption-tokens.jsonl"], []),
+    ("error-stats-action-tokens", ["stats", *_M, "--action-tokens", "bad-action-tokens.jsonl"], []),
+    ("error-config", ["stats", *_M, "--config", "bad-config.json"], []),
 ]
 
 # Run only where numpy imports. Twins differ only in --threads, and write the same files.

@@ -553,6 +553,18 @@ class TestArrayInputs:
         assert out.vectors.dtype == expected.vectors.dtype == np.dtype(np.float32 if dtype is np.float32 else np.float64)
         assert out.vectors.tobytes() == expected.vectors.tobytes()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_perturb_rejects_what_perturb_set_rejects(self, value):
+        # one row is checked as a set's rows are, before and after the noise
+        x, big, basis = np.array([value, 1.0]), np.full(2, 3e38, np.float32), np.full(2, 1e38)
+        for call in (perturb, lambda row, *args: perturb_set(row[None, :], *args)):
+            with pytest.raises(ValueError, match="^embeddings must be finite$"):
+                call(x, np.ones(2), PerturbationSpec(0.0, 0.0, False))
+            with pytest.raises(ValueError, match="^the noise takes perturbed values past the float32 range$"):
+                call(big, basis, PerturbationSpec(10.0, 0.0, False))
+        with pytest.raises(ValueError, match="^the noise takes perturbed values past the float64 range$"):
+            perturb(np.full(2, 1e308), np.full(2, 1e308), PerturbationSpec(10.0, 0.0, False))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_std_basis_rejected(self, value):
         basis = np.array([1.0, value, 1.0])

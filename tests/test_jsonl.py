@@ -6,13 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from narrkit import jsonl
-from narrkit.jsonl import (InputError, decode_object, iter_json_objects, stream_name, want_int, want_number,
-                           want_str)
+from narrkit.jsonl import InputError, decode_object, records, stream_name, want_int, want_number, want_str
+
+
+def read_all(lines, source=None):
+    """(line, record) for each record of ``lines``, read through ``records``."""
+    with records(lines, source) as recs:
+        return [(recs.line, rec) for rec in recs]
 
 
 def test_yields_objects_with_line_numbers():
     lines = ['{"a": 1}', "", "   ", '{"b": [2, {"c": null}]}\n']
-    assert list(iter_json_objects(lines, "f")) == [(1, {"a": 1}), (4, {"b": [2, {"c": None}]})]
+    assert read_all(lines, "f") == [(1, {"a": 1}), (4, {"b": [2, {"c": None}]})]
 
 
 def test_stream_name_is_a_string(tmp_path):
@@ -44,14 +49,14 @@ def test_stream_name_is_a_string(tmp_path):
 )
 def test_rejects_with_source_and_line(line, reason):
     with pytest.raises(InputError) as err:
-        list(iter_json_objects(['{"ok": 1}', line], "in.jsonl"))
+        read_all(['{"ok": 1}', line], "in.jsonl")
     assert (err.value.source, err.value.line) == ("in.jsonl", 2)
     assert str(err.value).startswith(f"line 2: {reason}")
 
 
 def test_escaped_surrogate_is_valid_json():
     # only a raw byte is rejected; the JSON escape \udcff is six ASCII characters
-    assert list(iter_json_objects(['{"x": "\\udcff"}'], "in.jsonl")) == [(1, {"x": "\udcff"})]
+    assert read_all(['{"x": "\\udcff"}'], "in.jsonl") == [(1, {"x": "\udcff"})]
 
 
 @pytest.mark.parametrize(
@@ -63,44 +68,43 @@ def test_escaped_surrogate_is_valid_json():
     ],
 )
 def test_field_checks_do_not_coerce(want, value):
-    with pytest.raises(InputError, match="^line 3: field 'f' must be"):
-        want({"f": value}, "f", 3, "in.jsonl")
+    with pytest.raises(ValueError, match="^field 'f' must be") as err:
+        want({"f": value}, "f")
+    assert type(err.value) is ValueError  # the reason alone; records adds where it is
 
 
 def test_field_checks_accept_exact_types():
     rec = {"s": "x", "i": 7, "n": 2}
-    assert (want_str(rec, "s", 1, ""), want_int(rec, "i", 1, ""), want_number(rec, "n", 1, "")) == (
-        "x", 7, 2.0
-    )
+    assert (want_str(rec, "s"), want_int(rec, "i"), want_number(rec, "n")) == ("x", 7, 2.0)
 
 
 # The decode-only path and the integer and number checks as they were before
 # each took an exact-type fast path; the fast paths must not change a result
 # or a message.
-def decode_only(text, line, source):
+def decode_only(text):
     if not text.isascii() and jsonl._RAW_BYTE.search(text):
-        raise InputError("invalid UTF-8", line, source)
+        raise ValueError("invalid UTF-8")
     try:
         rec = jsonl._DECODER.decode(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc.msg}", line, source) from exc
+        raise ValueError(f"invalid JSON: {exc.msg}") from exc
     except jsonl._NonFinite as exc:
-        raise InputError(jsonl._non_finite_reason(text, str(exc)), line, source) from exc
+        raise ValueError(jsonl._non_finite_reason(text, str(exc))) from exc
     except (RecursionError, ValueError) as exc:
-        raise InputError(f"invalid JSON: {exc}", line, source) from exc
+        raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(rec, dict):
-        raise InputError("record must be a JSON object", line, source)
+        raise ValueError("record must be a JSON object")
     return rec
 
 
-def checked_int(rec, key, line, source):
+def checked_int(rec, key):
     value = rec.get(key)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"field '{key}' must be an integer", line, source)
+        raise ValueError(f"field '{key}' must be an integer")
     return value
 
 
-def checked_number(rec, key, line, source):
+def checked_number(rec, key):
     value = rec.get(key)
     if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
@@ -109,14 +113,14 @@ def checked_number(rec, key, line, source):
             number = math.inf
         if math.isfinite(number):
             return number
-    raise InputError(f"field '{key}' must be a finite number", line, source)
+    raise ValueError(f"field '{key}' must be a finite number")
 
 
 def outcome(fn, *args):
     try:
         result = fn(*args)
-    except InputError as exc:
-        return "raised", str(exc), exc.line, exc.source
+    except ValueError as exc:
+        return "raised", type(exc), str(exc)
     return "returned", type(result), result
 
 
@@ -141,7 +145,7 @@ texts = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(texts)
 def test_decode_fast_path_matches_decode_only(text):
-    assert outcome(decode_object, text, 4, "in.jsonl") == outcome(decode_only, text, 4, "in.jsonl")
+    assert outcome(decode_object, text) == outcome(decode_only, text)
 
 
 # Objects whose keys often repeat, at any depth, around strings that hold '":'.
@@ -162,10 +166,10 @@ def test_repeated_key_screen_is_exact(text):
     try:
         jsonl._STRICT_DECODER.decode(text)
     except jsonl._DuplicateKey as exc:
-        expected = ("raised", f"line 4: duplicate key '{exc}'", 4, "in.jsonl")
+        expected = ("raised", ValueError, f"duplicate key '{exc}'")
     else:
-        expected = outcome(decode_only, text, 4, "in.jsonl")
-    assert outcome(decode_object, text, 4, "in.jsonl") == expected
+        expected = outcome(decode_only, text)
+    assert outcome(decode_object, text) == expected
 
 
 class Real(float):
@@ -194,5 +198,68 @@ field_values = st.one_of(
 @given(value=field_values)
 def test_field_fast_paths_match_checks(fast, checked, value):
     rec = {"f": value}
-    assert outcome(fast, rec, "f", 2, "in.jsonl") == outcome(checked, rec, "f", 2, "in.jsonl")
-    assert outcome(fast, {}, "f", 2, "in.jsonl") == outcome(checked, {}, "f", 2, "in.jsonl")
+    assert outcome(fast, rec, "f") == outcome(checked, rec, "f")
+    assert outcome(fast, {}, "f") == outcome(checked, {}, "f")
+
+
+def test_records_name_the_line_of_a_decode_or_field_error():
+    with pytest.raises(InputError) as err:
+        with records(['{"n": 1}', "", '{"n": "2"}']) as recs:
+            for rec in recs:
+                want_int(rec, "n")
+    assert (str(err.value), err.value.line, err.value.source) == (
+        "line 3: field 'n' must be an integer", 3, "<input>")
+    with pytest.raises(InputError) as err:
+        read_all(['{"n": 1}', "{"], "in.jsonl")
+    assert (err.value.line, err.value.source) == (2, "in.jsonl")
+    assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_records_source_is_the_stream_name(tmp_path):
+    path = tmp_path / "f.jsonl"
+    path.write_text('{"a": 1}\n[]\n')
+    with open(path) as fh, pytest.raises(InputError) as err:
+        read_all(fh)
+    assert (str(err.value), err.value.line, err.value.source) == (
+        "line 2: record must be a JSON object", 2, str(path))
+
+
+def test_records_name_no_line_once_the_lines_run_out():
+    with pytest.raises(InputError) as err:
+        with records(['{"a": 1}', '{"a": 2}'], "in.jsonl") as recs:
+            total = sum(rec["a"] for rec in recs)
+            raise ValueError(f"total {total}")
+    assert (str(err.value), err.value.line, err.value.source) == ("total 3", None, "in.jsonl")
+
+
+def test_records_pass_an_input_error_through():
+    raised = InputError("elsewhere", 9, "other.jsonl")
+    with pytest.raises(InputError) as err:
+        with records(['{"a": 1}'], "in.jsonl") as recs:
+            for _ in recs:
+                raise raised
+    assert err.value is raised
+
+
+def test_records_leave_other_errors_alone():
+    with pytest.raises(KeyError):
+        with records(['{"a": 1}'], "in.jsonl") as recs:
+            for rec in recs:
+                rec["b"]
+
+
+def test_consumer_of_a_generator_reader_names_no_line():
+    # A reader that yields from inside its block, as parse_match_records does: an error
+    # its consumer raises is the consumer's, and the block sees only the generator close.
+    def reader(lines):
+        with records(lines, "in.jsonl") as recs:
+            for rec in recs:
+                yield want_int(rec, "n")
+
+    with pytest.raises(ValueError) as err:
+        for n in reader(['{"n": 1}', '{"n": 2}']):
+            if n == 2:
+                raise ValueError("unknown n")
+    assert type(err.value) is ValueError and str(err.value) == "unknown n"
+    with pytest.raises(InputError, match="^line 2: field 'n' must be an integer"):
+        list(reader(['{"n": 1}', '{"n": null}']))

@@ -114,6 +114,18 @@ def test_binary_write_copies_nothing(es, tmp_path):
     assert traced_peak(write_embeddings, es, tmp_path / "x.emb") <= 0.25 * S
 
 
+def test_jsonl_write_holds_one_input_block(tmp_path):
+    # An open file is encoded block by block: one input block and its rows' text, 1.28
+    # blocks. Holding the previous block while the next is read took 2.28.
+    dim = 768
+    path, block = tmp_path / "x.emb", _BLOCK * dim * 4
+    vectors = np.random.default_rng(3).normal(size=(4 * _BLOCK, dim)).astype(np.float32)
+    write_embeddings(EmbeddingSet(vectors), path)
+    del vectors
+    with open_embeddings(path) as reader, open(os.devnull, "wb") as sink:
+        assert traced_peak(write_embeddings, reader, sink, "jsonl") < 1.5 * block
+
+
 def test_population_std_upcasts_column_strips(es):
     assert traced_peak(population_std, es) <= S  # a whole float64 copy is 2 S
 
