@@ -160,7 +160,8 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
     Parsing is insensitive to the order of record kinds: a clip may precede
     its video record, and a video record is optional (an entry with unknown
     duration is created for any referenced video id). Clips are sorted by
-    start time within each video.
+    start time within each video. Every ``video_id`` and ``clip_id`` is
+    interned (``sys.intern``), so records with equal ids share one string.
 
     Raises ManifestError, carrying the offending line number, for unreadable
     JSON, unknown kinds, missing or mistyped fields, invalid intervals, and
@@ -190,7 +191,8 @@ def parse_manifest(source: ManifestSource) -> DatasetManifest:
                         raise ValueError("field 'duration_s' must be > 0")
                     entry.duration_s = duration
             elif kind == "clip":
-                clip_id = want_str(rec, "clip_id")
+                # Interned too: corpora number clips within each video, so ids repeat across videos.
+                clip_id = sys.intern(want_str(rec, "clip_id"))
                 start = want_number(rec, "start_s")
                 end = want_number(rec, "end_s")
                 caption = want_text(rec, "caption")

@@ -9,7 +9,7 @@ even sample sizes, keeping summaries deterministic without interpolation.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from math import fsum
@@ -88,12 +88,17 @@ def summarize(values: Iterable[float]) -> SummaryStats:
     data = list(values)
     if not data:
         raise ValueError("cannot summarize an empty collection")
+    # Before the sort: where an infinity meets a finite overflow, fsum's outcome follows the order.
+    mean = _mean(data)
+    # One copy, sorted in place. The sort is stable, so of equal values (0.0 and -0.0, 1 and
+    # 1.0) the first given is first in its run, and that is the one min() and max() return.
+    data.sort()
     return SummaryStats(
         n=len(data),
-        mean=_mean(data),
-        median=float(sorted(data)[(len(data) - 1) // 2]),  # the lower middle value
-        min=float(min(data)),
-        max=float(max(data)),
+        mean=mean,
+        median=float(data[(len(data) - 1) // 2]),  # the lower middle value
+        min=float(data[0]),
+        max=float(data[bisect_left(data, data[-1])]),  # the first of the largest values' run
     )
 
 

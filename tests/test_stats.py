@@ -1,8 +1,10 @@
 import sys
+from fractions import Fraction
+from math import fsum
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_manifest
@@ -80,6 +82,28 @@ class TestHistogram:
             histogram([1], [0, float("nan"), 4])
 
 
+def _copy_sorted_apart(values):
+    data = list(values)
+    if not data:
+        raise ValueError("cannot summarize an empty collection")
+    try:
+        mean = fsum(data) / len(data)
+    except OverflowError:
+        mean = float(sum(map(Fraction, data)) / len(data))
+    return stats.SummaryStats(n=len(data), mean=mean, median=float(sorted(data)[(len(data) - 1) // 2]),
+                              min=float(min(data)), max=float(max(data)))
+
+
+# Ties across int and float and across the signs of zero, values at and past the float
+# range, and infinities. No NaN: it has no place in an order, for a sort or for min().
+_SUMMARY_VALUES = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 1, 1.0, -1, -1.0, 2**53, 2.0**53, 2**53 + 1, 1e308,
+                     sys.float_info.max, -sys.float_info.max, float("inf"), float("-inf"), 10**400]),
+    st.floats(allow_nan=False),
+    st.integers(),
+)
+
+
 class TestSummaries:
     def test_hand_values(self):
         s = summarize([10, 20, 30])
@@ -117,6 +141,26 @@ class TestSummaries:
     )
     def test_mean_of_finite_values_never_overflows(self, values, mean):
         assert summarize(values).mean == mean
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_SUMMARY_VALUES, min_size=1, max_size=30))
+    @example([0.0, -0.0])
+    @example([-0.0, 0, 0.0])
+    @example([1, 1.0, -2.0, -2])
+    @example([1e308, float("inf"), 1e308])  # fsum returns inf in this order and overflows sorted
+    @example([float("inf"), float("-inf")])
+    @example([10**400, 1.0])
+    def test_matches_a_copy_sorted_apart(self, values):
+        # Field by field, the sign of zero and any error included, as the reference that
+        # copies the values, sorts a second copy for the median and calls min() and max().
+        def outcome(summary):
+            try:
+                s = summary(values)
+            except (ValueError, OverflowError) as exc:
+                return type(exc), str(exc)
+            return s.n, repr(s.mean), repr(s.median), repr(s.min), repr(s.max)
+
+        assert outcome(summarize) == outcome(_copy_sorted_apart)
 
     def test_permutation_invariant(self, rng):
         values = rng.uniform(0, 10, size=31).tolist()
